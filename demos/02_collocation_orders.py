@@ -7,6 +7,7 @@ exact-solution samples h^m.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from torcont import colloc, odesys
 
@@ -28,11 +29,12 @@ for ntst in (2, 4, 8, 16):
     traj = colloc.Trajectory(mesh=mesh, x_bp=x_exact, duration=1.0)
 
     # residual of exact samples
-    res = np.abs(colloc.segment_residual(vf, traj, [])).max()
+    res = np.abs(colloc.segment_residual(vf, mesh, x_exact, 1.0, 0.0, [])).max()
 
     # solve the collocation system with x(0) = 1 pinned
-    jac = colloc.segment_jacobian(vf, traj, [])
-    A = jac.J_x.toarray()
+    jac = colloc.segment_jacobian(vf, mesh, x_exact, 1.0, 0.0, [])
+    A = sp.coo_matrix((jac.J_x, colloc.segment_pattern(mesh, 1)),
+                      shape=(colloc.n_residual_rows(mesh, 1), mesh.n_base)).toarray()
     bc = np.zeros((1, mesh.n_base))
     bc[0, 0] = 1.0
     M = np.vstack([A, bc])

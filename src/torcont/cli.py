@@ -208,8 +208,7 @@ def _run_po_stage(vf, p0, st, store_dir, quiet=False):
         detect_bp=bool(cont.get("detect_bp", False)),
     )
     state = _state_from(cont, path)
-    writer = store.RunWriter(store_dir, st["run_id"], vf, "po",
-                             problem.monitor_names, problem.released)
+    writer = store.RunWriter(store_dir, st["run_id"], problem)
     progress = None if quiet else _progress_printer(problem.monitor_names)
     return contin.run(problem, u0, state, writer=writer, progress=progress)
 
@@ -291,8 +290,7 @@ def _run_torus_stage(vf, p0, st, store_dir, quiet=False):
     else:  # pragma: no cover - validated earlier
         _cfg_error(f"{path}.source.kind", f"unknown source {kind!r}")
 
-    writer = store.RunWriter(store_dir, st["run_id"], vf, "torus",
-                             problem.monitor_names, problem.released)
+    writer = store.RunWriter(store_dir, st["run_id"], problem)
     progress = None if quiet else _progress_printer(problem.monitor_names)
     return contin.run(problem, u0, state, writer=writer, progress=progress,
                       initial_tangent=initial_tangent, correct_start=correct_start)

@@ -1,4 +1,4 @@
-"""Piecewise-polynomial collocation of one trajectory segment.
+"""Piecewise-polynomial collocation of K trajectory segments on one mesh.
 
 A segment lives on normalized time tau in [0, 1]; its physical duration T
 and offset T0 are separate unknowns so they can carry Jacobian entries in
@@ -7,7 +7,7 @@ of degree ``m`` through m+1 uniformly spaced base points (endpoints
 included); the ODE is enforced at the m Gauss-Legendre nodes of every
 subinterval and continuity is imposed as explicit equations between the
 duplicated endpoint unknowns, which keeps the Jacobian block structure
-uniform across segments.
+uniform across segments: an orbit is K = 1, a torus K = 2N+1.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InputError
 from .odesys import (
@@ -153,109 +152,127 @@ def n_residual_rows(mesh: SegmentMesh, n: int) -> int:
     return mesh.n_coll * n + (mesh.ntst - 1) * n
 
 
-def _coll_states(traj: Trajectory):
-    """States and their tau-derivatives at all collocation nodes.
+def _at_nodes(M: np.ndarray, mesh: SegmentMesh, x: np.ndarray) -> np.ndarray:
+    """Per-subinterval combinations M @ (base points) of K segments.
 
-    Returns (Xc, dXc) of shape (ntst*m, n): Lagrange values and global
-    normalized-time derivatives of the interpolant.
+    ``x`` has shape (K, n_base, n); with M = W (values) or D/h (normalized-
+    time derivatives) this gives the interpolants at the collocation nodes,
+    shape (K, ntst*m, n).
     """
-    mesh = traj.mesh
-    m1 = mesh.degree + 1
-    Xb = traj.x_bp.reshape(mesh.ntst, m1, -1)
-    Xc = np.einsum("cj,kjn->kcn", mesh.W, Xb)
-    dXc = np.einsum("cj,kjn->kcn", mesh.D / mesh.h, Xb)
-    n = traj.x_bp.shape[1]
-    return Xc.reshape(-1, n), dXc.reshape(-1, n)
+    K, _, n = x.shape
+    return (M @ x.reshape(K, mesh.ntst, mesh.degree + 1, n)).reshape(K, -1, n)
 
 
-def segment_residual(vf: VectorField, traj: Trajectory, p) -> np.ndarray:
-    """Collocation residuals followed by interior continuity residuals.
-
-    At collocation time tau the residual is x'(tau) - T f(T0 + T tau, x(tau), p)
-    in normalized time; continuity rows equate the duplicated base points of
-    adjacent subintervals.
-    """
-    mesh = traj.mesh
-    n = traj.x_bp.shape[1]
+def _segments(vf: VectorField, mesh: SegmentMesh, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    n = x.shape[-1]
     if n != vf.dim_state:
         raise InputError(f"trajectory carries {n}-dim states, field expects {vf.dim_state}")
-    p = np.asarray(p, dtype=float)
-    Xc, dXc = _coll_states(traj)
-    tc = traj.t_offset + traj.duration * mesh.collnodes
-    fc = rhs_batch(vf, tc, Xc.T, p).T
-    res_coll = (dXc - traj.duration * fc).ravel()
-    m1 = mesh.degree + 1
-    Xb = traj.x_bp.reshape(mesh.ntst, m1, n)
-    res_cont = (Xb[:-1, -1, :] - Xb[1:, 0, :]).ravel()
-    return np.concatenate([res_coll, res_cont])
+    return x.reshape(-1, mesh.n_base, n)
+
+
+def segment_residual(vf: VectorField, mesh: SegmentMesh, x, T: float, T0: float,
+                     p) -> np.ndarray:
+    """Collocation and continuity residuals of K segments sharing (T, T0, p).
+
+    ``x`` holds the base-point states, shape (K, n_base, n) or (n_base, n)
+    for K = 1.  Per segment: the collocation rows, where at collocation time
+    tau the residual is x'(tau) - T f(T0 + T tau, x(tau), p) in normalized
+    time, then the continuity rows equating the duplicated base points of
+    adjacent subintervals.  Segments follow each other.
+    """
+    x = _segments(vf, mesh, x)
+    K, _, n = x.shape
+    Xc = _at_nodes(mesh.W, mesh, x)
+    dXc = _at_nodes(mesh.D / mesh.h, mesh, x)
+    tc = np.tile(T0 + T * mesh.collnodes, K)
+    fc = rhs_batch(vf, tc, Xc.reshape(-1, n).T, np.asarray(p, dtype=float)).T
+    res_coll = dXc - T * fc.reshape(K, -1, n)
+    Xb = x.reshape(K, mesh.ntst, mesh.degree + 1, n)
+    res_cont = Xb[:, :-1, -1, :] - Xb[:, 1:, 0, :]
+    return np.concatenate([res_coll.reshape(K, -1), res_cont.reshape(K, -1)], axis=1).ravel()
 
 
 @dataclass
 class SegmentJacobian:
-    """Blocks of d(segment_residual) w.r.t. (x_bp, duration, t_offset, p)."""
+    """Values of d(segment_residual) for K segments, in a fixed order.
 
-    J_x: sp.csr_matrix  # (rows, ntst*(m+1)*n)
-    J_T: np.ndarray  # (rows,)
-    J_T0: np.ndarray  # (rows,)
-    J_p: np.ndarray  # (rows, q)
+    ``J_x`` follows the entry order of :func:`segment_pattern`; ``J_T``,
+    ``J_T0`` and the columns of ``J_p`` follow :func:`collocation_rows`.
+    """
+
+    J_x: np.ndarray  # (K * entries per segment,)
+    J_T: np.ndarray  # (K * ntst*m*n,)
+    J_T0: np.ndarray  # (K * ntst*m*n,)
+    J_p: np.ndarray  # (K * ntst*m*n, q)
 
 
-def segment_jacobian(vf: VectorField, traj: Trajectory, p) -> SegmentJacobian:
-    mesh = traj.mesh
-    n = traj.x_bp.shape[1]
+def segment_jacobian(vf: VectorField, mesh: SegmentMesh, x, T: float, T0: float,
+                     p) -> SegmentJacobian:
+    """Jacobian values of :func:`segment_residual` (same arguments)."""
+    x = _segments(vf, mesh, x)
+    K, _, n = x.shape
     q = vf.dim_params
     p = np.asarray(p, dtype=float)
     m, m1 = mesh.degree, mesh.degree + 1
     ntst = mesh.ntst
-    T = traj.duration
 
-    Xc, _ = _coll_states(traj)
-    tc = traj.t_offset + T * mesh.collnodes
-    fc = rhs_batch(vf, tc, Xc.T, p)  # (n, k)
-    A = jac_state_batch(vf, tc, Xc.T, p)  # (n, n, k)
-    fp = jac_params_batch(vf, tc, Xc.T, p)  # (n, q, k)
-    ft = jac_time_batch(vf, tc, Xc.T, p)  # (n, k)
+    Yc = np.ascontiguousarray(_at_nodes(mesh.W, mesh, x).reshape(-1, n).T)  # (n, k)
+    tau = np.tile(mesh.collnodes, K)
+    tc = T0 + T * tau
+    fc = rhs_batch(vf, tc, Yc, p)  # (n, k)
+    A = jac_state_batch(vf, tc, Yc, p)  # (n, n, k)
+    fp = jac_params_batch(vf, tc, Yc, p)  # (n, q, k)
+    ft = jac_time_batch(vf, tc, Yc, p)  # (n, k)
 
-    # collocation block per subinterval: D/h (x) I_n - T * W (x) f_y
-    Ak = A.transpose(2, 0, 1).reshape(ntst, m, n, n)
-    blocks = np.zeros((ntst, m, n, m1, n))
-    eye = np.eye(n)
-    blocks += (mesh.D / mesh.h)[None, :, None, :, None] * eye[None, None, :, None, :]
-    blocks -= T * mesh.W[None, :, None, :, None] * Ak[:, :, :, None, :]
-    data = blocks.reshape(ntst, m * n, m1 * n)
-
-    rows_coll = ntst * m * n
-    rows_cont = (ntst - 1) * n
-    rows = rows_coll + rows_cont
-
-    # COO assembly: per-subinterval dense blocks, then +/-1 continuity pairs
-    bi = np.arange(ntst)
-    r0 = (bi * m * n)[:, None, None]
-    c0 = (bi * m1 * n)[:, None, None]
-    rr = r0 + np.arange(m * n)[None, :, None]
-    cc = c0 + np.arange(m1 * n)[None, None, :]
-    row_idx = np.broadcast_to(rr, data.shape).ravel()
-    col_idx = np.broadcast_to(cc, data.shape).ravel()
-    vals = data.ravel()
-
-    k = np.arange(ntst - 1)
-    cont_rows = rows_coll + (k[:, None] * n + np.arange(n)[None, :]).ravel()
-    last_cols = ((k + 1) * m1 * n - n)[:, None] + np.arange(n)[None, :]
-    first_cols = ((k + 1) * m1 * n)[:, None] + np.arange(n)[None, :]
-    row_idx = np.concatenate([row_idx, cont_rows, cont_rows])
-    col_idx = np.concatenate([col_idx, last_cols.ravel(), first_cols.ravel()])
-    vals = np.concatenate([vals, np.ones(rows_cont), -np.ones(rows_cont)])
-
-    J_x = sp.coo_matrix((vals, (row_idx, col_idx)), shape=(rows, ntst * m1 * n)).tocsr()
-
-    J_T = np.zeros(rows)
-    J_T0 = np.zeros(rows)
-    J_p = np.zeros((rows, q))
+    # collocation blocks D/h (x) I_n - T * W (x) f_y of every subinterval,
+    # stored (node c, base point j, row comp, col comp, subinterval) so each
+    # pass runs along the K*ntst subintervals; the continuity entries follow
+    subs = K * ntst
+    Ac = np.ascontiguousarray(A.reshape(n, n, subs, m).transpose(3, 0, 1, 2))
+    DI = (mesh.D / mesh.h)[:, :, None, None] * np.eye(n)
+    J_x = np.empty(m * m1 * n * n * subs + K * 2 * (ntst - 1) * n)
+    blocks = J_x[: m * m1 * n * n * subs].reshape(m, m1, n, n, subs)
+    np.multiply((T * mesh.W)[:, :, None, None, None], Ac[:, None], out=blocks)
+    np.subtract(DI[..., None], blocks, out=blocks)
+    J_x[blocks.size:] = np.tile(np.repeat([1.0, -1.0], (ntst - 1) * n), K)
     # d/dT = -f - T tau f_t ; d/dT0 = -T f_t ; d/dp = -T f_p
-    J_T[:rows_coll] = (-fc.T - (T * mesh.collnodes)[:, None] * ft.T).ravel()
-    J_T0[:rows_coll] = (-T * ft.T).ravel()
-    J_p[:rows_coll] = (-T * fp.transpose(2, 0, 1)).reshape(rows_coll, q)
+    J_T = (-fc.T - (T * tau)[:, None] * ft.T).ravel()
+    J_T0 = (-T * ft.T).ravel()
+    J_p = (-T * fp.transpose(2, 0, 1)).reshape(tau.size * n, q)
     return SegmentJacobian(J_x=J_x, J_T=J_T, J_T0=J_T0, J_p=J_p)
+
+
+def segment_pattern(mesh: SegmentMesh, n: int, K: int = 1):
+    """(rows, cols) of the ``J_x`` values of :func:`segment_jacobian`.
+
+    Segment s owns rows s*rows_seg... and base-point columns s*n_base*n....
+    The dense subinterval blocks come first, indexed (collocation node,
+    base point, row component, column component, subinterval of all
+    segments); then per segment the +1 and the -1 entries of its continuity
+    rows.
+    """
+    ntst, m, m1 = mesh.ntst, mesh.degree, mesh.degree + 1
+    rows_seg, X_seg = n_residual_rows(mesh, n), mesh.n_base * n
+    seg, sub = np.divmod(np.arange(K * ntst), ntst)
+    c, j, i, l = np.ix_(range(m), range(m1), range(n), range(n))
+    shape = (m, m1, n, n, K * ntst)
+    rows_b = np.broadcast_to((c * n + i)[..., None] + seg * rows_seg + sub * m * n, shape)
+    cols_b = np.broadcast_to((j * n + l)[..., None] + seg * X_seg + sub * m1 * n, shape)
+    k = np.arange(ntst - 1)[:, None]
+    cont_rows = (ntst * m * n + k * n + np.arange(n)).ravel()
+    last_cols = ((k + 1) * m1 * n - n + np.arange(n)).ravel()
+    seg = np.arange(K)[:, None]
+    rows_c = seg * rows_seg + np.concatenate([cont_rows, cont_rows])
+    cols_c = seg * X_seg + np.concatenate([last_cols, last_cols + n])
+    return (np.concatenate([rows_b.ravel(), rows_c.ravel()]),
+            np.concatenate([cols_b.ravel(), cols_c.ravel()]))
+
+
+def collocation_rows(mesh: SegmentMesh, n: int, K: int = 1) -> np.ndarray:
+    """Rows of the collocation equations of K segments, in residual order."""
+    seg = np.arange(K)[:, None]
+    return (seg * n_residual_rows(mesh, n) + np.arange(mesh.n_coll * n)).ravel()
 
 
 def interpolate(traj: Trajectory, t):

@@ -20,6 +20,7 @@ import scipy.sparse as sp
 
 from .errors import BranchPointError, ConfigError, ConvergenceError
 from .linsys import bordered_matrix, det_sign_log, lu_factor, nullspace_tangent
+from .odesys import VectorField
 
 CORRECTOR_TOL = 1.0e-8
 CORRECTOR_MAX_ITER = 8
@@ -49,17 +50,20 @@ class ContinuationProblem:
     ``start_strategy`` fixes the border of the initial correction: a
     ("seed", vector) pair anchors the correction orthogonal to a known
     branch direction, ("pin", column) holds one unknown at its seed value.
+    ``jacobian`` returns a canonical CSC matrix (other formats are converted
+    at every bordering); ``vf`` is the vector field of orbit and torus problems.
     """
 
     n_unknowns: int
     residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], sp.spmatrix]
+    jacobian: Callable[[np.ndarray], sp.csc_matrix]
     monitors: Callable[[np.ndarray], dict]
     monitor_names: list
     released: list
     active: list
     embed: Callable[[np.ndarray], object]
     kind: str = "generic"
+    vf: Optional[VectorField] = None
     bounds: dict = field(default_factory=dict)
     on_accept: Callable[[np.ndarray], None] = lambda u: None
     events: list = field(default_factory=list)
@@ -369,7 +373,7 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
         )
         branch.points.append(pt)
         if writer is not None:
-            writer.write_point(problem, pt)
+            writer.write_point(pt)
         if progress is not None:
             progress(pt)
         return pt

@@ -13,12 +13,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import colloc
 from .errors import ConvergenceError
 from .ivp import IvpOptions, transition_matrix
-from .linsys import newton_square
+from .linsys import CscPattern, newton_square
 from .odesys import VectorField, eval_rhs
 
 #: complex pairs need |Im mu| above this to count for TR testing
@@ -57,7 +56,7 @@ def po_residual(vf: VectorField, traj: colloc.Trajectory, p, reference: PoRefere
     systems the scalar <f(0, x*(0), p*), x(0) - x*(0)>.  Non-autonomous
     orbits pin the period to the forcing period 2*pi/Omega instead.
     """
-    res = colloc.segment_residual(vf, traj, p)
+    res = colloc.segment_residual(vf, traj.mesh, traj.x_bp, traj.duration, traj.t_offset, p)
     periodicity = traj.x_bp[-1] - traj.x_bp[0]
     if vf.autonomous:
         phase = np.array([reference.f0 @ (traj.x_bp[0] - reference.x0)])
@@ -68,32 +67,39 @@ def po_residual(vf: VectorField, traj: colloc.Trajectory, p, reference: PoRefere
     return np.concatenate([res, periodicity, phase])
 
 
-def po_jacobian(vf: VectorField, traj: colloc.Trajectory, p, reference: PoReference):
-    """Sparse Jacobian with columns ordered [x_bp, T, p_0 .. p_{q-1}]."""
-    n = vf.dim_state
-    X = traj.x_bp.size
-    seg = colloc.segment_jacobian(vf, traj, p)
-    rows_seg = seg.J_x.shape[0]
-    rows = rows_seg + n + 1
-
-    J = sp.lil_matrix((rows, X + 1 + vf.dim_params))
-    J[:rows_seg, :X] = seg.J_x
-    J[:rows_seg, X] = seg.J_T.reshape(-1, 1)
-    if vf.dim_params:
-        J[:rows_seg, X + 1 :] = seg.J_p
-    r = rows_seg
-    for i in range(n):
-        J[r + i, X - n + i] = 1.0
-        J[r + i, i] = -1.0
-    r += n
+def po_jacobian_index(vf: VectorField, mesh: colloc.SegmentMesh):
+    """(rows, cols, shape) of the values :func:`po_jacobian` computes, in
+    their order; columns are [x_bp, T, p_0 .. p_{q-1}]."""
+    n, q = vf.dim_state, vf.dim_params
+    X = mesh.n_base * n
+    rows_x, cols_x = colloc.segment_pattern(mesh, n)
+    coll = colloc.collocation_rows(mesh, n)
+    r = colloc.n_residual_rows(mesh, n)
+    rows = [rows_x, coll, np.tile(coll, q), r + np.arange(n), r + np.arange(n)]
+    cols = [cols_x, np.full(coll.size, X), np.repeat(X + 1 + np.arange(q), coll.size),
+            X - n + np.arange(n), np.arange(n)]
     if vf.autonomous:
-        J[r, :n] = reference.f0
+        rows.append(np.full(n, r + n))
+        cols.append(np.arange(n))
     else:
-        J[r, X] = 1.0
-        iom = vf.param_index(vf.forcing_param)
-        omega = np.asarray(p, dtype=float)[iom]
-        J[r, X + 1 + iom] = 2.0 * np.pi / omega**2
-    return J.tocsr()
+        rows.append(np.full(2, r + n))
+        cols.append([X, X + 1 + vf.param_index(vf.forcing_param)])
+    return np.concatenate(rows), np.concatenate(cols), (r + n + 1, X + 1 + q)
+
+
+def po_jacobian(vf: VectorField, traj: colloc.Trajectory, p, reference: PoReference,
+                pattern: CscPattern):
+    """Sparse Jacobian of :func:`po_residual` at the columns ``pattern``
+    keeps; the values follow :func:`po_jacobian_index`."""
+    n = vf.dim_state
+    seg = colloc.segment_jacobian(vf, traj.mesh, traj.x_bp, traj.duration, traj.t_offset, p)
+    if vf.autonomous:
+        phase = reference.f0
+    else:
+        omega = np.asarray(p, dtype=float)[vf.param_index(vf.forcing_param)]
+        phase = [1.0, 2.0 * np.pi / omega**2]
+    return pattern.matrix(np.concatenate([seg.J_x, seg.J_T, seg.J_p.T.ravel(), np.ones(n),
+                                          -np.ones(n), phase]))
 
 
 def solve_po(
@@ -116,8 +122,10 @@ def solve_po(
     def res(u):
         return po_residual(vf, embed(u), p, ref)
 
+    pattern = CscPattern(*po_jacobian_index(vf, traj_guess.mesh), keep=np.arange(X + 1))
+
     def jac(u):
-        return po_jacobian(vf, embed(u), p, ref)[:, : X + 1]
+        return po_jacobian(vf, embed(u), p, ref, pattern)
 
     u0 = np.concatenate([traj_guess.x_bp.ravel(), [traj_guess.duration]])
     u, _ = newton_square(res, jac, u0, tol=tol, max_iter=max_iter, context="periodic orbit")
@@ -275,11 +283,12 @@ def continuation_problem(
         po_ = embed(u)
         return po_residual(vf, po_.traj, po_.p, po_.reference)
 
+    pattern = CscPattern(*po_jacobian_index(vf, start.traj.mesh),
+                         keep=list(range(X + 1)) + [X + 1 + ip for ip in active_idx])
+
     def jacobian(u):
         po_ = embed(u)
-        full = po_jacobian(vf, po_.traj, po_.p, po_.reference)
-        keep = list(range(X + 1)) + [X + 1 + ip for ip in active_idx]
-        return full.tocsc()[:, keep].tocsr()
+        return po_jacobian(vf, po_.traj, po_.p, po_.reference, pattern)
 
     monitor_names = list(vf.param_names) + ["T"]
 
@@ -315,6 +324,7 @@ def continuation_problem(
         active=active,
         embed=embed,
         kind="po",
+        vf=vf,
         bounds=dict(bounds or {}),
         on_accept=on_accept,
         events=events,

@@ -167,46 +167,44 @@ def solution_from_snapshot(doc: dict, vf: Optional[VectorField] = None):
 
 @dataclass
 class RunWriter:
-    """Streams labeled points of one continuation run to disk."""
+    """Streams labeled points of one continuation run to disk.
+
+    docs/formats.md gives the write order and the rule for a reused run
+    directory (its old snapshots are deleted)."""
 
     store: str
     run_id: str
-    vf: VectorField
-    kind: str  # "po" | "torus"
-    monitor_names: list
-    released: list
-    extras: dict = field(default_factory=dict)
+    problem: contin.ContinuationProblem
     _dir: str = ""
 
     def __post_init__(self):
         self._dir = run_dir(self.store, self.run_id)
         os.makedirs(self._dir, exist_ok=True)
+        for name in os.listdir(self._dir):
+            if name.startswith("sol_"):
+                os.remove(os.path.join(self._dir, name))
         meta = {
             "format": "torcont-run",
             "version": FORMAT_VERSION,
             "run_id": self.run_id,
-            "kind": self.kind,
-            "system": _system_header(self.vf),
-            "monitor_names": list(self.monitor_names),
-            "released": list(self.released),
+            "kind": self.problem.kind,
+            "system": _system_header(self.problem.vf),
+            "monitor_names": list(self.problem.monitor_names),
+            "released": list(self.problem.released),
         }
-        meta.update(self.extras)
         with open(os.path.join(self._dir, "meta.json"), "w") as fh:
             json.dump(meta, fh, indent=1)
         with open(os.path.join(self._dir, "bd.tsv"), "w") as fh:
             fh.write(BD_HEADER + "\n")
-            fh.write("\t".join(["label", "type"] + list(self.monitor_names)) + "\n")
+            fh.write("\t".join(["label", "type"] + list(self.problem.monitor_names)) + "\n")
 
-    def write_point(self, problem: contin.ContinuationProblem, pt: contin.BranchPoint):
-        with open(os.path.join(self._dir, "bd.tsv"), "a") as fh:
-            cells = [str(pt.label), pt.ptype]
-            cells += [_f(pt.monitors[name]) for name in self.monitor_names]
-            fh.write("\t".join(cells) + "\n")
+    def write_point(self, pt: contin.BranchPoint):
+        problem = self.problem
         sol = problem.embed(pt.u)
-        if self.kind == "torus":
-            doc = torus_snapshot(self.vf, sol)
+        if problem.kind == "torus":
+            doc = torus_snapshot(problem.vf, sol)
         else:
-            doc = po_snapshot(self.vf, sol)
+            doc = po_snapshot(problem.vf, sol)
         doc["label"] = pt.label
         doc["point_type"] = pt.ptype
         doc["released"] = list(problem.released)
@@ -214,8 +212,14 @@ class RunWriter:
         doc["tangent"] = pt.tangent.tolist()
         doc["monitors"] = {k: float(v) for k, v in pt.monitors.items()}
         path = os.path.join(self._dir, f"sol_{pt.label:06d}.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        text = json.dumps(doc)  # the C encoder; json.dump runs the Python one
+        with open(path + ".tmp", "w") as fh:
+            fh.write(text)
+        os.replace(path + ".tmp", path)
+        with open(os.path.join(self._dir, "bd.tsv"), "a") as fh:
+            cells = [str(pt.label), pt.ptype]
+            cells += [_f(pt.monitors[name]) for name in problem.monitor_names]
+            fh.write("\t".join(cells) + "\n")
 
 
 # -- reading -------------------------------------------------------------------
@@ -266,9 +270,13 @@ def read_bd(store: str, run_id: str) -> BdTable:
 
 
 def read_solution(store: str, run_id: str, label: int, vf: Optional[VectorField] = None):
-    """Load a labeled snapshot; returns (doc, vf, solution object)."""
+    """Load a labeled snapshot; returns (doc, vf, solution object).
+
+    Only labels of the run's bd table count; a snapshot file without a row
+    is not part of the run.
+    """
     path = os.path.join(run_dir(store, run_id), f"sol_{int(label):06d}.json")
-    if not os.path.exists(path):
+    if int(label) not in read_bd(store, run_id).labels or not os.path.exists(path):
         raise NotFoundError(f"label {label} not found in run {run_id!r}")
     with open(path) as fh:
         doc = json.load(fh)

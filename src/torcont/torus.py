@@ -43,14 +43,8 @@ from .fourier import (
     trig_interpolate,
 )
 from .ivp import IvpOptions, integrate, transition_matrix
-from .odesys import (
-    VectorField,
-    eval_rhs,
-    jac_params_batch,
-    jac_state_batch,
-    jac_time_batch,
-    rhs_batch,
-)
+from .linsys import CscPattern
+from .odesys import VectorField, eval_rhs
 
 #: extended parameter names every torus problem exposes beyond the system's
 EXTRA_PARAMS = ("om1", "om2", "varrho")
@@ -153,35 +147,14 @@ def torus_residual(vf: VectorField, sol: TorusSolution) -> np.ndarray:
     """Residual blocks (a)-(h) in the normative order."""
     if sol.reference is None:
         raise InputError("torus solution carries no reference section")
-    mesh = sol.mesh
-    n_seg, nbp, n = sol.x_seg.shape
-    if n != vf.dim_state:
-        raise InputError(f"solution carries {n}-dim states, field expects {vf.dim_state}")
-    if not vf.autonomous and vf.forcing_param is None:
-        raise ConfigError("non-autonomous field must declare its forcing-frequency parameter")
-    ntst, m = mesh.ntst, mesh.degree
-    m1 = m + 1
-
-    # (a) batched collocation + continuity over all segments
-    Xb = sol.x_seg.reshape(n_seg, ntst, m1, n)
-    Xc = np.einsum("cj,skjn->skcn", mesh.W, Xb)
-    dXc = np.einsum("cj,skjn->skcn", mesh.D / mesh.h, Xb)
-    tc = sol.T0 + sol.T * mesh.collnodes  # (ntst*m,)
-    k = n_seg * ntst * m
-    Yc = Xc.reshape(n_seg, ntst * m, n).reshape(k, n).T  # (n, k)
-    ts = np.tile(tc, n_seg)
-    fc = rhs_batch(vf, ts, Yc, sol.p).T.reshape(n_seg, ntst * m, n)
-    res_coll = dXc.reshape(n_seg, ntst * m, n) - sol.T * fc
-    res_cont = Xb[:, :-1, -1, :] - Xb[:, 1:, 0, :]
-    res_a = np.concatenate(
-        [res_coll.reshape(n_seg, -1), res_cont.reshape(n_seg, -1)], axis=1
-    ).ravel()
+    # (a) collocation + continuity of all segments
+    res_a = colloc.segment_residual(vf, sol.mesh, sol.x_seg, sol.T, sol.T0, sol.p)
 
     # (b) all-to-all coupling
     R = rotation_matrix(sol.N, sol.varrho)
     v0 = sol.x_seg[:, 0, :].ravel()
     vT = sol.x_seg[:, -1, :].ravel()
-    res_b = coupling_residual(v0, vT, R, sol.coupling.F, n)
+    res_b = coupling_residual(v0, vT, R, sol.coupling.F, sol.dim_state)
 
     # (c)-(h) scalars
     ref = sol.reference
@@ -195,141 +168,62 @@ def torus_residual(vf: VectorField, sol: TorusSolution) -> np.ndarray:
     return np.concatenate([res_a, res_b, np.asarray(scalars)])
 
 
-def torus_jacobian(vf: VectorField, sol: TorusSolution) -> sp.csr_matrix:
-    """Sparse Jacobian of :func:`torus_residual` w.r.t. the full column set."""
-    mesh = sol.mesh
+def torus_jacobian_index(vf: VectorField, sol: TorusSolution):
+    """(rows, cols, shape) of the values :func:`torus_jacobian` computes, in
+    their order; they depend only on the layout of ``sol``."""
     n_seg, nbp, n = sol.x_seg.shape
-    ntst, m = mesh.ntst, mesh.degree
-    m1 = m + 1
-    q = vf.dim_params
-    X_seg, X, _, rows_seg, rows, cols = _layout(sol, vf)
+    X_seg, X, q, rows_seg, rows, cols = _layout(sol, vf)
     col_T0, col_T = X, X + 1
     col_om1, col_om2, col_rho = X + 2 + q, X + 2 + q + 1, X + 2 + q + 2
 
-    Xb = sol.x_seg.reshape(n_seg, ntst, m1, n)
-    Xc = np.einsum("cj,skjn->skcn", mesh.W, Xb)
-    tc = sol.T0 + sol.T * mesh.collnodes
-    k = n_seg * ntst * m
-    Yc = Xc.reshape(k, n).T
-    ts = np.tile(tc, n_seg)
-    fc = rhs_batch(vf, ts, Yc, sol.p)  # (n, k)
-    A = jac_state_batch(vf, ts, Yc, sol.p)  # (n, n, k)
-    fp = jac_params_batch(vf, ts, Yc, sol.p)  # (n, q, k)
-    ft = jac_time_batch(vf, ts, Yc, sol.p)  # (n, k)
+    # (a) collocation blocks and continuity, then the T, T0 and p columns
+    rows_x, cols_x = colloc.segment_pattern(sol.mesh, n, n_seg)
+    coll = colloc.collocation_rows(sol.mesh, n, n_seg)
+    r = [rows_x, coll, coll, np.tile(coll, q)]
+    c = [cols_x, np.full(coll.size, col_T), np.full(coll.size, col_T0),
+         np.repeat(X + 2 + np.arange(q), coll.size)]
 
-    rows_idx = []
-    cols_idx = []
-    vals = []
-
-    # (a) collocation blocks: D/h (x) I_n - T * W (x) f_y, per subinterval
-    Ak = A.transpose(2, 0, 1).reshape(n_seg, ntst, m, n, n)
-    blocks = np.zeros((n_seg, ntst, m, n, m1, n))
-    eye = np.eye(n)
-    blocks += (mesh.D / mesh.h)[None, None, :, None, :, None] * eye[None, None, None, :, None, :]
-    blocks -= sol.T * mesh.W[None, None, :, None, :, None] * Ak[:, :, :, :, None, :]
-    # row r = seg*rows_seg + sub*m*n + (node, comp); col = seg*X_seg + sub*m1*n + (base, comp)
-    seg_i = np.arange(n_seg)[:, None, None, None]
-    sub_i = np.arange(ntst)[None, :, None, None]
-    r_local = (sub_i * m * n + np.arange(m * n)[None, None, :, None])
-    c_local = (sub_i * m1 * n + np.arange(m1 * n)[None, None, None, :])
-    rr = (seg_i * rows_seg + r_local)
-    cc = (seg_i * X_seg + c_local)
-    shape4 = (n_seg, ntst, m * n, m1 * n)
-    rows_idx.append(np.broadcast_to(rr, shape4).ravel())
-    cols_idx.append(np.broadcast_to(cc, shape4).ravel())
-    vals.append(blocks.reshape(shape4).ravel())
-
-    # (a) derivative w.r.t. T, T0 and p on the collocation rows
-    coll_rows_local = (np.arange(ntst * m * n)).reshape(ntst * m, n)
-    coll_rows = (np.arange(n_seg)[:, None, None] * rows_seg + coll_rows_local[None]).ravel()
-    dT = (-fc.T - (sol.T * np.tile(mesh.collnodes, n_seg))[:, None] * ft.T).ravel()
-    dT0 = (-sol.T * ft.T).ravel()
-    rows_idx += [coll_rows, coll_rows]
-    cols_idx += [np.full(coll_rows.size, col_T), np.full(coll_rows.size, col_T0)]
-    vals += [dT, dT0]
-    if q:
-        dp = (-sol.T * fp.transpose(2, 0, 1)).reshape(-1, q)  # (k*n? ...) rows x q
-        for ip in range(q):
-            rows_idx.append(coll_rows)
-            cols_idx.append(np.full(coll_rows.size, X + 2 + ip))
-            vals.append(dp[:, ip])
-
-    # (a) continuity rows: +1 on last base point of sub k, -1 on first of k+1
-    if ntst > 1:
-        sub_k = np.arange(ntst - 1)
-        r_cont = (np.arange(n_seg)[:, None, None] * rows_seg + ntst * m * n
-                  + (sub_k[None, :, None] * n + np.arange(n)[None, None, :]))
-        c_last = (np.arange(n_seg)[:, None, None] * X_seg
-                  + ((sub_k + 1) * m1 * n - n)[None, :, None] + np.arange(n)[None, None, :])
-        c_first = (np.arange(n_seg)[:, None, None] * X_seg
-                   + ((sub_k + 1) * m1 * n)[None, :, None] + np.arange(n)[None, None, :])
-        cnt = r_cont.size
-        rows_idx += [r_cont.ravel(), r_cont.ravel()]
-        cols_idx += [c_last.ravel(), c_first.ravel()]
-        vals += [np.ones(cnt), -np.ones(cnt)]
-
-    # (b) coupling rows: (F (x) I_n) on vT columns, -(R F (x) I_n) on v0 columns
+    # (b) coupling rows (i, d): F on the vT columns and -R F on the v0
+    # columns of every segment j, then the varrho column
     off_b = n_seg * rows_seg
-    R = rotation_matrix(sol.N, sol.varrho)
-    RF = R @ sol.coupling.F
-    F = sol.coupling.F
-    bi = np.arange(n_seg)
-    r_b = off_b + (bi[:, None, None] * n + np.arange(n)[None, None, :])  # (i, j, d)
-    r_b = np.broadcast_to(r_b, (n_seg, n_seg, n))
-    c_vT = (bi[None, :, None] * X_seg + (nbp - 1) * n + np.arange(n)[None, None, :])
-    c_vT = np.broadcast_to(c_vT, (n_seg, n_seg, n))
-    c_v0 = (bi[None, :, None] * X_seg + np.arange(n)[None, None, :])
-    c_v0 = np.broadcast_to(c_v0, (n_seg, n_seg, n))
-    dataF = np.broadcast_to(F[:, :, None], (n_seg, n_seg, n))
-    dataRF = np.broadcast_to(-RF[:, :, None], (n_seg, n_seg, n))
-    rows_idx += [r_b.ravel(), r_b.ravel()]
-    cols_idx += [c_vT.ravel(), c_v0.ravel()]
-    vals += [dataF.ravel(), dataRF.ravel()]
-    # coupling dependence on varrho through R
-    dR = rotation_matrix_deriv(sol.N, sol.varrho)
-    V0 = sol.x_seg[:, 0, :]
-    dcoup = -(dR @ F) @ V0  # (n_seg, n)
-    rb_flat = off_b + np.arange(n_seg * n)
-    rows_idx.append(rb_flat)
-    cols_idx.append(np.full(n_seg * n, col_rho))
-    vals.append(dcoup.ravel())
+    seg, d = np.arange(n_seg), np.arange(n)
+    r_b = np.broadcast_to((off_b + seg[:, None, None] * n + d), (n_seg, n_seg, n)).ravel()
+    c_v0 = np.broadcast_to(seg[None, :, None] * X_seg + d, (n_seg, n_seg, n)).ravel()
+    r += [r_b, r_b, off_b + np.arange(n_seg * n)]
+    c += [c_v0 + (nbp - 1) * n, c_v0, np.full(n_seg * n, col_rho)]
 
     # (c)-(h) scalar rows
     off_c = off_b + n_seg * n
-    ref = sol.reference
-    sr, sc, sv = [], [], []
-    sr.append(off_c)
-    sc.append(col_T0)
-    sv.append(1.0)
-    sr += [off_c + 1, off_c + 1]
-    sc += [col_T, col_om2]
-    sv += [1.0, 2.0 * np.pi / sol.om2**2]
-    sr += [off_c + 2, off_c + 2, off_c + 2]
-    sc += [col_rho, col_om1, col_om2]
-    sv += [1.0, -1.0 / sol.om2, sol.om1 / sol.om2**2]
-    for d in range(n):
-        sr.append(off_c + 3)
-        sc.append(d)  # segment 1, first base point
-        sv.append(ref.vphi[d])
+    r.append(off_c + np.array([0, 1, 1, 2, 2, 2]))
+    c.append([col_T0, col_T, col_om2, col_rho, col_om1, col_om2])
+    r.append(np.full(n, off_c + 3))
+    c.append(d)  # segment 1, first base point
     if vf.autonomous:
-        for d in range(n):
-            sr.append(off_c + 4)
-            sc.append(d)
-            sv.append(ref.vt[d])
+        r.append(np.full(n, off_c + 4))
+        c.append(d)
     else:
-        iom = vf.param_index(vf.forcing_param)
-        sr += [off_c + 4, off_c + 4]
-        sc += [X + 2 + iom, col_om2]
-        sv += [1.0, -1.0]
-    rows_idx.append(np.asarray(sr))
-    cols_idx.append(np.asarray(sc))
-    vals.append(np.asarray(sv, dtype=float))
+        r.append(np.full(2, off_c + 4))
+        c.append([X + 2 + vf.param_index(vf.forcing_param), col_om2])
+    return np.concatenate(r), np.concatenate(c), (rows, cols)
 
-    J = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows_idx), np.concatenate(cols_idx))),
-        shape=(rows, cols),
-    )
-    return J.tocsr()
+
+def torus_jacobian(vf: VectorField, sol: TorusSolution,
+                   pattern: Optional[CscPattern] = None) -> sp.csc_matrix:
+    """Sparse Jacobian of :func:`torus_residual` at the columns ``pattern``
+    keeps (default: all); the values follow :func:`torus_jacobian_index`."""
+    n = sol.dim_state
+    seg = colloc.segment_jacobian(vf, sol.mesh, sol.x_seg, sol.T, sol.T0, sol.p)
+    F = sol.coupling.F
+    RF = rotation_matrix(sol.N, sol.varrho) @ F
+    dcoup = -(rotation_matrix_deriv(sol.N, sol.varrho) @ F) @ sol.x_seg[:, 0, :]
+    scalars = [1.0, 1.0, 2.0 * np.pi / sol.om2**2, 1.0, -1.0 / sol.om2, sol.om1 / sol.om2**2]
+    phase_t = sol.reference.vt if vf.autonomous else [1.0, -1.0]
+    values = np.concatenate([
+        seg.J_x, seg.J_T, seg.J_T0, seg.J_p.T.ravel(),
+        np.repeat(F.ravel(), n), np.repeat(-RF.ravel(), n), dcoup.ravel(),
+        scalars, sol.reference.vphi, phase_t,
+    ])
+    return (pattern or CscPattern(*torus_jacobian_index(vf, sol))).matrix(values)
 
 
 # -- initial solutions --------------------------------------------------------
@@ -647,10 +541,11 @@ def continuation_problem(
     def residual(u):
         return torus_residual(vf, embed(u))
 
-    keep_cols = np.concatenate([np.arange(X + 2), np.asarray(active_cols, dtype=int)])
+    pattern = CscPattern(*torus_jacobian_index(vf, start), keep=np.concatenate(
+        [np.arange(X + 2), np.asarray(active_cols, dtype=int)]))
 
     def jacobian(u):
-        return torus_jacobian(vf, embed(u)).tocsc()[:, keep_cols].tocsr()
+        return torus_jacobian(vf, embed(u), pattern)
 
     monitor_names = list(vf.param_names) + list(EXTRA_PARAMS) + ["T0", "T"]
 
@@ -689,6 +584,7 @@ def continuation_problem(
         active=active,
         embed=embed,
         kind="torus",
+        vf=vf,
         bounds=dict(bounds or {}),
         on_accept=on_accept,
         events=[],

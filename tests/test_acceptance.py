@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from torcont import cli, colloc, contin, fourier, ivp, odesys, po, store, torus
@@ -49,8 +50,7 @@ def pipeline(tmp_path_factory):
     problem, u0 = store.restart_TR2tor(
         base, "po1", {"type": "TR", "pick": "first"},
         released=["varrho", "rho", "om1", "om2"], N=50)
-    writer = store.RunWriter(base, "tr1a", problem_vf(problem), "torus",
-                             problem.monitor_names, problem.released)
+    writer = store.RunWriter(base, "tr1a", problem)
     state = contin.ContinuationState(h=0.5, h_min=1e-3, h_max=10.0, pt_max=22,
                                      bi_direct=False)
     branch_tr1 = contin.run(problem, u0, state, writer=writer)
@@ -61,8 +61,7 @@ def pipeline(tmp_path_factory):
     problem2, u02 = store.restart_tor2tor(
         base, "tr1a", {"type": "EP", "pick": "last"},
         released=["eps", "rho", "om1", "om2"], detect_bp=False)
-    writer2 = store.RunWriter(base, "tr2a", problem_vf(problem2), "torus",
-                              problem2.monitor_names, problem2.released)
+    writer2 = store.RunWriter(base, "tr2a", problem2)
     state2 = contin.ContinuationState(h=0.5, h_min=1e-3, h_max=10.0, pt_max=6,
                                       bi_direct=False)
     branch_tr2 = contin.run(problem2, u02, state2, writer=writer2)
@@ -75,12 +74,6 @@ def pipeline(tmp_path_factory):
 
     return {"base": base, "timings": timings,
             "branch_tr1": branch_tr1, "branch_tr2": branch_tr2}
-
-
-def problem_vf(problem):
-    """The vector field backing a built problem (via its embedded start)."""
-    # all adapters close over the field; recover it from a monitor name set
-    return odesys.builtin_langford() if "rho" in problem.monitor_names else odesys.builtin_vdp()
 
 
 def test_criterion_1_langford_tr_detection(pipeline):
@@ -251,8 +244,9 @@ def test_criterion_6_collocation_orders():
                                     autonomous=True, rhs=lambda t, y, p: y,
                                     jac_state=lambda t, y, p: np.ones((1, 1)))
             x = np.exp(mesh.basepoints)[:, None]
-            traj = colloc.Trajectory(mesh=mesh, x_bp=x, duration=1.0)
-            J = colloc.segment_jacobian(vf, traj, []).J_x.toarray()
+            jac = colloc.segment_jacobian(vf, mesh, x, 1.0, 0.0, [])
+            J = sp.coo_matrix((jac.J_x, colloc.segment_pattern(mesh, 1)),
+                              shape=(colloc.n_residual_rows(mesh, 1), mesh.n_base)).toarray()
             bc = np.zeros((1, mesh.n_base))
             bc[0, 0] = 1.0
             M = np.vstack([J, bc])

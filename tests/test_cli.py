@@ -264,3 +264,26 @@ def test_determinism_bit_for_bit(tmp_path):
         assert cli.main(["run", path, "--quiet"]) == 0
         outputs.append(str(base / "po_s" / "bd.tsv"))
     assert filecmp.cmp(outputs[0], outputs[1], shallow=False)
+
+
+def test_rerun_into_used_directory_drops_stale_labels(cli_run, tmp_path, capsys):
+    import shutil
+
+    base = str(tmp_path)
+    for run_id in ("po_s", "tor_s"):
+        shutil.copytree(os.path.join(cli_run["store"], run_id), os.path.join(base, run_id))
+    old = store.read_bd(base, "tor_s").labels
+    cfg = json.loads(json.dumps(SMALL_CONFIG))
+    cfg["store"] = base
+    cfg["stages"][1]["continuation"]["pt_max"] = 1
+    path = os.path.join(base, "c.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main(["run", path, "--stage", "tor_s", "--quiet"]) == 0
+    new = store.read_bd(base, "tor_s").labels
+    assert max(new) < max(old)
+    rc = cli.main(["validate", "tor_s", str(max(old)), "--returns", "2", "--store", base])
+    assert rc == 4
+    assert "not found" in capsys.readouterr().err
+    assert sorted(f for f in os.listdir(os.path.join(base, "tor_s")) if f.startswith("sol_")) \
+        == [f"sol_{lab:06d}.json" for lab in new]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from torcont import colloc, odesys
 from torcont.errors import InputError
@@ -17,6 +18,24 @@ def linear_field(lam):
         else np.full((1, 1, y.shape[1]), lam),
         jac_params=lambda t, y, p: np.zeros((1, 0)),
     )
+
+
+def residual(vf, traj, p):
+    return colloc.segment_residual(vf, traj.mesh, traj.x_bp, traj.duration, traj.t_offset, p)
+
+
+def dense_jacobian(vf, traj, p):
+    """Kernel values of one segment placed by a fresh COO assembly:
+    (J_x, J_T, J_T0, J_p) over all residual rows."""
+    mesh, n = traj.mesh, traj.x_bp.shape[1]
+    jac = colloc.segment_jacobian(vf, mesh, traj.x_bp, traj.duration, traj.t_offset, p)
+    rows = colloc.n_residual_rows(mesh, n)
+    J_x = sp.coo_matrix((jac.J_x, colloc.segment_pattern(mesh, n)),
+                        shape=(rows, mesh.n_base * n)).toarray()
+    coll = colloc.collocation_rows(mesh, n)
+    J_T, J_T0, J_p = np.zeros(rows), np.zeros(rows), np.zeros((rows, vf.dim_params))
+    J_T[coll], J_T0[coll], J_p[coll] = jac.J_T, jac.J_T0, jac.J_p
+    return J_x, J_T, J_T0, J_p
 
 
 def exp_traj(mesh, lam, T):
@@ -65,7 +84,7 @@ class TestSegmentResidual:
         mesh = colloc.build_mesh(4, 3)
         traj = colloc.Trajectory(mesh=mesh, x_bp=np.tile([1.5, -2.0], (mesh.n_base, 1)),
                                  duration=2.0)
-        res = colloc.segment_residual(vf, traj, [])
+        res = residual(vf, traj, [])
         assert np.abs(res).max() < 1e-14
 
     def test_linear_ramp_exact(self):
@@ -76,7 +95,7 @@ class TestSegmentResidual:
         mesh = colloc.build_mesh(3, 2)
         T = 1.7
         traj = colloc.Trajectory(mesh=mesh, x_bp=(T * mesh.basepoints)[:, None], duration=T)
-        res = colloc.segment_residual(vf, traj, [])
+        res = residual(vf, traj, [])
         assert np.abs(res).max() < 1e-13
 
     def test_residual_order_on_exact_exponential(self):
@@ -85,7 +104,7 @@ class TestSegmentResidual:
         errs = []
         for ntst in (2, 4, 8, 16):
             mesh = colloc.build_mesh(ntst, m)
-            res = colloc.segment_residual(linear_field(lam), exp_traj(mesh, lam, T), [])
+            res = residual(linear_field(lam), exp_traj(mesh, lam, T), [])
             errs.append(np.abs(res).max())
         slope = np.polyfit(np.log2([2, 4, 8, 16]), np.log2(errs), 1)[0]
         assert abs(-slope - m) < 0.5
@@ -98,8 +117,8 @@ class TestSegmentJacobian:
         t1 = colloc.Trajectory(mesh=mesh, x_bp=RNG.standard_normal((mesh.n_base, 1)),
                                duration=1.2)
         t2 = t1.with_states(RNG.standard_normal((mesh.n_base, 1)))
-        J1 = colloc.segment_jacobian(vf, t1, []).J_x.toarray()
-        J2 = colloc.segment_jacobian(vf, t2, []).J_x.toarray()
+        J1 = dense_jacobian(vf, t1, [])[0]
+        J2 = dense_jacobian(vf, t2, [])[0]
         assert np.abs(J1 - J2).max() < 1e-14
 
     def test_finite_difference_consistency(self):
@@ -110,11 +129,11 @@ class TestSegmentJacobian:
             mesh=mesh, x_bp=0.5 * RNG.standard_normal((mesh.n_base, 3)), duration=1.3,
             t_offset=0.0,
         )
-        jac = colloc.segment_jacobian(vf, traj, p)
+        J_x, J_T, _, J_p = dense_jacobian(vf, traj, p)
 
         def res_of(x_flat, T, p_):
             tr = colloc.Trajectory(mesh=mesh, x_bp=x_flat.reshape(-1, 3), duration=T)
-            return colloc.segment_residual(vf, tr, p_)
+            return residual(vf, tr, p_)
 
         x0 = traj.x_bp.ravel()
         # 20 random direction checks of J_x
@@ -123,26 +142,26 @@ class TestSegmentJacobian:
             d /= np.linalg.norm(d)
             h = 1e-6
             fd = (res_of(x0 + h * d, 1.3, p) - res_of(x0 - h * d, 1.3, p)) / (2 * h)
-            Jd = jac.J_x @ d
+            Jd = J_x @ d
             denom = max(np.abs(fd).max(), 1e-6)
             assert np.abs(Jd - fd).max() / denom < 1e-5
         # duration and parameter columns
         h = 1e-6
         fd_T = (res_of(x0, 1.3 + h, p) - res_of(x0, 1.3 - h, p)) / (2 * h)
-        assert np.abs(jac.J_T - fd_T).max() / max(np.abs(fd_T).max(), 1e-9) < 1e-5
+        assert np.abs(J_T - fd_T).max() / max(np.abs(fd_T).max(), 1e-9) < 1e-5
         for ip in range(3):
             dp = np.zeros(3)
             dp[ip] = h
             fd_p = (res_of(x0, 1.3, p + dp) - res_of(x0, 1.3, p - dp)) / (2 * h)
-            assert np.abs(jac.J_p[:, ip] - fd_p).max() <= 1e-5 * max(np.abs(fd_p).max(), 1e-3)
+            assert np.abs(J_p[:, ip] - fd_p).max() <= 1e-5 * max(np.abs(fd_p).max(), 1e-3)
 
     def test_autonomous_t_offset_column_is_zero(self):
         vf = odesys.builtin_langford()
         mesh = colloc.build_mesh(3, 3)
         traj = colloc.Trajectory(mesh=mesh, x_bp=RNG.standard_normal((mesh.n_base, 3)),
                                  duration=0.9)
-        jac = colloc.segment_jacobian(vf, traj, np.array([3.5, 1.0, 0.0]))
-        assert np.abs(jac.J_T0).max() == 0.0
+        J_T0 = dense_jacobian(vf, traj, np.array([3.5, 1.0, 0.0]))[2]
+        assert np.abs(J_T0).max() == 0.0
 
     def test_nonautonomous_t_offset_column(self):
         vf = odesys.builtin_vdp()
@@ -150,15 +169,15 @@ class TestSegmentJacobian:
         mesh = colloc.build_mesh(3, 3)
         traj = colloc.Trajectory(mesh=mesh, x_bp=RNG.standard_normal((mesh.n_base, 2)),
                                  duration=1.1, t_offset=0.4)
-        jac = colloc.segment_jacobian(vf, traj, p)
+        J_T0 = dense_jacobian(vf, traj, p)[2]
         h = 1e-6
 
         def res_at(T0):
             tr = colloc.Trajectory(mesh=mesh, x_bp=traj.x_bp, duration=1.1, t_offset=T0)
-            return colloc.segment_residual(vf, tr, p)
+            return residual(vf, tr, p)
 
         fd = (res_at(0.4 + h) - res_at(0.4 - h)) / (2 * h)
-        assert np.abs(jac.J_T0 - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-3)
+        assert np.abs(J_T0 - fd).max() <= 1e-5 * max(np.abs(fd).max(), 1e-3)
 
 
 class TestInterpolate:
@@ -210,8 +229,7 @@ def solve_linear_bvp(ntst, m, lam=1.0, T=1.0):
     vf = linear_field(lam)
     mesh = colloc.build_mesh(ntst, m)
     traj = colloc.Trajectory(mesh=mesh, x_bp=np.ones((mesh.n_base, 1)), duration=T)
-    jac = colloc.segment_jacobian(vf, traj, [])
-    A = jac.J_x.toarray()
+    A = dense_jacobian(vf, traj, [])[0]
     # linear problem: residual(x) = A x (collocation + continuity rows)
     rows = [A]
     bc = np.zeros((1, mesh.n_base))

@@ -22,8 +22,7 @@ def mini_pipeline(tmp_path_factory):
 
     problem, u0 = po.continuation_problem(
         vf, orbit, released=["rho"], bounds={"rho": (0.55, 0.7)})
-    writer = store.RunWriter(base, "po_mini", vf, "po",
-                             problem.monitor_names, problem.released)
+    writer = store.RunWriter(base, "po_mini", problem)
     state = contin.ContinuationState(h=0.02, h_min=1e-4, h_max=0.05, pt_max=12,
                                      bi_direct=True)
     branch = contin.run(problem, u0, state, writer=writer)
@@ -35,8 +34,7 @@ def mini_pipeline(tmp_path_factory):
     tproblem, tu0 = store.restart_TR2tor(
         base, "po_mini", {"type": "TR", "pick": "first"},
         released=["varrho", "rho", "om1", "om2"], N=3, vf=None)
-    twriter = store.RunWriter(base, "tor_mini", vf, "torus",
-                              tproblem.monitor_names, tproblem.released)
+    twriter = store.RunWriter(base, "tor_mini", tproblem)
     tstate = contin.ContinuationState(h=0.3, h_min=1e-3, h_max=2.0, pt_max=6,
                                       bi_direct=False)
     tbranch = contin.run(tproblem, tu0, tstate, writer=twriter)
@@ -259,3 +257,29 @@ def test_meta_content(mini_pipeline):
     assert meta["kind"] == "torus"
     assert meta["released"][:4] == ["varrho", "rho", "om1", "om2"]
     assert meta["system"]["name"] == "langford"
+
+
+def test_interrupted_snapshot_dump_leaves_every_row_loadable(tmp_path, monkeypatch):
+    vf = odesys.builtin_langford()
+    orbit = po.solve_po(vf, langford_circle_traj(colloc.build_mesh(8, 4), 0.65),
+                        np.array([OM, 0.65, 0.0]))
+    problem, u0 = po.continuation_problem(vf, orbit, released=["rho"], detect_tr=False)
+    base = str(tmp_path)
+
+    def interrupt_at_label_3(encode):
+        def wrapper(doc, *args, **kwargs):
+            if isinstance(doc, dict) and doc.get("label") == 3:
+                raise RuntimeError("interrupted while encoding the snapshot")
+            return encode(doc, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(json, "dump", interrupt_at_label_3(json.dump))
+    monkeypatch.setattr(json, "dumps", interrupt_at_label_3(json.dumps))
+    state = contin.ContinuationState(h=0.02, h_min=1e-4, h_max=0.05, pt_max=6,
+                                     bi_direct=False)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        contin.run(problem, u0, state, writer=store.RunWriter(base, "cut", problem))
+    bd = store.read_bd(base, "cut")
+    assert bd.labels == [1, 2]
+    for lab in bd.labels:
+        assert store.read_solution(base, "cut", lab)[0]["label"] == lab
