@@ -1,0 +1,81 @@
+"""Condensed factorization against SuperLU as the torus grows.
+
+Seeds Langford tori at the TR point of the circular orbit family (eps = 0,
+rho = 0.6154, 20 x 4 mesh) with N = 10, 25, 50 and 100 Fourier modes,
+borders each Jacobian with the torus perturbation direction and times one
+factorization plus one solve, by condensation (``linsys.lu_factor``) and by
+SuperLU (``scipy.sparse.linalg.splu``, as a reference only).  Then it runs
+three continuation steps of the N = 100 family, 60,306 unknowns.
+
+Expect a few seconds; SuperLU at N = 100 needs a few hundred MB.
+"""
+
+from time import perf_counter
+
+import numpy as np
+import scipy.sparse.linalg as spla
+
+from torcont import colloc, contin, linsys, odesys, po, torus
+
+OM, RHO = 3.5, 0.6154
+REPEATS = 3
+
+
+def tr_orbit(vf, mesh):
+    """Corrected circular orbit at the TR point, seeded analytically."""
+    r = np.sqrt(3.557 / 3.0 / (1.0 + 0.7 * RHO))
+    t = 2 * np.pi / OM * mesh.basepoints
+    x = np.column_stack([r * np.cos(OM * t), r * np.sin(OM * t), np.full(t.size, 0.7)])
+    traj = colloc.Trajectory(mesh=mesh, x_bp=x, duration=2 * np.pi / OM)
+    return po.solve_po(vf, traj, np.array([OM, RHO, 0.0]))
+
+
+def problem_at(vf, orbit, floq, N):
+    sol = torus.init_from_TR(vf, orbit, floq, N)
+    problem, u0 = torus.continuation_problem(vf, sol, ["varrho", "rho", "om1", "om2"],
+                                             detect_bp=False)
+    seed = np.zeros(u0.size)
+    seed[: sol.x_seg.size] = torus.tr_perturbation_direction(sol)
+    problem.start_strategy = ("seed", seed)
+    return problem, u0, seed / np.linalg.norm(seed)
+
+
+def best_of(fn):
+    """(smallest wall time in ms, result) over REPEATS calls."""
+    times, out = [], None
+    for _ in range(REPEATS):
+        t0 = perf_counter()
+        out = fn()
+        times.append(1e3 * (perf_counter() - t0))
+    return min(times), out
+
+
+vf = odesys.builtin_langford()
+orbit = tr_orbit(vf, colloc.build_mesh(20, 4))
+floq = po.floquet(vf, orbit)
+
+print(f"{'N':>4} {'unknowns':>9} {'reduced':>8} {'condensed ms':>13} {'solve ms':>9} "
+      f"{'splu ms':>9} {'solve ms':>9} {'rel. diff':>10}")
+for N in (10, 25, 50, 100):
+    problem, u0, seed = problem_at(vf, orbit, floq, N)
+    B = linsys.bordered_matrix(problem.jacobian(u0), seed)
+    rhs = np.random.default_rng(N).standard_normal(B.shape[0])
+    t_fac, lu = best_of(lambda: linsys.lu_factor(B))
+    t_sol, x = best_of(lambda: lu.solve(rhs))
+    Bc = B.tocsc()
+    t_ref, ref = best_of(lambda: spla.splu(Bc))
+    t_ref_sol, x_ref = best_of(lambda: ref.solve(rhs))
+    p = B.pattern
+    diff = np.abs(x - x_ref).max() / np.abs(x_ref).max()
+    print(f"{N:4d} {B.shape[0]:9d} {p.K * p.n + p.n_extra:8d} {t_fac:13.1f} {t_sol:9.2f} "
+          f"{t_ref:9.1f} {t_ref_sol:9.2f} {diff:10.1e}")
+    del ref, Bc
+
+print("\nthree continuation steps of the N = 100 family:")
+t0 = perf_counter()
+branch = contin.run(problem, u0, contin.ContinuationState(h=0.5, h_min=1e-3, h_max=10.0,
+                                                          pt_max=3, bi_direct=False))
+for pt in branch.points:
+    print(f"  label {pt.label} {pt.ptype}: varrho {pt.monitors['varrho']:.6f} "
+          f"rho {pt.monitors['rho']:.6f}, {pt.corrector_iters} corrector iterations")
+print(f"  {perf_counter() - t0:.1f} s, termination: {branch.termination}")

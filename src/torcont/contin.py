@@ -6,8 +6,17 @@ secant prediction with Newton correction on the bordered system
 {F(u) = 0, <t, u - u_pred> = 0}, adapts the step size from the corrector
 iteration count, and watches scalar test functions for sign changes:
 crossings are localized by bisection in arclength with full re-convergence
-at every midpoint.  Branch points are flagged by determinant sign changes of
-the bordered Jacobian taken from the accepted corrector factorization.
+at every midpoint.
+
+Every bordered system is factored by condensation (:mod:`linsys`): the
+collocation interiors are eliminated subinterval by subinterval, the
+continuity rows chain the segments, and a small dense system in the
+segment starts, T0, T and the active parameters remains; a plain sparse
+Jacobian (K = 0 segments) is factored as that dense system directly.
+Branch points are flagged by sign changes of the bordered determinant,
+taken from the accepted corrector factorization as the product of the
+local block determinants, the reduced determinant and a fixed structural
+sign, so sign and log-magnitude never under- or overflow.
 """
 
 from __future__ import annotations
@@ -16,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import BranchPointError, ConfigError, ConvergenceError
 from .linsys import bordered_matrix, det_sign_log, lu_factor, nullspace_tangent
@@ -50,13 +58,14 @@ class ContinuationProblem:
     ``start_strategy`` fixes the border of the initial correction: a
     ("seed", vector) pair anchors the correction orthogonal to a known
     branch direction, ("pin", column) holds one unknown at its seed value.
-    ``jacobian`` returns a canonical CSC matrix (other formats are converted
-    at every bordering); ``vf`` is the vector field of orbit and torus problems.
+    ``jacobian`` returns a :class:`linsys.CollocationJacobian` for orbit and
+    torus problems and a sparse matrix for algebraic ones; ``vf`` is the
+    vector field of orbit and torus problems.
     """
 
     n_unknowns: int
     residual: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], sp.csc_matrix]
+    jacobian: Callable[[np.ndarray], object]
     monitors: Callable[[np.ndarray], dict]
     monitor_names: list
     released: list
@@ -283,10 +292,10 @@ def switch_branch(problem, u_bp: np.ndarray, incoming_tangent: np.ndarray,
     try:
         lu = lu_factor(B)
     except ConvergenceError:
-        # exactly singular at a perfectly localized BP: shift for the solve,
-        # the inverse iteration still converges to the null direction
-        shift = 1e-10 * max(1.0, abs(B).max())
-        lu = lu_factor(B + shift * sp.identity(B.shape[0], format="csc"))
+        # exactly singular at a perfectly localized BP: shift the reduced
+        # system for the solve, the inverse iteration still converges to
+        # the null direction
+        lu = lu_factor(B, shift=1e-10)
     n = B.shape[0]
     psi = None
     # inverse iteration needs a start with a component along the null
@@ -304,6 +313,7 @@ def switch_branch(problem, u_bp: np.ndarray, incoming_tangent: np.ndarray,
             break
     if psi is None:
         raise BranchPointError("no independent null direction at the branch point")
+    J = J.tocsc()
     scale = max(1.0, np.abs(J).max())
     defect = np.abs(J @ psi).max() / scale
     if defect > null_tol:

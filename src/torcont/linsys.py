@@ -1,117 +1,415 @@
-"""Sparse bordered linear systems, determinant signs and Newton iteration."""
+"""Condensed factorization of collocation Jacobians and Newton iteration.
+
+The Jacobian of an orbit (K = 1 segment) or a torus (K = 2N+1 segments) is a
+:class:`CollocationJacobian`: the values of the collocation kernel per
+segment, the dense columns of the extra unknowns (T0, T and the active
+parameters) on the collocation rows, and a few *tail* rows (periodicity or
+Fourier coupling, phase and frequency conditions) that touch the states only
+at a handful of base points.  :func:`bordered_matrix` appends the dense
+border row of pseudo-arclength continuation.
+
+:func:`lu_factor` factors a square system by condensation of parameters
+(block elimination as in AUTO, with the border carried along as in Keller's
+bordering algorithm):
+
+1. *Local elimination.*  Each of the K*ntst subintervals has an (m n)x(m n)
+   block on the m base points after its first; all of them are inverted in
+   one batched call, which writes the subinterval's interior base points as
+   an affine map of its initial point and the extra unknowns.
+2. *Segment chain.*  The continuity rows carry these maps from subinterval
+   to subinterval, ntst batched steps across all segments, so every base
+   point becomes an affine map of (v0 of its segment, extra unknowns).
+3. *Reduced system.*  The tail rows and the border, contracted with these
+   maps, form a dense system in (v0 of every segment, extra unknowns) of
+   size K n + n_extra (309 on the N = 50 Langford torus), factored by
+   LAPACK.  A solve replays the three steps on the right-hand side and
+   substitutes back.
+
+The determinant obeys det B = s * prod det(local blocks) * (-1)^(continuity
+rows) * det(reduced), where s is the sign of the row and column
+permutations that put B into this block order; s depends only on the mesh
+and K.  The factor exposes the identity as ``U.diagonal()``, one pivot per
+row of B, which :func:`det_sign_log` turns into (sign, log|det|).
+
+A plain sparse matrix is the case K = 0: the whole matrix is the reduced
+system.  Only small algebraic problems take that path.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+from scipy.linalg import lapack
 
 from .errors import ConvergenceError
 
+# OpenBLAS factors the 309x309 reduced system of the N = 50 Langford torus
+# on its thread pool, whose idle threads then spin.  On a 2-vCPU host (two
+# hyperthreads of one core) that slowed every later numpy call: the torus
+# family took 7.9-8.7 s instead of 4.5-5.7 s.  The reduced LU therefore runs
+# in column panels of fewer than 10,000 entries.  OpenBLAS 0.3.31 kept
+# panels up to 309x64 and square LUs up to 140x140 on the calling thread,
+# but not 309x100 or 160x160.  The trailing updates are plain products:
+# OpenBLAS threads the larger ones, but that did not slow the run.
+_LU_ENTRIES = 9_999
 
-def lu_factor(A) -> spla.SuperLU:
-    try:
-        return spla.splu(sp.csc_matrix(A))
-    except RuntimeError as exc:  # SuperLU reports exact singularity this way
-        raise ConvergenceError(f"linear solve failed: {exc}") from exc
+
+def _getrf(R):
+    """LU with partial pivoting of R as LAPACK getrf returns it (lu, piv,
+    info), factored in column panels of fewer than ``_LU_ENTRIES`` entries
+    with right-looking block updates."""
+    n = R.shape[0]
+    b = max(1, _LU_ENTRIES // max(1, n))
+    if b >= n:
+        return lapack.dgetrf(R)
+    a = np.array(R, dtype=float)
+    piv = np.empty(n, dtype=np.int32)
+    info = 0
+    for j in range(0, n, b):
+        e = min(j + b, n)
+        lu, p, inf = lapack.dgetrf(a[j:, j:e])
+        if inf > 0 and not info:
+            info = j + inf
+        piv[j:e] = p + j
+        order = np.arange(n - j)
+        for i, k in enumerate(p):  # the panel's row interchanges, in turn
+            order[i], order[k] = order[k], order[i]
+        a[j:, :j] = a[j:, :j][order]
+        a[j:, e:] = a[j:, e:][order]
+        a[j:, j:e] = lu
+        if e < n:
+            # dtrtri writes the strictly lower part only
+            L11_inv = np.tril(lapack.dtrtri(lu[: e - j], lower=1, unitdiag=1)[0], -1)
+            a[j:e, e:] += L11_inv @ a[j:e, e:]
+            a[e:, e:] -= a[e:, j:e] @ a[j:e, e:]
+    return a, piv, info
 
 
-def _perm_parity(perm: np.ndarray) -> int:
-    """Sign of a permutation, (-1)^(n - cycles).
+class CollocationPattern:
+    """Layout of the Jacobians of one collocation problem, built once.
 
-    The cycles of ``perm`` are the weakly connected components of the graph
-    with one edge i -> perm[i].
+    Columns: the K*ntst*(m+1)*n base-point states (segment-major, as in
+    :mod:`colloc`), then the extra columns ``keep`` (full column numbers,
+    in that order).  Rows: the K segment blocks of
+    :func:`colloc.segment_residual`, then ``n_tail`` tail rows.
+
+    ``extra_src`` maps every full extra column (full column ``n_x + i``) to
+    its kernel column on the collocation rows: 0 for T, 1 for T0, 2 + i for
+    parameter i, -1 for none.  The tail values come in the order of
+    (``tail_rows``, ``tail_cols``), full column numbers; entries in columns
+    that are not kept are dropped.
     """
-    n = perm.size
-    graph = sp.csr_matrix((np.ones(n, dtype=np.int8), perm, np.arange(n + 1)), shape=(n, n))
-    cycles = connected_components(graph, directed=True, connection="weak", return_labels=False)
-    return -1 if (n - cycles) % 2 else 1
+
+    def __init__(self, mesh, n, K, extra_src, tail_rows, tail_cols, n_tail, keep=None):
+        from .colloc import collocation_rows, n_residual_rows, segment_pattern
+
+        self.mesh, self.n, self.K = mesh, n, K
+        self.ntst, self.m = mesh.ntst, mesh.degree
+        self.rows_seg = n_residual_rows(mesh, n)
+        self.n_x = n_x = K * mesh.n_base * n
+        n_full = n_x + len(extra_src)
+        keep = np.arange(n_x, n_full) if keep is None else np.asarray(keep, dtype=np.int64)
+        self.n_extra = len(keep)
+        self.shape = (K * self.rows_seg + n_tail, n_x + self.n_extra)
+        self.n_tail = n_tail
+        # kept extra columns carrying collocation values, and their sources
+        src = np.asarray(extra_src, dtype=np.int64)[keep - n_x]
+        self.coll_extra = np.flatnonzero(src >= 0)
+        self.coll_src = src[self.coll_extra]
+
+        # tail entries in kept columns, renumbered
+        new_col = np.full(n_full, -1, dtype=np.int64)
+        new_col[:n_x] = np.arange(n_x)
+        new_col[keep] = n_x + np.arange(self.n_extra)
+        tail_cols = new_col[tail_cols]
+        self.tail_keep = np.flatnonzero(tail_cols >= 0)
+        t_rows, t_cols = np.asarray(tail_rows)[self.tail_keep], tail_cols[self.tail_keep]
+
+        # base points the tail touches; the dense tail block holds their
+        # columns, then the extra columns
+        on_x = t_cols < n_x
+        self.touched = np.unique(t_cols[on_x] // n)
+        n_t = self.touched.size
+        slot = np.where(on_x, np.searchsorted(self.touched, t_cols // n) * n + t_cols % n,
+                        n_t * n + t_cols - n_x)
+        self.tail_slot = t_rows * (n_t * n + self.n_extra) + slot
+        # columns of the sparse map [Phi | Psi] of every touched state component
+        seg = self.touched // mesh.n_base
+        v_cols = (seg[:, None] * n + np.arange(n)).repeat(n, axis=0)
+        e_cols = np.broadcast_to(K * n + np.arange(self.n_extra), (n_t * n, self.n_extra))
+        width = n + self.n_extra
+        self.map_indices = np.hstack([v_cols, e_cols]).ravel().astype(np.int32)
+        self.map_indptr = np.arange(0, (n_t * n + 1) * width, width, dtype=np.int32)
+
+        rows_x, cols_x = segment_pattern(mesh, n, K)
+        coll = collocation_rows(mesh, n, K)
+        # (rows, cols) of the values CollocationJacobian.tocsc lists
+        self.entries = (
+            np.concatenate([rows_x, np.tile(coll, self.coll_extra.size),
+                            K * self.rows_seg + t_rows]),
+            np.concatenate([cols_x, np.repeat(n_x + self.coll_extra, coll.size), t_cols]),
+        )
+        self.parity = self._parity()
+
+    def _parity(self) -> int:
+        """Sign of the row and column permutations into block order.
+
+        Rows go to (collocation rows of every subinterval, continuity rows,
+        tail rows); columns to (interior base points of every subinterval,
+        initial points of subintervals 2..ntst, initial point of every
+        segment, extra columns).  Swapping adjacent row blocks of sizes a
+        and b has sign (-1)^(a b); two base points swap with sign (-1)^n.
+        """
+        K, ntst, m, n = self.K, self.ntst, self.m, self.n
+        row_swaps = (ntst * m * n) * ((ntst - 1) * n) * (K * (K - 1) // 2)
+        bp_swaps = ((ntst * m + ntst - 1) * (K * (K + 1) // 2)
+                    + m * (ntst * (ntst - 1) // 2) * K
+                    + m * ntst * (ntst - 1) * (K * (K - 1) // 2))
+        return -1 if (row_swaps + n * bp_swaps) % 2 else 1
 
 
-def det_sign_log(lu: spla.SuperLU):
+class CollocationJacobian:
+    """Jacobian of a collocation problem in the layout of its pattern.
+
+    ``seg`` is the :class:`colloc.SegmentJacobian` of all K segments as the
+    kernel returns it, ``tail`` the tail values in pattern order and
+    ``border`` (None, or one value per column) an appended last row.
+    """
+
+    def __init__(self, pattern: CollocationPattern, seg, tail, border=None):
+        self.pattern, self.seg, self.tail, self.border = pattern, seg, tail, border
+        rows, cols = pattern.shape
+        self.shape = (rows + (border is not None), cols)
+
+    @property
+    def nnz(self) -> int:
+        p = self.pattern
+        coll_extra = p.coll_extra.size * self.seg.J_T.size
+        border = 0 if self.border is None else self.border.size
+        return self.seg.J_x.size + coll_extra + p.tail_keep.size + border
+
+    def extra_block(self) -> np.ndarray:
+        """Values of the extra columns on the collocation rows, (rows, n_extra)."""
+        p, seg = self.pattern, self.seg
+        G = np.zeros((seg.J_T.size, p.n_extra))
+        kernel = (seg.J_T, seg.J_T0) + tuple(seg.J_p.T)
+        for col, src in zip(p.coll_extra, p.coll_src):
+            G[:, col] = kernel[src]
+        return G
+
+    def tocsc(self) -> sp.csc_matrix:
+        p = self.pattern
+        G = self.extra_block()[:, p.coll_extra]
+        values = np.concatenate([self.seg.J_x, G.T.ravel(), self.tail[p.tail_keep]])
+        # COO -> CSC keeps exact zeros as entries, so the pattern does not
+        # depend on values
+        J = sp.coo_matrix((values, p.entries), shape=p.shape).tocsc()
+        if self.border is None:
+            return J
+        return sp.vstack([J, self.border[None, :]], format="csc")
+
+    def toarray(self) -> np.ndarray:
+        return self.tocsc().toarray()
+
+
+def bordered_matrix(J, border: np.ndarray):
+    """Square system [[J], [border^T]] for a (rows, rows+1) Jacobian J.
+
+    A :class:`CollocationJacobian` keeps its blocks and carries the border
+    as a dense last row; any other J becomes a sparse matrix.
+    """
+    border = np.asarray(border, dtype=float)
+    if isinstance(J, CollocationJacobian):
+        if J.border is not None:
+            raise ValueError("Jacobian is bordered already")
+        return CollocationJacobian(J.pattern, J.seg, J.tail, border)
+    return sp.vstack([sp.csc_matrix(J), border[None, :]], format="csc")
+
+
+class CondensedFactor:
+    """Factorization of a square system by condensation (module docstring).
+
+    ``solve(rhs)`` returns B^{-1} rhs; ``U.diagonal()`` lists one pivot per
+    row whose product is det B (local blocks as their geometric-mean pivot
+    with the block's sign on the first, -1 per continuity row, the reduced
+    LU diagonal with the permutation signs on its last entry).
+    """
+
+    def __init__(self, B, shift: float = 0.0):
+        self.shape = B.shape
+        if B.shape[0] != B.shape[1]:
+            raise ValueError(f"cannot factor a {B.shape[0]}x{B.shape[1]} system")
+        if isinstance(B, CollocationJacobian):
+            self._eliminate(B)
+            R = self._reduced(B)
+        else:
+            self.p = None
+            R = B.toarray() if sp.issparse(B) else np.array(B, dtype=float)
+        if not np.all(np.isfinite(R)):
+            raise ConvergenceError("linear solve failed: non-finite reduced system")
+        if shift:
+            R[np.diag_indices_from(R)] += shift * max(1.0, np.abs(R).max())
+        self._lu, self._piv, info = _getrf(R)
+        if info > 0:
+            raise ConvergenceError(
+                f"linear solve failed: the reduced {R.shape[0]}x{R.shape[0]} system is "
+                f"exactly singular (zero pivot {info})")
+        self.nnz = self._lu.size + (0 if self.p is None else self._inv.size + self._LM.size)
+        self._pivots = None
+
+    @property
+    def U(self) -> sp.dia_matrix:
+        """Diagonal matrix of the pivots, computed on first use."""
+        if self._pivots is None:
+            self._pivots = self._pivot_values()
+        return sp.diags(self._pivots)
+
+    # -- steps 1 and 2: local elimination and the segment chain ----------
+
+    def _eliminate(self, B):
+        self.p = p = B.pattern
+        K, ntst, m, n, ne = p.K, p.ntst, p.m, p.n, p.n_extra
+        subs, mn = K * ntst, m * n
+        blk = B.seg.J_x[: subs * mn * (m + 1) * n].reshape(m, m + 1, n, n, subs)
+        # (subinterval, node c, row comp, base point j, col comp)
+        A = blk[:, 1:].transpose(4, 0, 2, 1, 3).reshape(subs, mn, mn)
+        CG = np.empty((subs, mn, n + ne))
+        CG[:, :, :n] = blk[:, 0].transpose(3, 0, 1, 2).reshape(subs, mn, n)
+        CG[:, :, n:] = B.extra_block().reshape(subs, mn, ne)
+        try:
+            self._inv = np.linalg.inv(A)
+        except np.linalg.LinAlgError:
+            bad = np.flatnonzero(np.linalg.slogdet(A)[0] == 0)
+            where = (f"segment {bad[0] // ntst}, subinterval {bad[0] % ntst}" if bad.size
+                     else "a subinterval")
+            raise ConvergenceError(
+                f"linear solve failed: collocation block of {where} is exactly singular"
+            ) from None
+        self._A = A
+        # interior base points = LM @ [initial point; extras] + inv @ rhs
+        self._LM = LM = -(self._inv @ CG)
+        last = LM.reshape(K, ntst, m, n, n + ne)[:, :, -1]
+        chain = np.empty((K, ntst + 1, n, n + ne))
+        chain[:, 0, :, :n] = np.eye(n)
+        chain[:, 0, :, n:] = 0.0
+        for k in range(ntst):
+            chain[:, k + 1] = last[:, k, :, :n] @ chain[:, k]
+            chain[:, k + 1, :, n:] += last[:, k, :, n:]
+        self._chain = chain
+
+    def _maps(self, bp):
+        """[Phi | Psi] of the base points ``bp`` (flat indices), (len, n, n+ne)."""
+        p = self.p
+        s, k, j = np.unravel_index(bp, (p.K, p.ntst, p.m + 1))
+        out = self._chain[s, k].copy()
+        inner = j > 0
+        LM = self._LM.reshape(p.K, p.ntst, p.m, p.n, -1)[s[inner], k[inner], j[inner] - 1]
+        out[inner] = LM[:, :, :p.n] @ out[inner]
+        out[inner, :, p.n:] += LM[:, :, p.n:]
+        return out
+
+    # -- step 3: the reduced system --------------------------------------
+
+    def _reduced(self, B):
+        p = self.p
+        n, ne, n_t = p.n, p.n_extra, p.touched.size
+        tail = np.zeros((p.n_tail, n_t * n + ne))
+        tail.flat[p.tail_slot] = B.tail[p.tail_keep]
+        tail_x = tail[:, : n_t * n]
+        self._tail_x = sp.csr_matrix(tail_x)
+        maps = sp.csr_matrix((self._maps(p.touched).ravel(), p.map_indices, p.map_indptr),
+                             shape=(n_t * n, p.K * n + ne))
+        R = np.empty((p.K * n + ne,) * 2)
+        R[: p.n_tail] = tail_x @ maps
+        R[: p.n_tail, p.K * n:] += tail[:, n_t * n:]
+        if B.border is not None:
+            # border . x = sum_k beta_k . x_k0 + (sum_k b_int,k LM_k^e) . e
+            b = B.border
+            bx = b[: p.n_x].reshape(p.K * p.ntst, p.m + 1, n)
+            bLM = np.einsum("sr,src->sc", bx[:, 1:].reshape(p.K * p.ntst, -1), self._LM)
+            beta = bx[:, 0] + bLM[:, :n]
+            red = np.einsum("ski,skic->sc", beta.reshape(p.K, p.ntst, n), self._chain[:, :-1])
+            R[-1, : p.K * n] = red[:, :n].ravel()
+            R[-1, p.K * n:] = b[p.n_x:] + red[:, n:].sum(axis=0) + bLM[:, n:].sum(axis=0)
+        self._border = B.border
+        return R
+
+    def _states(self, x0, e, w):
+        """All base points from the subinterval initial points ``x0`` (K,
+        ntst, n), the extras ``e`` and the local solutions ``w``."""
+        p = self.p
+        subs = p.K * p.ntst
+        xe = np.concatenate([x0.reshape(subs, p.n), np.broadcast_to(e, (subs, p.n_extra))],
+                            axis=1)
+        inner = np.einsum("src,sc->sr", self._LM, xe) + w
+        return np.concatenate([x0.reshape(subs, 1, p.n), inner.reshape(subs, p.m, p.n)],
+                              axis=1)
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        if trans != "N":
+            raise ValueError("only B x = rhs is supported")
+        rhs = np.asarray(rhs, dtype=float)
+        if self.p is None:
+            return lapack.dgetrs(self._lu, self._piv, rhs)[0]
+        p = self.p
+        K, ntst, m, n, ne = p.K, p.ntst, p.m, p.n, p.n_extra
+        seg_rows = rhs[: K * p.rows_seg].reshape(K, p.rows_seg)
+        r_coll = seg_rows[:, : ntst * m * n].reshape(K * ntst, m * n)
+        r_cont = seg_rows[:, ntst * m * n:].reshape(K, ntst - 1, n)
+        w = np.einsum("src,sc->sr", self._inv, r_coll)
+        w_last = w.reshape(K, ntst, m, n)[:, :, -1]
+        last = self._LM.reshape(K, ntst, m, n, n + ne)[:, :, -1, :, :n]
+        sigma = np.empty((K, ntst, n))  # particular initial points
+        sigma[:, 0] = 0.0
+        for k in range(ntst - 1):
+            sigma[:, k + 1] = (np.einsum("sij,sj->si", last[:, k], sigma[:, k])
+                               + w_last[:, k] - r_cont[:, k])
+        x_part = self._states(sigma, np.zeros(ne), w).reshape(-1, n)
+        g = rhs[K * p.rows_seg:].copy()
+        g[: p.n_tail] -= self._tail_x @ x_part[p.touched].ravel()
+        if self._border is not None:
+            g[-1] -= self._border[: p.n_x] @ x_part.ravel()
+        z = lapack.dgetrs(self._lu, self._piv, g)[0]
+        v0, e = z[: K * n].reshape(K, n), z[K * n:]
+        chain = self._chain[:, :-1]
+        x0 = sigma + np.einsum("skic,sc->ski", chain[..., :n], v0) + chain[..., n:] @ e
+        return np.concatenate([self._states(x0, e, w).ravel(), e])
+
+    # -- determinant -------------------------------------------------------
+
+    def _pivot_values(self) -> np.ndarray:
+        d = np.diagonal(self._lu).copy()
+        sign = -1 if np.count_nonzero(self._piv != np.arange(self._piv.size)) % 2 else 1
+        if self.p is None:
+            d[-1] *= sign
+            return d
+        p = self.p
+        d[-1] *= sign * p.parity
+        s, logabs = np.linalg.slogdet(self._A)
+        mn = p.m * p.n
+        local = np.repeat(np.exp(logabs / mn), mn).reshape(-1, mn)
+        local[:, 0] *= s
+        cont = np.full(p.K * (p.ntst - 1) * p.n, -1.0)
+        return np.concatenate([local.ravel(), cont, d])
+
+
+def lu_factor(A, shift: float = 0.0) -> CondensedFactor:
+    """Condensed factorization of the square system ``A``.
+
+    Raises :class:`ConvergenceError` naming the exactly singular local
+    block or reduced system.  ``shift`` adds shift * max(1, max|R|) to the
+    diagonal of the reduced system R (of the matrix itself when K = 0),
+    which makes an exactly singular system solvable for inverse iteration.
+    """
+    return CondensedFactor(A, shift)
+
+
+def det_sign_log(lu):
     """(sign, log|det|) of the factored matrix; sign 0 for exact singularity."""
-    du = lu.U.diagonal()
-    if np.any(du == 0.0):
+    d = lu.U.diagonal()
+    if np.any(d == 0.0):
         return 0, -np.inf
-    sign = int(np.prod(np.sign(du)))
-    sign *= _perm_parity(lu.perm_r) * _perm_parity(lu.perm_c)
-    return sign, float(np.sum(np.log(np.abs(du))))
-
-
-class CscPattern:
-    """Fixed sparsity pattern of a Jacobian, filled from values in assembly order.
-
-    ``rows`` and ``cols`` give the position of every value an assembly
-    routine produces, in the order it produces them; ``cols`` counts in the
-    full column set of ``shape``.  Only the columns listed in ``keep`` (all
-    by default) enter the matrix, in the order listed.  The pattern does not
-    depend on values: an exact zero stays an explicit entry, so SuperLU sees
-    the same structure at every Newton step.
-    """
-
-    def __init__(self, rows, cols, shape, keep=None):
-        n_rows, n_cols = shape
-        if keep is None:
-            keep = np.arange(n_cols)
-        new_col = np.full(n_cols, -1, dtype=np.int64)
-        new_col[keep] = np.arange(len(keep))
-        cols = new_col[cols]
-        taken = np.nonzero(cols >= 0)[0]
-        order = np.lexsort((rows[taken], cols[taken]))
-        self.gather = taken[order]
-        r, c = rows[self.gather], cols[self.gather]
-        if np.any((np.diff(r) == 0) & (np.diff(c) == 0)):
-            raise ValueError("Jacobian pattern lists an entry twice")
-        self.shape = (n_rows, len(keep))
-        self.indices = r.astype(np.int32)
-        self.indptr = np.searchsorted(c, np.arange(len(keep) + 1)).astype(np.int32)
-        # matrices share the index arrays, so nobody may sort them in place
-        self.indices.flags.writeable = self.indptr.flags.writeable = False
-        self.border_layout = _border_layout(self.indices, self.indptr, n_rows)
-
-    def matrix(self, values: np.ndarray) -> sp.csc_matrix:
-        """CSC matrix holding ``values`` (assembly order) at the pattern."""
-        J = sp.csc_matrix((np.take(values, self.gather), self.indices, self.indptr),
-                          shape=self.shape)
-        J.has_canonical_format = True
-        J.border_layout = self.border_layout  # read by bordered_matrix
-        return J
-
-
-def _border_layout(indices, indptr, rows: int):
-    """Where [[J], [border^T]] puts J's entries and the border, given J's
-    canonical CSC structure: (mask of J's entries, positions of the border
-    entries, indices, indptr); the last two are shared, so read-only."""
-    indptr = indptr + np.arange(indptr.size, dtype=indptr.dtype)
-    last = indptr[1:] - 1
-    old = np.ones(indptr[-1], dtype=bool)
-    old[last] = False
-    b_indices = np.empty(indptr[-1], dtype=indices.dtype)
-    b_indices[old], b_indices[last] = indices, rows
-    b_indices.flags.writeable = indptr.flags.writeable = False
-    return old, last, b_indices, indptr
-
-
-def bordered_matrix(J, border: np.ndarray) -> sp.csc_matrix:
-    """Square matrix [[J], [border^T]] for a (rows, rows+1) sparse J.
-
-    The border is inserted as the last entry of every column of J's
-    canonical CSC form, zeros included, so the result's pattern is J's plus
-    one full row.  A Jacobian of a :class:`CscPattern` brings that layout
-    along, so only the values are copied.
-    """
-    if not (sp.issparse(J) and J.format == "csc"):
-        J = sp.csc_matrix(J)
-    J.sum_duplicates()  # no-op for the canonical matrices of a CscPattern
-    rows, cols = J.shape
-    layout = getattr(J, "border_layout", None)
-    old, last, indices, indptr = layout or _border_layout(J.indices, J.indptr, rows)
-    data = np.empty(indptr[-1])
-    data[old], data[last] = J.data, border
-    B = sp.csc_matrix((data, indices, indptr), shape=(rows + 1, cols))
-    B.has_canonical_format = True
-    return B
+    return int(np.prod(np.sign(d))), float(np.sum(np.log(np.abs(d))))
 
 
 def nullspace_tangent(J, seed: np.ndarray) -> np.ndarray:
@@ -132,7 +430,7 @@ def nullspace_tangent(J, seed: np.ndarray) -> np.ndarray:
 
 def newton_square(residual_fn, jacobian_fn, u0: np.ndarray, tol: float = 1.0e-10,
                   max_iter: int = 20, context: str = "Newton"):
-    """Plain Newton on a square sparse system; returns (u, iterations).
+    """Plain Newton on a square system; returns (u, iterations).
 
     Convergence is declared on the max-norm of the residual.  Raises
     :class:`ConvergenceError` when the iteration stalls or exhausts

@@ -17,7 +17,7 @@ import numpy as np
 from . import colloc
 from .errors import ConvergenceError
 from .ivp import IvpOptions, transition_matrix
-from .linsys import CscPattern, newton_square
+from .linsys import CollocationJacobian, CollocationPattern, newton_square
 from .odesys import VectorField, eval_rhs
 
 #: complex pairs need |Im mu| above this to count for TR testing
@@ -67,30 +67,32 @@ def po_residual(vf: VectorField, traj: colloc.Trajectory, p, reference: PoRefere
     return np.concatenate([res, periodicity, phase])
 
 
-def po_jacobian_index(vf: VectorField, mesh: colloc.SegmentMesh):
-    """(rows, cols, shape) of the values :func:`po_jacobian` computes, in
-    their order; columns are [x_bp, T, p_0 .. p_{q-1}]."""
+def po_jacobian_pattern(vf: VectorField, mesh: colloc.SegmentMesh,
+                        keep=None) -> CollocationPattern:
+    """Layout of :func:`po_jacobian` on the full columns [x_bp, T, p_0 ..
+    p_{q-1}], of which ``keep`` lists the extra ones to use (default all).
+
+    The tail rows are x(T) - x(0), then the phase row: <f0, x(0)> for
+    autonomous systems, T - 2 pi / Omega otherwise.
+    """
     n, q = vf.dim_state, vf.dim_params
     X = mesh.n_base * n
-    rows_x, cols_x = colloc.segment_pattern(mesh, n)
-    coll = colloc.collocation_rows(mesh, n)
-    r = colloc.n_residual_rows(mesh, n)
-    rows = [rows_x, coll, np.tile(coll, q), r + np.arange(n), r + np.arange(n)]
-    cols = [cols_x, np.full(coll.size, X), np.repeat(X + 1 + np.arange(q), coll.size),
-            X - n + np.arange(n), np.arange(n)]
+    d = np.arange(n)
+    rows = [d, d]
+    cols = [X - n + d, d]
     if vf.autonomous:
-        rows.append(np.full(n, r + n))
-        cols.append(np.arange(n))
+        rows.append(np.full(n, n))
+        cols.append(d)
     else:
-        rows.append(np.full(2, r + n))
+        rows.append([n, n])
         cols.append([X, X + 1 + vf.param_index(vf.forcing_param)])
-    return np.concatenate(rows), np.concatenate(cols), (r + n + 1, X + 1 + q)
+    return CollocationPattern(mesh, n, 1, [0] + [2 + i for i in range(q)],
+                              np.concatenate(rows), np.concatenate(cols), n + 1, keep)
 
 
 def po_jacobian(vf: VectorField, traj: colloc.Trajectory, p, reference: PoReference,
-                pattern: CscPattern):
-    """Sparse Jacobian of :func:`po_residual` at the columns ``pattern``
-    keeps; the values follow :func:`po_jacobian_index`."""
+                pattern: CollocationPattern) -> CollocationJacobian:
+    """Jacobian of :func:`po_residual` in the layout of ``pattern``."""
     n = vf.dim_state
     seg = colloc.segment_jacobian(vf, traj.mesh, traj.x_bp, traj.duration, traj.t_offset, p)
     if vf.autonomous:
@@ -98,8 +100,7 @@ def po_jacobian(vf: VectorField, traj: colloc.Trajectory, p, reference: PoRefere
     else:
         omega = np.asarray(p, dtype=float)[vf.param_index(vf.forcing_param)]
         phase = [1.0, 2.0 * np.pi / omega**2]
-    return pattern.matrix(np.concatenate([seg.J_x, seg.J_T, seg.J_p.T.ravel(), np.ones(n),
-                                          -np.ones(n), phase]))
+    return CollocationJacobian(pattern, seg, np.concatenate([np.ones(n), -np.ones(n), phase]))
 
 
 def solve_po(
@@ -122,7 +123,7 @@ def solve_po(
     def res(u):
         return po_residual(vf, embed(u), p, ref)
 
-    pattern = CscPattern(*po_jacobian_index(vf, traj_guess.mesh), keep=np.arange(X + 1))
+    pattern = po_jacobian_pattern(vf, traj_guess.mesh, keep=[X])
 
     def jac(u):
         return po_jacobian(vf, embed(u), p, ref, pattern)
@@ -283,8 +284,8 @@ def continuation_problem(
         po_ = embed(u)
         return po_residual(vf, po_.traj, po_.p, po_.reference)
 
-    pattern = CscPattern(*po_jacobian_index(vf, start.traj.mesh),
-                         keep=list(range(X + 1)) + [X + 1 + ip for ip in active_idx])
+    pattern = po_jacobian_pattern(vf, start.traj.mesh,
+                                  keep=[X] + [X + 1 + ip for ip in active_idx])
 
     def jacobian(u):
         po_ = embed(u)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import colloc, contin
 from .errors import ConfigError, InputError
@@ -43,7 +42,7 @@ from .fourier import (
     trig_interpolate,
 )
 from .ivp import IvpOptions, integrate, transition_matrix
-from .linsys import CscPattern
+from .linsys import CollocationJacobian, CollocationPattern
 from .odesys import VectorField, eval_rhs
 
 #: extended parameter names every torus problem exposes beyond the system's
@@ -168,32 +167,30 @@ def torus_residual(vf: VectorField, sol: TorusSolution) -> np.ndarray:
     return np.concatenate([res_a, res_b, np.asarray(scalars)])
 
 
-def torus_jacobian_index(vf: VectorField, sol: TorusSolution):
-    """(rows, cols, shape) of the values :func:`torus_jacobian` computes, in
-    their order; they depend only on the layout of ``sol``."""
+def torus_jacobian_pattern(vf: VectorField, sol: TorusSolution,
+                           keep=None) -> CollocationPattern:
+    """Layout of :func:`torus_jacobian` for the shape of ``sol``; ``keep``
+    lists the extra columns to use (full column numbers, default all).
+
+    The tail rows are blocks (b)-(h); their values follow in this order:
+    F on the vT columns and -R F on the v0 columns of every segment, the
+    varrho column of (b), then the scalar rows.
+    """
     n_seg, nbp, n = sol.x_seg.shape
-    X_seg, X, q, rows_seg, rows, cols = _layout(sol, vf)
+    X_seg, X, q, rows_seg, rows, _ = _layout(sol, vf)
     col_T0, col_T = X, X + 1
     col_om1, col_om2, col_rho = X + 2 + q, X + 2 + q + 1, X + 2 + q + 2
 
-    # (a) collocation blocks and continuity, then the T, T0 and p columns
-    rows_x, cols_x = colloc.segment_pattern(sol.mesh, n, n_seg)
-    coll = colloc.collocation_rows(sol.mesh, n, n_seg)
-    r = [rows_x, coll, coll, np.tile(coll, q)]
-    c = [cols_x, np.full(coll.size, col_T), np.full(coll.size, col_T0),
-         np.repeat(X + 2 + np.arange(q), coll.size)]
-
     # (b) coupling rows (i, d): F on the vT columns and -R F on the v0
     # columns of every segment j, then the varrho column
-    off_b = n_seg * rows_seg
     seg, d = np.arange(n_seg), np.arange(n)
-    r_b = np.broadcast_to((off_b + seg[:, None, None] * n + d), (n_seg, n_seg, n)).ravel()
+    r_b = np.broadcast_to((seg[:, None, None] * n + d), (n_seg, n_seg, n)).ravel()
     c_v0 = np.broadcast_to(seg[None, :, None] * X_seg + d, (n_seg, n_seg, n)).ravel()
-    r += [r_b, r_b, off_b + np.arange(n_seg * n)]
-    c += [c_v0 + (nbp - 1) * n, c_v0, np.full(n_seg * n, col_rho)]
+    r = [r_b, r_b, np.arange(n_seg * n)]
+    c = [c_v0 + (nbp - 1) * n, c_v0, np.full(n_seg * n, col_rho)]
 
     # (c)-(h) scalar rows
-    off_c = off_b + n_seg * n
+    off_c = n_seg * n
     r.append(off_c + np.array([0, 1, 1, 2, 2, 2]))
     c.append([col_T0, col_T, col_om2, col_rho, col_om1, col_om2])
     r.append(np.full(n, off_c + 3))
@@ -204,13 +201,15 @@ def torus_jacobian_index(vf: VectorField, sol: TorusSolution):
     else:
         r.append(np.full(2, off_c + 4))
         c.append([X + 2 + vf.param_index(vf.forcing_param), col_om2])
-    return np.concatenate(r), np.concatenate(c), (rows, cols)
+    extra_src = [1, 0] + [2 + i for i in range(q)] + [-1] * len(EXTRA_PARAMS)
+    return CollocationPattern(sol.mesh, n, n_seg, extra_src, np.concatenate(r),
+                              np.concatenate(c), rows - n_seg * rows_seg, keep)
 
 
 def torus_jacobian(vf: VectorField, sol: TorusSolution,
-                   pattern: Optional[CscPattern] = None) -> sp.csc_matrix:
-    """Sparse Jacobian of :func:`torus_residual` at the columns ``pattern``
-    keeps (default: all); the values follow :func:`torus_jacobian_index`."""
+                   pattern: Optional[CollocationPattern] = None) -> CollocationJacobian:
+    """Jacobian of :func:`torus_residual` in the layout of ``pattern``
+    (default: all columns)."""
     n = sol.dim_state
     seg = colloc.segment_jacobian(vf, sol.mesh, sol.x_seg, sol.T, sol.T0, sol.p)
     F = sol.coupling.F
@@ -218,12 +217,11 @@ def torus_jacobian(vf: VectorField, sol: TorusSolution,
     dcoup = -(rotation_matrix_deriv(sol.N, sol.varrho) @ F) @ sol.x_seg[:, 0, :]
     scalars = [1.0, 1.0, 2.0 * np.pi / sol.om2**2, 1.0, -1.0 / sol.om2, sol.om1 / sol.om2**2]
     phase_t = sol.reference.vt if vf.autonomous else [1.0, -1.0]
-    values = np.concatenate([
-        seg.J_x, seg.J_T, seg.J_T0, seg.J_p.T.ravel(),
+    tail = np.concatenate([
         np.repeat(F.ravel(), n), np.repeat(-RF.ravel(), n), dcoup.ravel(),
         scalars, sol.reference.vphi, phase_t,
     ])
-    return (pattern or CscPattern(*torus_jacobian_index(vf, sol))).matrix(values)
+    return CollocationJacobian(pattern or torus_jacobian_pattern(vf, sol), seg, tail)
 
 
 # -- initial solutions --------------------------------------------------------
@@ -541,8 +539,7 @@ def continuation_problem(
     def residual(u):
         return torus_residual(vf, embed(u))
 
-    pattern = CscPattern(*torus_jacobian_index(vf, start), keep=np.concatenate(
-        [np.arange(X + 2), np.asarray(active_cols, dtype=int)]))
+    pattern = torus_jacobian_pattern(vf, start, keep=[X, X + 1] + active_cols)
 
     def jacobian(u):
         return torus_jacobian(vf, embed(u), pattern)

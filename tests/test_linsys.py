@@ -1,20 +1,14 @@
-"""Cached-pattern Jacobians, bordered systems and determinant signs."""
+"""Collocation Jacobians, their condensed factorization and determinant signs."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import block_diag
 
 from torcont import colloc, linsys, odesys, po, torus
+from torcont.errors import ConvergenceError
 from util_systems import OM, decoupled_torus, langford_circle_traj
-
-
-def test_perm_parity_matches_dense_determinant():
-    rng = np.random.default_rng(4)
-    for n in range(1, 9):
-        for _ in range(12):
-            perm = rng.permutation(n).astype(np.int32)
-            assert linsys._perm_parity(perm) == np.sign(np.linalg.det(np.eye(n)[perm]))
 
 
 def test_k_segment_kernel_matches_single_segments():
@@ -41,7 +35,7 @@ def test_k_segment_kernel_matches_single_segments():
                               np.concatenate([getattr(s, name) for s in singles]))
 
 
-# -- the four problem kinds: pattern, values and the columns each keeps -------
+# -- the problem kinds: pattern, values and the columns each keeps -----------
 
 
 def autonomous_orbit():
@@ -62,30 +56,29 @@ def forced_orbit():
     return problem, u0, _po_fresh(vf, problem, [0])
 
 
-def kernel_values(pattern, J_all):
-    """Values in assembly order, read back from a Jacobian whose pattern
-    keeps every column (its gather is then a permutation)."""
-    values = np.empty(pattern.gather.size)
-    values[pattern.gather] = J_all.data
-    return values
-
-
 def _po_fresh(vf, problem, active_idx):
+    """Jacobian on the full columns, sliced to the kept ones."""
     def fresh(u):
         orbit = problem.embed(u)
-        rows, cols, shape = po.po_jacobian_index(vf, orbit.traj.mesh)
-        full = linsys.CscPattern(rows, cols, shape)
-        vals = kernel_values(full, po.po_jacobian(vf, orbit.traj, orbit.p, orbit.reference,
-                                                  full))
+        full = po.po_jacobian_pattern(vf, orbit.traj.mesh)
+        J = po.po_jacobian(vf, orbit.traj, orbit.p, orbit.reference, full).tocsc()
         X = orbit.traj.x_bp.size
-        return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsc()[
-            :, list(range(X + 1)) + [X + 1 + i for i in active_idx]]
+        return J[:, list(range(X + 1)) + [X + 1 + i for i in active_idx]]
     return fresh
 
 
-def autonomous_torus():
-    vf, sol = decoupled_torus(ntst=4, degree=3, N=2)
+def autonomous_torus(N=2):
+    vf, sol = decoupled_torus(ntst=4, degree=3, N=N)
     return _torus_case(vf, sol, ["gam", "om1", "om2", "varrho"])
+
+
+def autonomous_torus_n3():
+    return autonomous_torus(N=3)
+
+
+def autonomous_torus_n12():
+    """Reduced system of 106 unknowns, factored in column panels."""
+    return autonomous_torus(N=12)
 
 
 def forced_torus():
@@ -109,11 +102,7 @@ def _torus_case(vf, sol, released):
     keep = list(range(X + 2)) + [torus.param_column(vf, X, name) for name in released]
 
     def fresh(u):
-        s = problem.embed(u)
-        rows, cols, shape = torus.torus_jacobian_index(vf, s)
-        full = linsys.CscPattern(rows, cols, shape)
-        vals = kernel_values(full, torus.torus_jacobian(vf, s, full))
-        return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsc()[:, keep]
+        return torus.torus_jacobian(vf, problem.embed(u)).tocsc()[:, keep]
     return problem, u0, fresh
 
 
@@ -131,18 +120,163 @@ def test_cached_pattern_matches_fresh_coo_assembly(case):
     patterns = []
     for u in (u0, u1):
         J = problem.jacobian(u)
-        assert J.format == "csc" and J.shape == (u0.size - 1, u0.size)
-        assert np.array_equal(J.toarray(), fresh(u).toarray())
+        assert isinstance(J, linsys.CollocationJacobian)
+        assert J.shape == (u0.size - 1, u0.size)
+        Jc = J.tocsc()
+        assert is_canonical(Jc) and J.nnz == Jc.nnz
+        assert np.array_equal(Jc.toarray(), fresh(u).toarray())
         border = rng.standard_normal(u0.size)
         border[::3] = 0.0  # zeros stay explicit entries of the border row
         B = linsys.bordered_matrix(J, border)
-        assert B.nnz == J.nnz + u0.size
-        assert is_canonical(J) and is_canonical(B)
-        B_plain = linsys.bordered_matrix(J.copy(), border)  # layout worked out afresh
-        assert np.array_equal(B.indices, B_plain.indices)
-        assert np.array_equal(B.indptr, B_plain.indptr)
-        assert np.array_equal(B.data, B_plain.data)
+        assert B.nnz == J.nnz + u0.size and B.shape == (u0.size, u0.size)
         assert np.array_equal(B.toarray(), np.vstack([fresh(u).toarray(), border]))
-        patterns.append((J.indices, J.indptr))
+        patterns.append((Jc.indices, Jc.indptr))
         problem.on_accept(u1)  # re-anchor the sections at the moved point
     assert all(np.array_equal(a, b) for a, b in zip(*patterns))
+
+
+# -- condensed factorization against a sparse LU reference --------------------
+
+
+def _parity(perm):
+    """Sign of a permutation from its cycle count."""
+    seen = np.zeros(perm.size, dtype=bool)
+    cycles = 0
+    for i in range(perm.size):
+        if not seen[i]:
+            cycles += 1
+            while not seen[i]:
+                seen[i] = True
+                i = perm[i]
+    return -1 if (perm.size - cycles) % 2 else 1
+
+
+def reference_factor(B):
+    """(solve, sign, log|det|) of B from SuperLU."""
+    lu = spla.splu(sp.csc_matrix(B))
+    d = lu.U.diagonal()
+    sign = int(np.prod(np.sign(d))) * _parity(lu.perm_r) * _parity(lu.perm_c)
+    return lu.solve, sign, float(np.sum(np.log(np.abs(d))))
+
+
+def assert_matches_reference(B, seed=0):
+    ref_solve, ref_sign, ref_logdet = reference_factor(B.tocsc() if hasattr(B, "tocsc") else B)
+    lu = linsys.lu_factor(B)
+    rhs = np.random.default_rng(seed).standard_normal(B.shape[0])
+    x, x_ref = lu.solve(rhs), ref_solve(rhs)
+    assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+    sign, logdet = linsys.det_sign_log(lu)
+    assert sign == ref_sign
+    assert abs(logdet - ref_logdet) <= 1e-9 * abs(ref_logdet)
+    assert lu.U.diagonal().size == B.shape[0]
+
+
+def linear_forced_orbit(multiplier=1.0e3):
+    """Forced linear system whose orbit has Floquet multipliers
+    ``multiplier`` and exp(-pi/2) (x1' = lam x1 + a cos(Om t), x2' = x1 - x2/2)."""
+    Om = 2.0
+    lam = np.log(multiplier) / (2 * np.pi / Om)
+
+    def rhs(t, y, p):
+        return np.array([p[1] * y[0] + p[2] * np.cos(p[0] * t), y[0] - 0.5 * y[1]])
+
+    vf = odesys.VectorField(
+        dim_state=2, dim_params=3, param_names=("Om", "lam", "a"), autonomous=False,
+        rhs=rhs,
+        jac_state=lambda t, y, p: np.array([[p[1], 0.0], [1.0, -0.5]]),
+        jac_params=lambda t, y, p: np.array([[-p[2] * t * np.sin(p[0] * t), y[0],
+                                              np.cos(p[0] * t)], [0.0, 0.0, 0.0]]),
+        jac_time=lambda t, y, p: np.array([-p[2] * p[0] * np.sin(p[0] * t), 0.0]),
+        forcing_param="Om",
+    )
+    p = np.array([Om, lam, 1.0])
+    mesh = colloc.build_mesh(8, 4)
+    traj = colloc.Trajectory(mesh=mesh, x_bp=np.zeros((mesh.n_base, 2)), duration=np.pi)
+    orbit = po.solve_po(vf, traj, p)
+    assert np.abs(po.floquet(vf, orbit).multipliers).max() == pytest.approx(multiplier, rel=1e-6)
+    problem, u0 = po.continuation_problem(vf, orbit, ["a"], detect_tr=False)
+    return problem, u0
+
+
+@pytest.mark.parametrize("case", [autonomous_orbit, forced_orbit,
+                                  autonomous_torus_n3, autonomous_torus_n12, forced_torus,
+                                  linear_forced_orbit])
+def test_condensed_factor_matches_sparse_lu(case):
+    problem, u0 = case()[:2]
+    rng = np.random.default_rng(3)
+    u = u0 + 1e-3 * rng.standard_normal(u0.size)
+    B = linsys.bordered_matrix(problem.jacobian(u), rng.standard_normal(u0.size))
+    assert_matches_reference(B)
+    # the tangent bordering of a continuation step
+    t = linsys.nullspace_tangent(problem.jacobian(u0), rng.standard_normal(u0.size))
+    assert_matches_reference(linsys.bordered_matrix(problem.jacobian(u0), t), seed=1)
+
+
+@pytest.mark.parametrize("ntst,degree,N", [(1, 1, 1), (2, 1, 1), (1, 3, 2), (3, 2, 1),
+                                           (2, 4, 3)])
+def test_determinant_sign_over_mesh_shapes(ntst, degree, N):
+    vf, sol = decoupled_torus(ntst=ntst, degree=degree, N=N)
+    problem, u0 = torus.continuation_problem(vf, sol, ["gam", "om1", "om2", "varrho"],
+                                             detect_bp=False)
+    rng = np.random.default_rng(ntst * 10 + degree)
+    B = linsys.bordered_matrix(problem.jacobian(u0 + 1e-2 * rng.standard_normal(u0.size)),
+                               rng.standard_normal(u0.size))
+    sign, logdet = np.linalg.slogdet(B.toarray())
+    assert linsys.det_sign_log(linsys.lu_factor(B)) == pytest.approx((sign, logdet), rel=1e-9)
+    assert_matches_reference(B)
+
+
+@pytest.mark.parametrize("n", [40, 150, 333])
+def test_panel_lu_matches_lapack(n):
+    from scipy.linalg import lapack
+
+    rng = np.random.default_rng(n)
+    R = rng.standard_normal((n, n))
+    lu, piv, info = linsys._getrf(R)
+    lu_ref, piv_ref, _ = lapack.dgetrf(R)
+    assert info == 0 and np.array_equal(piv, piv_ref)
+    assert np.abs(lu - lu_ref).max() <= 1e-10 * np.abs(lu_ref).max()
+    R[:, n // 2] = 0.0
+    assert linsys._getrf(R)[2] == lapack.dgetrf(R)[2] > 0
+
+
+def test_square_system_without_border():
+    vf = odesys.builtin_langford()
+    mesh = colloc.build_mesh(5, 3)
+    traj = langford_circle_traj(mesh, 0.6)
+    X = traj.x_bp.size
+    p = np.array([OM, 0.6, 0.0])
+    pattern = po.po_jacobian_pattern(vf, mesh, keep=[X])
+    J = po.po_jacobian(vf, traj, p, po.make_reference(vf, traj, p), pattern)
+    assert J.shape == (X + 1, X + 1)
+    assert_matches_reference(J)
+
+
+def test_plain_sparse_matrix_is_the_k0_case():
+    rng = np.random.default_rng(6)
+    J = sp.random(6, 7, density=0.5, random_state=7, format="csr") + sp.eye(6, 7)
+    B = linsys.bordered_matrix(J, rng.standard_normal(7))
+    assert sp.issparse(B) and B.shape == (7, 7)
+    assert_matches_reference(B)
+
+
+def test_exactly_singular_local_block_is_named():
+    problem, u0 = autonomous_torus()[:2]
+    J = problem.jacobian(u0)
+    p = J.pattern
+    # zero the interior columns of segment 1, subinterval 2
+    blocks = J.seg.J_x[: p.K * p.ntst * p.m * (p.m + 1) * p.n * p.n]
+    blocks = blocks.reshape(p.m, p.m + 1, p.n, p.n, p.K * p.ntst)
+    blocks[:, 1:, :, :, 1 * p.ntst + 2] = 0.0
+    B = linsys.bordered_matrix(J, np.ones(u0.size))
+    with pytest.raises(ConvergenceError, match="segment 1, subinterval 2"):
+        linsys.lu_factor(B)
+
+
+def test_exactly_singular_reduced_system_is_reported_and_shift_solves():
+    problem, u0 = autonomous_orbit()[:2]
+    B = linsys.bordered_matrix(problem.jacobian(u0), np.zeros(u0.size))
+    with pytest.raises(ConvergenceError, match="reduced"):
+        linsys.lu_factor(B)
+    x = linsys.lu_factor(B, shift=1e-10).solve(np.ones(u0.size))
+    assert np.all(np.isfinite(x))

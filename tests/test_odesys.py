@@ -176,3 +176,21 @@ def test_batched_evaluation_matches_pointwise():
         for i in range(k):
             assert np.allclose(fb[:, i], odesys.eval_rhs(vf, ts[i], Y[:, i], p), atol=1e-14)
             assert np.allclose(Ab[:, :, i], odesys.eval_jac_state(vf, ts[i], Y[:, i], p), atol=1e-14)
+
+
+@pytest.mark.parametrize("make", [odesys.builtin_langford, odesys.builtin_vdp])
+def test_builtin_batched_jacobians_equal_pointwise_exactly(make):
+    vf = make()
+    rng = np.random.default_rng(5)
+    k = 9
+    Y = rng.standard_normal((vf.dim_state, k))
+    ts = rng.uniform(0, 5, k)
+    p = rng.uniform(0.5, 1.5, vf.dim_params)
+    n, q = vf.dim_state, vf.dim_params
+    for jac, shape in ((vf.jac_state, (n, n)), (vf.jac_params, (n, q))):
+        batch = jac(ts, Y, p)
+        assert batch.shape == shape + (k,)
+        for i in range(k):
+            point = jac(ts[i], Y[:, i], p)
+            assert point.shape == shape
+            assert np.array_equal(batch[..., i], point)

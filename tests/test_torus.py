@@ -128,7 +128,7 @@ class TestJacobian:
 
     def test_dT_dom2_entry(self):
         vf, sol = decoupled_torus(ntst=4, degree=3, N=1)
-        J = torus.torus_jacobian(vf, sol)
+        J = torus.torus_jacobian(vf, sol).tocsc()
         X = sol.x_seg.size
         n_a = sol.n_seg * (sol.mesh.n_coll * 4 + (sol.mesh.ntst - 1) * 4)
         row_d = n_a + sol.n_seg * 4 + 1
