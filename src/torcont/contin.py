@@ -338,7 +338,8 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
     ``on_accept`` hook runs (moving Poincare sections), monitors are
     recorded, events are tested and bounds are enforced.  With
     ``bi_direct`` both tangent orientations are explored; labels keep
-    ascending across the two passes.
+    ascending across the two passes.  A ``writer`` stores every labeled
+    point as it is emitted and the branch events when the run ends.
 
     ``correct_start=False`` takes ``u0`` as already on the manifold and
     requires ``initial_tangent``; branch-point restarts use this because
@@ -399,6 +400,8 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
         _walk(problem, branch, state, u_start, direction * t0, emit)
         terminations.append(branch.termination)
     branch.termination = "; ".join(terminations)
+    if writer is not None:
+        writer.write_events(branch.events)
     return branch
 
 

@@ -2,9 +2,12 @@
 
 Wraps scipy's Dormand-Prince 5(4) pair (``RK45``: embedded error estimate,
 PI step control, quartic dense output) behind the package's vector-field
-abstraction.  The variational equation is always integrated jointly with the
-state as an augmented system of size n + n^2, so Floquet data never inherits
-interpolation error from a frozen reference.
+abstraction.  It serves simulation (start data, the invariance oracle) and
+:func:`transition_matrix`, which propagates the TR eigenvector in
+``torus.init_from_TR`` and is the reference the collocation Floquet
+multipliers of ``po.floquet`` are tested against.  The variational equation
+is integrated jointly with the state as an augmented system of size n + n^2,
+so it never inherits interpolation error from a frozen reference.
 """
 
 from __future__ import annotations
@@ -47,8 +50,7 @@ class IvpResult:
 class TransitionMatrixResult:
     times: np.ndarray
     Phi: np.ndarray  # (len(times), n, n) raw transition matrices
-    monodromy: np.ndarray  # Phi(t0+T, t0) Phi0^{-1}
-    states: np.ndarray  # reference states at `times`
+    monodromy: np.ndarray  # Phi(t0+T, t0)
 
 
 def integrate(vf: VectorField, t_span, y0, p, opts: Optional[IvpOptions] = None) -> IvpResult:
@@ -87,58 +89,36 @@ def integrate(vf: VectorField, t_span, y0, p, opts: Optional[IvpOptions] = None)
     return IvpResult(t=sol.t, y=sol.y.T.copy(), interpolant=sol.sol)
 
 
-def _ref_state_at(y_ref, t0, vf):
-    """Initial state from a trajectory, interpolant or plain vector."""
-    from .colloc import Trajectory, interpolate  # local import to avoid a cycle
-
-    if isinstance(y_ref, Trajectory):
-        if not (y_ref.t_offset - 1e-12 <= t0 <= y_ref.t_offset + y_ref.duration + 1e-12):
-            raise InputError("reference trajectory does not cover the requested start time")
-        return interpolate(y_ref, t0)
-    if callable(y_ref):
-        return np.asarray(y_ref(t0), dtype=float)
-    y0 = np.asarray(y_ref, dtype=float)
-    if y0.shape != (vf.dim_state,):
-        raise InputError("y_ref must be a Trajectory, a callable or a state vector")
-    return y0
-
-
 def transition_matrix(
     vf: VectorField,
     t0: float,
     T: float,
-    y_ref,
+    y0,
     p,
     sample_times=None,
-    Phi0: Optional[np.ndarray] = None,
     opts: Optional[IvpOptions] = None,
 ) -> TransitionMatrixResult:
     """Solve the variational equation Phi' = f_x Phi along the flow.
 
-    The state is regenerated from ``y_ref`` at ``t0`` and integrated jointly
-    with Phi over [t0, t0+T].  ``sample_times`` (absolute times within that
-    window) select where Phi is recorded; the monodromy
-    M(t0+T, t0) = Phi(t0+T) Phi0^{-1} is always computed.
+    The state starts at ``y0`` at time ``t0`` and is integrated jointly with
+    Phi over [t0, t0+T].  ``sample_times`` (absolute times within that
+    window) select where Phi is recorded; the monodromy M = Phi(t0+T, t0)
+    is always returned.
     """
     opts = opts or IvpOptions(rel_tol=1.0e-10, abs_tol=1.0e-12)
     if T <= 0:
         raise InputError("transition_matrix needs a positive duration T")
     n = vf.dim_state
     p = np.asarray(p, dtype=float)
-    y0 = _ref_state_at(y_ref, t0, vf)
-    if Phi0 is None:
-        Phi0 = np.eye(n)
-    else:
-        Phi0 = np.asarray(Phi0, dtype=float)
-        if Phi0.shape != (n, n):
-            raise InputError(f"Phi0 has shape {Phi0.shape}, expected ({n}, {n})")
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape != (n,):
+        raise InputError(f"y0 has shape {y0.shape}, expected ({n},)")
 
     if sample_times is None:
         ts = np.array([t0, t0 + T])
     else:
         ts = np.asarray(sample_times, dtype=float)
-        lo, hi = min(t0, t0 + T), max(t0, t0 + T)
-        if ts.min() < lo - 1e-12 or ts.max() > hi + 1e-12:
+        if ts.min() < t0 - 1e-12 or ts.max() > t0 + T + 1e-12:
             raise InputError("sample_times must lie within [t0, t0+T]")
         ts = np.unique(np.concatenate([ts, [t0, t0 + T]]))
 
@@ -148,7 +128,7 @@ def transition_matrix(
         fy = eval_jac_state(vf, t, y, p)
         return np.concatenate([eval_rhs(vf, t, y, p), (fy @ Phi).ravel()])
 
-    z0 = np.concatenate([y0, Phi0.ravel()])
+    z0 = np.concatenate([y0, np.eye(n).ravel()])
     sol = solve_ivp(
         aug,
         (t0, t0 + T),
@@ -164,7 +144,4 @@ def transition_matrix(
             f"variational integration failed at t={last}: {sol.message}", last_time=last
         )
     Phi_hist = sol.y[n:, :].T.reshape(-1, n, n).copy()
-    states = sol.y[:n, :].T.copy()
-    Phi_end = Phi_hist[-1]
-    monodromy = Phi_end @ np.linalg.inv(Phi0)
-    return TransitionMatrixResult(times=sol.t, Phi=Phi_hist, monodromy=monodromy, states=states)
+    return TransitionMatrixResult(times=sol.t, Phi=Phi_hist, monodromy=Phi_hist[-1])

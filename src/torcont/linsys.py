@@ -19,6 +19,8 @@ bordering algorithm):
 2. *Segment chain.*  The continuity rows carry these maps from subinterval
    to subinterval, ntst batched steps across all segments, so every base
    point becomes an affine map of (v0 of its segment, extra unknowns).
+   For an orbit the map to the last point is the monodromy matrix
+   (:func:`monodromy`).
 3. *Reduced system.*  The tail rows and the border, contracted with these
    maps, form a dense system in (v0 of every segment, extra unknowns) of
    size K n + n_extra (309 on the N = 50 Langford torus), factored by
@@ -226,6 +228,56 @@ def bordered_matrix(J, border: np.ndarray):
     return sp.vstack([sp.csc_matrix(J), border[None, :]], format="csc")
 
 
+def _condense(B):
+    """Steps 1 and 2 of the module docstring on the collocation rows of B.
+
+    Returns (A, inv, LM, chain): the (m n)x(m n) local blocks and their
+    inverses, LM = -inv [C | G] (the interior base points of every
+    subinterval as a map of [its initial point; extras]) and chain, where
+    chain[s, k] = [Phi | Psi] maps (v0 of segment s, extras) to the initial
+    point of subinterval k and chain[s, ntst] to the segment's last point.
+    """
+    p = B.pattern
+    K, ntst, m, n, ne = p.K, p.ntst, p.m, p.n, p.n_extra
+    subs, mn = K * ntst, m * n
+    blk = B.seg.J_x[: subs * mn * (m + 1) * n].reshape(m, m + 1, n, n, subs)
+    # (subinterval, node c, row comp, base point j, col comp)
+    A = blk[:, 1:].transpose(4, 0, 2, 1, 3).reshape(subs, mn, mn)
+    CG = np.empty((subs, mn, n + ne))
+    CG[:, :, :n] = blk[:, 0].transpose(3, 0, 1, 2).reshape(subs, mn, n)
+    CG[:, :, n:] = B.extra_block().reshape(subs, mn, ne)
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        bad = np.flatnonzero(np.linalg.slogdet(A)[0] == 0)
+        where = (f"segment {bad[0] // ntst}, subinterval {bad[0] % ntst}" if bad.size
+                 else "a subinterval")
+        raise ConvergenceError(
+            f"linear solve failed: collocation block of {where} is exactly singular"
+        ) from None
+    # interior base points = LM @ [initial point; extras] + inv @ rhs
+    LM = -(inv @ CG)
+    last = LM.reshape(K, ntst, m, n, n + ne)[:, :, -1]
+    chain = np.empty((K, ntst + 1, n, n + ne))
+    chain[:, 0, :, :n] = np.eye(n)
+    chain[:, 0, :, n:] = 0.0
+    for k in range(ntst):
+        chain[:, k + 1] = last[:, k, :, :n] @ chain[:, k]
+        chain[:, k + 1, :, n:] += last[:, k, :, n:]
+    return A, inv, LM, chain
+
+
+def monodromy(J: CollocationJacobian) -> np.ndarray:
+    """Monodromy matrix of an orbit from the Jacobian of its collocation.
+
+    The segment chain carries x(0) through the linearized collocation
+    equations to x(T); its state block is the product of the
+    per-subinterval transition maps, the collocation approximation of
+    M = Phi(T, 0) of segment 0 (an orbit's only segment).
+    """
+    return _condense(J)[3][0, -1, :, :J.pattern.n]
+
+
 class CondensedFactor:
     """Factorization of a square system by condensation (module docstring).
 
@@ -240,7 +292,8 @@ class CondensedFactor:
         if B.shape[0] != B.shape[1]:
             raise ValueError(f"cannot factor a {B.shape[0]}x{B.shape[1]} system")
         if isinstance(B, CollocationJacobian):
-            self._eliminate(B)
+            self.p = B.pattern
+            self._A, self._inv, self._LM, self._chain = _condense(B)
             R = self._reduced(B)
         else:
             self.p = None
@@ -263,39 +316,6 @@ class CondensedFactor:
         if self._pivots is None:
             self._pivots = self._pivot_values()
         return sp.diags(self._pivots)
-
-    # -- steps 1 and 2: local elimination and the segment chain ----------
-
-    def _eliminate(self, B):
-        self.p = p = B.pattern
-        K, ntst, m, n, ne = p.K, p.ntst, p.m, p.n, p.n_extra
-        subs, mn = K * ntst, m * n
-        blk = B.seg.J_x[: subs * mn * (m + 1) * n].reshape(m, m + 1, n, n, subs)
-        # (subinterval, node c, row comp, base point j, col comp)
-        A = blk[:, 1:].transpose(4, 0, 2, 1, 3).reshape(subs, mn, mn)
-        CG = np.empty((subs, mn, n + ne))
-        CG[:, :, :n] = blk[:, 0].transpose(3, 0, 1, 2).reshape(subs, mn, n)
-        CG[:, :, n:] = B.extra_block().reshape(subs, mn, ne)
-        try:
-            self._inv = np.linalg.inv(A)
-        except np.linalg.LinAlgError:
-            bad = np.flatnonzero(np.linalg.slogdet(A)[0] == 0)
-            where = (f"segment {bad[0] // ntst}, subinterval {bad[0] % ntst}" if bad.size
-                     else "a subinterval")
-            raise ConvergenceError(
-                f"linear solve failed: collocation block of {where} is exactly singular"
-            ) from None
-        self._A = A
-        # interior base points = LM @ [initial point; extras] + inv @ rhs
-        self._LM = LM = -(self._inv @ CG)
-        last = LM.reshape(K, ntst, m, n, n + ne)[:, :, -1]
-        chain = np.empty((K, ntst + 1, n, n + ne))
-        chain[:, 0, :, :n] = np.eye(n)
-        chain[:, 0, :, n:] = 0.0
-        for k in range(ntst):
-            chain[:, k + 1] = last[:, k, :, :n] @ chain[:, k]
-            chain[:, k + 1, :, n:] += last[:, k, :, n:]
-        self._chain = chain
 
     def _maps(self, bp):
         """[Phi | Psi] of the base points ``bp`` (flat indices), (len, n, n+ne)."""

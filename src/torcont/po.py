@@ -3,8 +3,9 @@
 The zero problem couples segment collocation with periodicity and, for
 autonomous systems, a Poincare phase condition anchored at a frozen
 reference point (moving section: the reference is replaced by the previous
-accepted solution during continuation).  Floquet multipliers come from
-direct integration of the variational equation along the converged orbit.
+accepted solution during continuation).  Floquet multipliers come from the
+same discretization: the monodromy matrix is the product of the
+per-subinterval transition maps of the orbit's collocation Jacobian.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import numpy as np
 
 from . import colloc
 from .errors import ConvergenceError
+# transition_matrix is not called here; perfbench/tracing.py wraps this binding
 from .ivp import IvpOptions, transition_matrix
-from .linsys import CollocationJacobian, CollocationPattern, newton_square
+from .linsys import CollocationJacobian, CollocationPattern, monodromy, newton_square
 from .odesys import VectorField, eval_rhs
 
 #: complex pairs need |Im mu| above this to count for TR testing
@@ -158,28 +160,19 @@ class FloquetData:
     warning: Optional[str] = None
 
 
-def floquet(
-    vf: VectorField,
-    po: PeriodicOrbit,
-    anchor_time: float = 0.0,
-    rel_tol: float = 1.0e-10,
-) -> FloquetData:
-    """Multipliers of the monodromy matrix along a converged orbit.
+def floquet(vf: VectorField, po: PeriodicOrbit) -> FloquetData:
+    """Multipliers of the monodromy matrix of a converged orbit.
 
-    The variational equation is integrated jointly with the state from
-    ``anchor_time`` over one period.  The trivial multiplier (autonomous
-    systems) is the one closest to 1 and is excluded from TR candidacy.
+    M comes from the orbit's own collocation Jacobian: the product of the
+    per-subinterval transition maps from x(0) to x(T)
+    (:func:`linsys.monodromy`), exact for the discretized variational
+    equation.  A plain product loses the small multipliers of a strongly
+    unstable orbit to rounding (Fairgrieve & Jepson 1991).  The trivial
+    multiplier (autonomous systems) is the one closest to 1 and is excluded
+    from TR candidacy.
     """
-    t0 = po.traj.t_offset + anchor_time
-    res = transition_matrix(
-        vf,
-        t0,
-        po.period,
-        po.traj,
-        po.p,
-        opts=IvpOptions(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2),
-    )
-    M = res.monodromy
+    pattern = po_jacobian_pattern(vf, po.traj.mesh, keep=[])
+    M = monodromy(po_jacobian(vf, po.traj, po.p, po.reference, pattern))
     warning = None
     try:
         mu, vecs = np.linalg.eig(M)
@@ -190,19 +183,13 @@ def floquet(
 
     trivial = int(np.argmin(np.abs(mu - 1.0))) if vf.autonomous else None
 
+    # one member of each non-trivial conjugate pair
+    pairs = [i for i in range(mu.size) if i != trivial and mu[i].imag > IMAG_TOL]
     tr_angle = tr_eigvec = tr_distance = None
-    best = np.inf
-    for i in range(mu.size):
-        if trivial is not None and i == trivial:
-            continue
-        if mu[i].imag <= IMAG_TOL:  # keep one member of each conjugate pair
-            continue
-        dist = abs(abs(mu[i]) - 1.0)
-        if dist < best:
-            best = dist
-            tr_angle = float(np.angle(mu[i]))
-            tr_eigvec = vecs[:, i].copy() if vecs is not None else None
-            tr_distance = dist
+    if pairs:
+        i = min(pairs, key=lambda i: abs(abs(mu[i]) - 1.0))
+        tr_angle, tr_distance = float(np.angle(mu[i])), abs(abs(mu[i]) - 1.0)
+        tr_eigvec = vecs[:, i].copy() if vecs is not None else None
     if vecs is not None:
         cond = np.linalg.cond(vecs)
         if cond > 1e12:
@@ -224,16 +211,9 @@ def tr_test_function(floq: FloquetData) -> Optional[float]:
     A sign change of this value along a branch brackets a torus (TR)
     bifurcation; the continuation engine treats ``None`` as "no event".
     """
-    best = None
-    for i, mu in enumerate(floq.multipliers):
-        if floq.trivial_index is not None and i == floq.trivial_index:
-            continue
-        if abs(mu.imag) <= IMAG_TOL:
-            continue
-        val = abs(mu) - 1.0
-        if best is None or val > best:
-            best = float(val)
-    return best
+    vals = [abs(mu) - 1.0 for i, mu in enumerate(floq.multipliers)
+            if i != floq.trivial_index and abs(mu.imag) > IMAG_TOL]
+    return float(max(vals)) if vals else None
 
 
 def continuation_problem(

@@ -7,6 +7,7 @@ One directory per run inside a store directory:
     <store>/<run_id>/bd.tsv           bifurcation-data table, one row per
                                       labeled point: label, type, monitors
     <store>/<run_id>/sol_<label>.json labeled solution snapshot
+    <store>/<run_id>/events.json      branch events, written when the run ends
 
 Everything is exact-decimal text: floats are written with ``repr``, which
 round-trips IEEE doubles bit-exactly through JSON.  Formats carry a version
@@ -181,7 +182,7 @@ class RunWriter:
         self._dir = run_dir(self.store, self.run_id)
         os.makedirs(self._dir, exist_ok=True)
         for name in os.listdir(self._dir):
-            if name.startswith("sol_"):
+            if name.startswith("sol_") or name == "events.json":
                 os.remove(os.path.join(self._dir, name))
         meta = {
             "format": "torcont-run",
@@ -211,15 +212,32 @@ class RunWriter:
         doc["active"] = list(problem.active)
         doc["tangent"] = pt.tangent.tolist()
         doc["monitors"] = {k: float(v) for k, v in pt.monitors.items()}
-        path = os.path.join(self._dir, f"sol_{pt.label:06d}.json")
-        text = json.dumps(doc)  # the C encoder; json.dump runs the Python one
-        with open(path + ".tmp", "w") as fh:
-            fh.write(text)
-        os.replace(path + ".tmp", path)
+        _write_atomic(os.path.join(self._dir, f"sol_{pt.label:06d}.json"), doc)
         with open(os.path.join(self._dir, "bd.tsv"), "a") as fh:
             cells = [str(pt.label), pt.ptype]
             cells += [_f(pt.monitors[name]) for name in problem.monitor_names]
             fh.write("\t".join(cells) + "\n")
+
+    def write_events(self, events: list):
+        """Write the branch's events to ``events.json``; an event's ``u``
+        bracket is stored as the monitor values at its two ends."""
+        out = []
+        for ev in events:
+            entry = {k: v for k, v in ev.items() if k != "bracket"}
+            if "bracket" in ev:
+                entry["bracket"] = [{k: float(v) for k, v in self.problem.monitors(u).items()}
+                                    for u in ev["bracket"]]
+            out.append(entry)
+        doc = {"format": "torcont-events", "version": FORMAT_VERSION, "events": out}
+        _write_atomic(os.path.join(self._dir, "events.json"), doc)
+
+
+def _write_atomic(path: str, doc: dict):
+    """Write ``doc`` as JSON to a temporary file, then rename it to ``path``."""
+    text = json.dumps(doc)  # the C encoder; json.dump runs the Python one
+    with open(path + ".tmp", "w") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
 
 
 # -- reading -------------------------------------------------------------------

@@ -309,7 +309,6 @@ def init_from_TR(
     floq,
     N: int,
     eps: Optional[float] = None,
-    mesh: Optional[colloc.SegmentMesh] = None,
 ) -> TorusSolution:
     """Torus guess from a Neimark-Sacker (TR) periodic orbit.
 
@@ -323,7 +322,7 @@ def init_from_TR(
         raise InputError("Floquet data carries no TR pair (complex multiplier + eigenvector)")
     if N < 1:
         raise InputError("need at least one Fourier mode")
-    mesh = mesh or po.traj.mesh
+    mesh = po.traj.mesh
     T = po.period
     t0 = po.traj.t_offset
     alpha = abs(float(floq.tr_angle))
@@ -335,13 +334,8 @@ def init_from_TR(
     # converged collocation representation, so eps = 0 reproduces it exactly
     tb = t0 + T * mesh.basepoints
     uniq, inverse = np.unique(tb, return_inverse=True)
-    trans = transition_matrix(vf, t0, T, po.traj, po.p, sample_times=uniq)
-    pos = np.searchsorted(trans.times, uniq)
-    Phi = trans.Phi[pos][inverse]  # (nbp, n, n)
-    if mesh is po.traj.mesh:
-        xp = po.traj.x_bp.copy()
-    else:
-        xp = colloc.interpolate(po.traj, tb)
+    trans = transition_matrix(vf, t0, T, po.traj.x_bp[0], po.p, sample_times=uniq)
+    Phi = trans.Phi[np.searchsorted(trans.times, uniq)][inverse]  # (nbp, n, n)
 
     tb_rel = T * mesh.basepoints
     u_t = np.exp(-1j * alpha * tb_rel / T)[:, None] * (Phi @ v)
@@ -354,7 +348,7 @@ def init_from_TR(
     theta1 = coupling.angles[:, None] + om1 * tb_rel[None, :]  # (n_seg, nbp)
     uhat = (np.cos(theta1)[:, :, None] * u_t.real[None, :, :]
             - np.sin(theta1)[:, :, None] * u_t.imag[None, :, :])
-    x_seg = xp[None, :, :] + eps * uhat
+    x_seg = po.traj.x_bp[None, :, :] + eps * uhat
 
     sol = TorusSolution(
         mesh=mesh,

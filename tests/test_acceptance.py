@@ -18,6 +18,7 @@ import scipy.sparse as sp
 from scipy.linalg import expm
 
 from torcont import cli, colloc, contin, fourier, ivp, odesys, po, store, torus
+from util_systems import linear_zero_orbit
 
 HERE = os.path.dirname(__file__)
 CONFIGS = os.path.join(HERE, "..", "configs")
@@ -281,12 +282,8 @@ def test_criterion_7_monodromy_oracle():
     for _ in range(20):
         A = rng.standard_normal((3, 3)) * 0.7
         T = rng.uniform(0.5, 1.5)
-        vf = odesys.VectorField(
-            dim_state=3, dim_params=0, param_names=(), autonomous=True,
-            rhs=lambda t, y, p, A=A: A @ y, jac_state=lambda t, y, p, A=A: A,
-        )
-        res = ivp.transition_matrix(vf, 0.0, T, np.zeros(3), [])
-        mu = np.sort_complex(np.linalg.eigvals(res.monodromy))
+        vf, orbit = linear_zero_orbit(A, T)
+        mu = np.sort_complex(po.floquet(vf, orbit).multipliers)
         mu_ref = np.sort_complex(np.linalg.eigvals(expm(A * T)))
         worst = max(worst, np.abs(mu - mu_ref).max())
     report(7, worst < 1e-6, f"20 random 3x3 systems: max multiplier deviation "

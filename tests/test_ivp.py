@@ -128,19 +128,6 @@ def test_phi_starts_at_identity_and_semigroup():
     assert np.abs(half @ M - lhs).max() < 1e-6
 
 
-def test_custom_phi0_relation():
-    # M(t, t0) = Phi(t, t0) Phi0^{-1} when the variational start is Phi0 != I
-    rng = np.random.default_rng(4)
-    A = rng.standard_normal((3, 3)) * 0.5
-    vf = linear_field(A)
-    T = 0.9
-    Phi0 = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
-    res_id = ivp.transition_matrix(vf, 0.0, T, np.zeros(3), [])
-    res_p0 = ivp.transition_matrix(vf, 0.0, T, np.zeros(3), [], Phi0=Phi0)
-    assert np.abs(res_p0.Phi[-1] - res_id.monodromy @ Phi0).max() < 1e-7
-    assert np.abs(res_p0.monodromy - res_id.monodromy).max() < 1e-7
-
-
 def test_liouville_positive_determinant():
     vf = odesys.builtin_langford()
     p = np.array([3.5, 0.8, 0.0])

@@ -16,6 +16,7 @@ import pytest
 from scipy.linalg import expm
 
 from torcont import colloc, ivp, odesys, po
+from util_systems import linear_zero_orbit
 
 K_LANG = 3.557 / 3.0
 OM = 3.5
@@ -106,13 +107,9 @@ class TestFloquet:
     def test_constant_linear_system_matches_expm(self):
         rng = np.random.default_rng(77)
         A = 0.5 * rng.standard_normal((3, 3))
-        vf = odesys.VectorField(
-            dim_state=3, dim_params=0, param_names=(), autonomous=True,
-            rhs=lambda t, y, p: A @ y, jac_state=lambda t, y, p: A,
-        )
         T = 1.1
-        res = ivp.transition_matrix(vf, 0.0, T, np.zeros(3), [])
-        mu = np.sort_complex(np.linalg.eigvals(res.monodromy))
+        vf, orbit = linear_zero_orbit(A, T)
+        mu = np.sort_complex(po.floquet(vf, orbit).multipliers)
         mu_ref = np.sort_complex(np.linalg.eigvals(expm(A * T)))
         assert np.abs(mu - mu_ref).max() < 1e-6
 
@@ -162,6 +159,34 @@ class TestFloquet:
             orbit2 = po.reanchor(vf, orbit, shift)
             mu1 = np.sort_complex(po.floquet(vf, orbit2).multipliers)
             assert np.abs(mu1 - mu0).max() < 1e-5
+
+
+class TestFloquetAgainstIvp:
+    """The collocation monodromy against the variational IVP."""
+
+    @staticmethod
+    def assert_multipliers_match_ivp(vf, orbit):
+        ref = ivp.transition_matrix(vf, orbit.traj.t_offset, orbit.period,
+                                    orbit.traj.x_bp[0], orbit.p)
+        mu = np.sort_complex(po.floquet(vf, orbit).multipliers)
+        mu_ref = np.sort_complex(np.linalg.eigvals(ref.monodromy))
+        assert np.abs(mu - mu_ref).max() < 1e-8
+
+    @pytest.mark.parametrize("rho", [1.5, 0.9, 0.61545])
+    def test_langford(self, rho):
+        vf = odesys.builtin_langford()
+        mesh = colloc.build_mesh(20, 4)
+        orbit = po.solve_po(vf, langford_circle_traj(mesh, rho), np.array([OM, rho, 0.0]))
+        self.assert_multipliers_match_ivp(vf, orbit)
+
+    def test_forced_vdp(self):
+        vf = odesys.builtin_vdp()
+        p = np.array([1.5111, 0.11, 0.3])
+        T = 2 * np.pi / p[0]
+        res = ivp.integrate(vf, [0.0, 30 * T], np.array([0.5, 0.0]), p)
+        mesh = colloc.build_mesh(20, 4)
+        orbit = po.solve_po(vf, po.sample_orbit(vf, res.y[-1], p, mesh, T), p)
+        self.assert_multipliers_match_ivp(vf, orbit)
 
 
 class TestForcedOrbit:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from torcont import colloc, contin, odesys, po, store, torus
-from torcont.errors import ConfigError, FormatError, InputError, NotFoundError
+from torcont.errors import ConfigError, ConvergenceError, FormatError, InputError, NotFoundError
 from util_systems import OM, T_LANG, langford_circle_traj
 
 
@@ -283,3 +283,46 @@ def test_interrupted_snapshot_dump_leaves_every_row_loadable(tmp_path, monkeypat
     assert bd.labels == [1, 2]
     for lab in bd.labels:
         assert store.read_solution(base, "cut", lab)[0]["label"] == lab
+
+
+def read_events(base, run_id):
+    with open(os.path.join(base, run_id, "events.json")) as fh:
+        return json.load(fh)
+
+
+class TestEventsFile:
+    def test_located_events_of_finished_run(self, mini_pipeline):
+        events = read_events(mini_pipeline["base"], "po_mini")["events"]
+        located = [ev for ev in events if ev["type"] == "TR"]
+        assert located and located[0]["status"] == "located"
+        assert located[0]["label"] in mini_pipeline["tr_labels"]
+
+    def test_unlocated_event_round_trips(self, tmp_path, monkeypatch):
+        vf = odesys.builtin_langford()
+        orbit = po.solve_po(vf, langford_circle_traj(colloc.build_mesh(8, 4), 0.65),
+                            np.array([OM, 0.65, 0.0]))
+        problem, u0 = po.continuation_problem(vf, orbit, released=["rho"],
+                                              bounds={"rho": (0.55, 0.7)})
+
+        def lost(*args, **kwargs):
+            raise ConvergenceError("bracket lost in the test")
+
+        monkeypatch.setattr(contin, "locate_event", lost)
+        base = str(tmp_path)
+        state = contin.ContinuationState(h=0.02, h_min=1e-4, h_max=0.05, pt_max=12,
+                                         bi_direct=True)
+        branch = contin.run(problem, u0, state, writer=store.RunWriter(base, "lost", problem))
+        unloc = [ev for ev in branch.events if ev["status"] == "unlocated"]
+        assert [ev["type"] for ev in unloc] == ["TR"]
+        doc = read_events(base, "lost")
+        assert doc["format"] == "torcont-events" and doc["version"] == store.FORMAT_VERSION
+        stored = [ev for ev in doc["events"] if ev["status"] == "unlocated"]
+        assert len(stored) == 1
+        assert stored[0]["type"] == "TR" and stored[0]["reason"] == "bracket lost in the test"
+        ends = [problem.monitors(u) for u in unloc[0]["bracket"]]
+        assert stored[0]["bracket"] == ends  # exact: floats round-trip through JSON
+        assert (ends[0]["rho"] - 0.6154) * (ends[1]["rho"] - 0.6154) < 0
+        assert not [f for f in os.listdir(os.path.join(base, "lost")) if f.endswith(".tmp")]
+        # a new run in the same directory drops the old run's events
+        store.RunWriter(base, "lost", problem)
+        assert not os.path.exists(os.path.join(base, "lost", "events.json"))

@@ -6,6 +6,9 @@ r^2 = K/(1 + 0.7 rho), K = 3.557/3, period T = 2*pi/om is a fixed point;
 the monodromy is exactly expm(A T).  The TR point and angle follow in
 closed form: rho* = 0.51/(K - 0.357), alpha = sqrt(2 K) * T.
 
+Linear field x' = A x: its zero solution is a periodic orbit of any period
+T, whose monodromy is expm(A T).
+
 Decoupled product system: two independent Hopf normal forms carry an exact
 torus u(th1, th2) = (cos th2, sin th2, cos th1, sin th1) with frequencies
 (om1, om2), giving exact sample data for the torus residual blocks.
@@ -13,7 +16,7 @@ torus u(th1, th2) = (cos th2, sin th2, cos th1, sin th1) with frequencies
 
 import numpy as np
 
-from torcont import colloc, odesys
+from torcont import colloc, odesys, po
 
 K_LANG = 3.557 / 3.0
 OM = 3.5
@@ -40,6 +43,21 @@ def langford_circle_traj(mesh, rho):
     t = T_LANG * mesh.basepoints
     x = np.column_stack([r * np.cos(OM * t), r * np.sin(OM * t), np.full(t.size, 0.7)])
     return colloc.Trajectory(mesh=mesh, x_bp=x, duration=T_LANG)
+
+
+def linear_zero_orbit(A, T):
+    """(vf, orbit): x' = A x without parameters and its zero solution with
+    period T on a 20 x 4 mesh."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    vf = odesys.VectorField(
+        dim_state=n, dim_params=0, param_names=(), autonomous=True,
+        rhs=lambda t, y, p: A @ y, jac_state=lambda t, y, p: A,
+    )
+    mesh = colloc.build_mesh(20, 4)
+    traj = colloc.Trajectory(mesh=mesh, x_bp=np.zeros((mesh.n_base, n)), duration=T)
+    return vf, po.PeriodicOrbit(traj=traj, p=np.zeros(0),
+                                reference=po.make_reference(vf, traj, np.zeros(0)))
 
 
 def decoupled_field():
