@@ -9,14 +9,17 @@ One directory per run inside a store directory:
     <store>/<run_id>/sol_<label>.json labeled solution snapshot
     <store>/<run_id>/events.json      branch events, written when the run ends
 
-Everything is exact-decimal text: floats are written with ``repr``, which
-round-trips IEEE doubles bit-exactly through JSON.  Formats carry a version
-field; a mismatch raises :class:`FormatError` instead of misreading.
+Scalar floats are written with ``repr``, which round-trips IEEE doubles
+bit-exactly through JSON; the float arrays of a snapshot are the base64 of
+their little-endian bytes (``_encode_array``), bit-exact too.  Formats carry
+a version field; a mismatch raises :class:`FormatError` instead of misreading.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,7 +31,8 @@ from .errors import ConfigError, FormatError, InputError, NotFoundError
 from .fourier import dft_matrix
 from .odesys import VectorField, get_builtin
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 1  # meta.json, events.json, samples files
+SNAPSHOT_VERSION = 2  # sol_<label>.json; version 1 wrote arrays as float lists
 BD_HEADER = "# torcont bd v1"
 
 
@@ -40,7 +44,33 @@ def run_dir(store: str, run_id: str) -> str:
     return os.path.join(store, run_id)
 
 
+def snapshot_path(store: str, run_id: str, label: int) -> str:
+    return os.path.join(run_dir(store, run_id), f"sol_{int(label):06d}.json")
+
+
 # -- snapshot encoding ---------------------------------------------------------
+
+
+def _encode_array(a) -> dict:
+    """A float array as {"dtype": "<f8", "shape", "data": base64 of its bytes}."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"dtype": "<f8", "shape": list(a.shape),
+            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def _decode_array(obj, path: str, name: str) -> np.ndarray:
+    """Inverse of ``_encode_array``; errors name the file and the field."""
+    if not isinstance(obj, dict) or obj.get("dtype") != "<f8":
+        raise FormatError(f"{path}: field {name!r} is not an encoded <f8 array")
+    try:
+        shape = tuple(int(k) for k in obj["shape"])
+        raw = base64.b64decode(obj["data"], validate=True)
+    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+        raise FormatError(f"{path}: field {name!r} is a malformed array ({exc})") from None
+    if min(shape, default=0) < 0 or len(raw) != 8 * math.prod(shape):
+        raise FormatError(f"{path}: field {name!r} has {len(raw)} data bytes, "
+                          f"not 8 per entry of shape {list(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)  # a writable copy
 
 
 def _system_header(vf: VectorField) -> dict:
@@ -57,22 +87,22 @@ def torus_snapshot(vf: VectorField, sol: torus_mod.TorusSolution) -> dict:
     ref = sol.reference
     return {
         "format": "torcont-solution",
-        "version": FORMAT_VERSION,
+        "version": SNAPSHOT_VERSION,
         "kind": "torus",
         "system": _system_header(vf),
         "mesh": {"ntst": sol.mesh.ntst, "degree": sol.mesh.degree},
         "fourier_modes": sol.N,
-        "x_seg": sol.x_seg.tolist(),
+        "x_seg": _encode_array(sol.x_seg),
         "T0": sol.T0,
         "T": sol.T,
-        "p": sol.p.tolist(),
+        "p": _encode_array(sol.p),
         "om1": sol.om1,
         "om2": sol.om2,
         "varrho": sol.varrho,
         "reference": {
-            "v00": ref.v00.tolist(),
-            "vphi": ref.vphi.tolist(),
-            "vt": None if ref.vt is None else ref.vt.tolist(),
+            "v00": _encode_array(ref.v00),
+            "vphi": _encode_array(ref.vphi),
+            "vt": None if ref.vt is None else _encode_array(ref.vt),
         },
     }
 
@@ -80,17 +110,17 @@ def torus_snapshot(vf: VectorField, sol: torus_mod.TorusSolution) -> dict:
 def po_snapshot(vf: VectorField, orbit: po_mod.PeriodicOrbit) -> dict:
     return {
         "format": "torcont-solution",
-        "version": FORMAT_VERSION,
+        "version": SNAPSHOT_VERSION,
         "kind": "po",
         "system": _system_header(vf),
         "mesh": {"ntst": orbit.traj.mesh.ntst, "degree": orbit.traj.mesh.degree},
-        "x_bp": orbit.traj.x_bp.tolist(),
+        "x_bp": _encode_array(orbit.traj.x_bp),
         "T": orbit.traj.duration,
         "t_offset": orbit.traj.t_offset,
-        "p": orbit.p.tolist(),
+        "p": _encode_array(orbit.p),
         "reference": {
-            "x0": orbit.reference.x0.tolist(),
-            "f0": orbit.reference.f0.tolist(),
+            "x0": _encode_array(orbit.reference.x0),
+            "f0": _encode_array(orbit.reference.f0),
         },
     }
 
@@ -98,10 +128,10 @@ def po_snapshot(vf: VectorField, orbit: po_mod.PeriodicOrbit) -> dict:
 def _check_format(doc: dict, path: str):
     if doc.get("format") != "torcont-solution":
         raise FormatError(f"{path}: not a torcont solution file")
-    if doc.get("version") != FORMAT_VERSION:
+    if doc.get("version") != SNAPSHOT_VERSION:
         raise FormatError(
             f"{path}: format version {doc.get('version')} not supported "
-            f"(this build reads version {FORMAT_VERSION})"
+            f"(this build reads version {SNAPSHOT_VERSION})"
         )
 
 
@@ -120,8 +150,10 @@ def resolve_field(doc: dict, vf: Optional[VectorField]) -> VectorField:
     return vf
 
 
-def solution_from_snapshot(doc: dict, vf: Optional[VectorField] = None):
-    """Rebuild a TorusSolution or PeriodicOrbit (with its field) from a dict."""
+def solution_from_snapshot(doc: dict, vf: Optional[VectorField] = None,
+                           path: str = "snapshot"):
+    """Rebuild a TorusSolution or PeriodicOrbit (with its field) from a dict;
+    ``path`` names the source in format errors."""
     vf = resolve_field(doc, vf)
     mesh = colloc.build_mesh(doc["mesh"]["ntst"], doc["mesh"]["degree"])
     if doc["kind"] == "torus":
@@ -129,34 +161,34 @@ def solution_from_snapshot(doc: dict, vf: Optional[VectorField] = None):
         sol = torus_mod.TorusSolution(
             mesh=mesh,
             coupling=dft_matrix(doc["fourier_modes"]),
-            x_seg=np.asarray(doc["x_seg"], dtype=float),
+            x_seg=_decode_array(doc["x_seg"], path, "x_seg"),
             T0=doc["T0"],
             T=doc["T"],
-            p=np.asarray(doc["p"], dtype=float),
+            p=_decode_array(doc["p"], path, "p"),
             om1=doc["om1"],
             om2=doc["om2"],
             varrho=doc["varrho"],
             reference=torus_mod.ReferenceSection(
-                v00=np.asarray(ref["v00"], dtype=float),
-                vphi=np.asarray(ref["vphi"], dtype=float),
-                vt=None if ref["vt"] is None else np.asarray(ref["vt"], dtype=float),
+                v00=_decode_array(ref["v00"], path, "reference.v00"),
+                vphi=_decode_array(ref["vphi"], path, "reference.vphi"),
+                vt=None if ref["vt"] is None else _decode_array(ref["vt"], path, "reference.vt"),
             ),
         )
         return vf, sol
     if doc["kind"] == "po":
         traj = colloc.Trajectory(
             mesh=mesh,
-            x_bp=np.asarray(doc["x_bp"], dtype=float),
+            x_bp=_decode_array(doc["x_bp"], path, "x_bp"),
             duration=doc["T"],
             t_offset=doc.get("t_offset", 0.0),
         )
         ref = doc["reference"]
         orbit = po_mod.PeriodicOrbit(
             traj=traj,
-            p=np.asarray(doc["p"], dtype=float),
+            p=_decode_array(doc["p"], path, "p"),
             reference=po_mod.PoReference(
-                x0=np.asarray(ref["x0"], dtype=float),
-                f0=np.asarray(ref["f0"], dtype=float),
+                x0=_decode_array(ref["x0"], path, "reference.x0"),
+                f0=_decode_array(ref["f0"], path, "reference.f0"),
             ),
         )
         return vf, orbit
@@ -181,6 +213,10 @@ class RunWriter:
     def __post_init__(self):
         self._dir = run_dir(self.store, self.run_id)
         os.makedirs(self._dir, exist_ok=True)
+        # the old rows go first, so no row outlives its snapshot
+        with open(os.path.join(self._dir, "bd.tsv"), "w") as fh:
+            fh.write(BD_HEADER + "\n")
+            fh.write("\t".join(["label", "type"] + list(self.problem.monitor_names)) + "\n")
         for name in os.listdir(self._dir):
             if name.startswith("sol_") or name == "events.json":
                 os.remove(os.path.join(self._dir, name))
@@ -193,11 +229,7 @@ class RunWriter:
             "monitor_names": list(self.problem.monitor_names),
             "released": list(self.problem.released),
         }
-        with open(os.path.join(self._dir, "meta.json"), "w") as fh:
-            json.dump(meta, fh, indent=1)
-        with open(os.path.join(self._dir, "bd.tsv"), "w") as fh:
-            fh.write(BD_HEADER + "\n")
-            fh.write("\t".join(["label", "type"] + list(self.problem.monitor_names)) + "\n")
+        _write_atomic(os.path.join(self._dir, "meta.json"), meta)
 
     def write_point(self, pt: contin.BranchPoint):
         problem = self.problem
@@ -210,9 +242,9 @@ class RunWriter:
         doc["point_type"] = pt.ptype
         doc["released"] = list(problem.released)
         doc["active"] = list(problem.active)
-        doc["tangent"] = pt.tangent.tolist()
+        doc["tangent"] = _encode_array(pt.tangent)
         doc["monitors"] = {k: float(v) for k, v in pt.monitors.items()}
-        _write_atomic(os.path.join(self._dir, f"sol_{pt.label:06d}.json"), doc)
+        _write_atomic(snapshot_path(self.store, self.run_id, pt.label), doc)
         with open(os.path.join(self._dir, "bd.tsv"), "a") as fh:
             cells = [str(pt.label), pt.ptype]
             cells += [_f(pt.monitors[name]) for name in problem.monitor_names]
@@ -293,13 +325,13 @@ def read_solution(store: str, run_id: str, label: int, vf: Optional[VectorField]
     Only labels of the run's bd table count; a snapshot file without a row
     is not part of the run.
     """
-    path = os.path.join(run_dir(store, run_id), f"sol_{int(label):06d}.json")
+    path = snapshot_path(store, run_id, label)
     if int(label) not in read_bd(store, run_id).labels or not os.path.exists(path):
         raise NotFoundError(f"label {label} not found in run {run_id!r}")
     with open(path) as fh:
         doc = json.load(fh)
     _check_format(doc, path)
-    vf, sol = solution_from_snapshot(doc, vf)
+    vf, sol = solution_from_snapshot(doc, vf, path)
     return doc, vf, sol
 
 
@@ -361,18 +393,18 @@ def list_runs(store: str):
 # -- restart pathways ----------------------------------------------------------
 
 
-def _map_tangent(doc: dict, X: int, old_released, new_active, n_unknowns):
-    """Map a stored tangent onto a (possibly different) released set."""
-    t_old = np.asarray(doc["tangent"], dtype=float)
-    old_active = doc.get("active", old_released)[: len(t_old) - X - 2]
+def _map_tangent(doc: dict, path: str, X: int, new_active, n_unknowns):
+    """Map a stored tangent onto a (possibly different) released set; zero
+    when the tangent is too short for the layout."""
+    t_old = _decode_array(doc["tangent"], path, "tangent")
     seed = np.zeros(n_unknowns)
-    k = min(X + 2, t_old.size)
-    seed[:k] = t_old[:k]
+    if t_old.size < X + 2:
+        return seed
+    old_active = doc.get("active", doc["released"])[: t_old.size - X - 2]
+    seed[:X + 2] = t_old[:X + 2]
     for i, name in enumerate(new_active):
         if name in old_active:
-            j = old_active.index(name)
-            if X + 2 + j < t_old.size:
-                seed[X + 2 + i] = t_old[X + 2 + j]
+            seed[X + 2 + i] = t_old[X + 2 + old_active.index(name)]
     return seed
 
 
@@ -409,8 +441,9 @@ def restart_tor2tor(
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, released, bounds=bounds, detect_bp=detect_bp)
     X = sol.x_seg.size
-    if not refined and doc.get("tangent") is not None and len(doc["tangent"]) >= X + 2:
-        seed = _map_tangent(doc, X, doc["released"], problem.active, problem.n_unknowns)
+    if not refined and doc.get("tangent") is not None:
+        seed = _map_tangent(doc, snapshot_path(store, run_id, lab), X, problem.active,
+                            problem.n_unknowns)
         if np.linalg.norm(seed) > 0:
             problem.start_strategy = ("seed", seed)
     return problem, u0
@@ -498,7 +531,7 @@ def restart_BP2tor(
     released = list(doc["released"])
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, released, bounds=bounds, detect_bp=detect_bp)
-    incoming = np.asarray(doc["tangent"], dtype=float)
+    incoming = _decode_array(doc["tangent"], snapshot_path(store, run_id, lab), "tangent")
     if incoming.size != problem.n_unknowns:
         raise FormatError("stored tangent does not match the rebuilt problem layout")
     psi = contin.switch_branch(problem, u0, incoming)

@@ -175,7 +175,7 @@ class TestValidate:
         lab = bd.labels_of_type("EP")[-1]
         src = os.path.join(base, "tor_s", f"sol_{lab:06d}.json")
         doc = json.load(open(src))
-        doc["x_seg"] = (np.asarray(doc["x_seg"]) * 1.1).tolist()
+        doc["x_seg"] = store._encode_array(store._decode_array(doc["x_seg"], src, "x_seg") * 1.1)
         os.makedirs(os.path.join(base, "tor_bad"), exist_ok=True)
         import shutil
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -39,7 +40,19 @@ def mini_pipeline(tmp_path_factory):
                                       bi_direct=False)
     tbranch = contin.run(tproblem, tu0, tstate, writer=twriter)
     return {"base": base, "vf": vf, "branch": branch, "tbranch": tbranch,
-            "tr_labels": tr_labels, "tproblem": tproblem}
+            "tr_labels": tr_labels, "problem": problem, "tproblem": tproblem}
+
+
+def copy_run_with_snapshot(base, run_id, label, doc, dest):
+    """A copy of a run's meta and bd table under ``dest`` with ``doc`` as
+    the snapshot of ``label``."""
+    bad_dir = dest / run_id
+    bad_dir.mkdir()
+    shutil.copy(os.path.join(base, run_id, "meta.json"), bad_dir / "meta.json")
+    shutil.copy(os.path.join(base, run_id, "bd.tsv"), bad_dir / "bd.tsv")
+    with open(bad_dir / f"sol_{label:06d}.json", "w") as fh:
+        json.dump(doc, fh)
+    return str(bad_dir / f"sol_{label:06d}.json")
 
 
 class TestRoundTrip:
@@ -83,22 +96,66 @@ class TestRoundTrip:
         with pytest.raises(NotFoundError):
             store.read_bd(mini_pipeline["base"], "nope")
 
-    def test_version_mismatch_rejected(self, mini_pipeline, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_mismatch_rejected(self, mini_pipeline, tmp_path, version):
         base = mini_pipeline["base"]
-        src = os.path.join(base, "po_mini", "sol_000001.json")
-        with open(src) as fh:
+        with open(store.snapshot_path(base, "po_mini", 1)) as fh:
             doc = json.load(fh)
-        doc["version"] = 99
-        bad_dir = tmp_path / "badrun"
-        bad_dir.mkdir()
-        with open(bad_dir / "sol_000001.json", "w") as fh:
-            json.dump(doc, fh)
-        import shutil
+        doc["version"] = version
+        copy_run_with_snapshot(base, "po_mini", 1, doc, tmp_path)
+        with pytest.raises(FormatError, match=f"version {version} not supported"):
+            store.read_solution(str(tmp_path), "po_mini", 1)
 
-        shutil.copy(os.path.join(base, "po_mini", "meta.json"), bad_dir / "meta.json")
-        shutil.copy(os.path.join(base, "po_mini", "bd.tsv"), bad_dir / "bd.tsv")
-        with pytest.raises(FormatError, match="version"):
-            store.read_solution(str(tmp_path), "badrun", 1)
+    @pytest.mark.parametrize("run_id", ["po_mini", "tor_mini"])
+    def test_stored_arrays_are_the_emitted_ones(self, mini_pipeline, run_id):
+        # the decoded x_seg/x_bp and tangent of every label equal, bit for
+        # bit, the arrays of the point the run emitted
+        base = mini_pipeline["base"]
+        if run_id == "po_mini":
+            branch, problem, key = mini_pipeline["branch"], mini_pipeline["problem"], "x_bp"
+        else:
+            branch, problem, key = mini_pipeline["tbranch"], mini_pipeline["tproblem"], "x_seg"
+        points = {pt.label: pt for pt in branch.points}
+        assert store.read_bd(base, run_id).labels == sorted(points)
+        for lab, pt in points.items():
+            path = store.snapshot_path(base, run_id, lab)
+            with open(path) as fh:
+                doc = json.load(fh)
+            emitted = problem.embed(pt.u)
+            states = emitted.x_seg if key == "x_seg" else emitted.traj.x_bp
+            stored = store._decode_array(doc[key], path, key)
+            tangent = store._decode_array(doc["tangent"], path, "tangent")
+            for got, want in ((stored, states), (tangent, pt.tangent)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.writeable
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda arr: arr.update(dtype="<f4"), "not an encoded <f8 array"),
+        (lambda arr: arr.update(data=arr["data"][:-12]), "data bytes"),
+        (lambda arr: arr.update(data="not base64!"), "malformed array"),
+    ], ids=["dtype", "length", "base64"])
+    def test_malformed_array_rejected(self, mini_pipeline, tmp_path, corrupt, message):
+        base = mini_pipeline["base"]
+        lab = store.read_bd(base, "tor_mini").labels[-1]
+        with open(store.snapshot_path(base, "tor_mini", lab)) as fh:
+            doc = json.load(fh)
+        corrupt(doc["x_seg"])
+        path = copy_run_with_snapshot(base, "tor_mini", lab, doc, tmp_path)
+        with pytest.raises(FormatError, match=message) as info:
+            store.read_solution(str(tmp_path), "tor_mini", lab)
+        assert path in str(info.value) and "'x_seg'" in str(info.value)
+
+    def test_malformed_tangent_rejected_on_restart(self, mini_pipeline, tmp_path):
+        base = mini_pipeline["base"]
+        lab = store.read_bd(base, "tor_mini").labels[-1]
+        with open(store.snapshot_path(base, "tor_mini", lab)) as fh:
+            doc = json.load(fh)
+        doc["tangent"]["shape"] = [doc["tangent"]["shape"][0] + 1]
+        path = copy_run_with_snapshot(base, "tor_mini", lab, doc, tmp_path)
+        with pytest.raises(FormatError, match="'tangent' has") as info:
+            store.restart_tor2tor(str(tmp_path), "tor_mini", lab)
+        assert path in str(info.value)
 
 
 class TestBdTable:
@@ -259,22 +316,30 @@ def test_meta_content(mini_pipeline):
     assert meta["system"]["name"] == "langford"
 
 
-def test_interrupted_snapshot_dump_leaves_every_row_loadable(tmp_path, monkeypatch):
+def small_po_problem():
     vf = odesys.builtin_langford()
     orbit = po.solve_po(vf, langford_circle_traj(colloc.build_mesh(8, 4), 0.65),
                         np.array([OM, 0.65, 0.0]))
-    problem, u0 = po.continuation_problem(vf, orbit, released=["rho"], detect_tr=False)
-    base = str(tmp_path)
+    return po.continuation_problem(vf, orbit, released=["rho"], detect_tr=False)
 
-    def interrupt_at_label_3(encode):
+
+def interrupt_json_encoding(monkeypatch, hit):
+    """Make json.dump and json.dumps raise for a document where ``hit`` holds."""
+    def interrupting(encode):
         def wrapper(doc, *args, **kwargs):
-            if isinstance(doc, dict) and doc.get("label") == 3:
-                raise RuntimeError("interrupted while encoding the snapshot")
+            if isinstance(doc, dict) and hit(doc):
+                raise RuntimeError("interrupted while encoding")
             return encode(doc, *args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(json, "dump", interrupt_at_label_3(json.dump))
-    monkeypatch.setattr(json, "dumps", interrupt_at_label_3(json.dumps))
+    monkeypatch.setattr(json, "dump", interrupting(json.dump))
+    monkeypatch.setattr(json, "dumps", interrupting(json.dumps))
+
+
+def test_interrupted_snapshot_dump_leaves_every_row_loadable(tmp_path, monkeypatch):
+    problem, u0 = small_po_problem()
+    base = str(tmp_path)
+    interrupt_json_encoding(monkeypatch, lambda doc: doc.get("label") == 3)
     state = contin.ContinuationState(h=0.02, h_min=1e-4, h_max=0.05, pt_max=6,
                                      bi_direct=False)
     with pytest.raises(RuntimeError, match="interrupted"):
@@ -283,6 +348,24 @@ def test_interrupted_snapshot_dump_leaves_every_row_loadable(tmp_path, monkeypat
     assert bd.labels == [1, 2]
     for lab in bd.labels:
         assert store.read_solution(base, "cut", lab)[0]["label"] == lab
+
+
+def test_interrupted_reopen_leaves_every_row_loadable(tmp_path, monkeypatch):
+    # re-opening a finished run's directory, interrupted while meta.json is
+    # written, must not leave bd rows whose snapshots are already deleted
+    problem, u0 = small_po_problem()
+    base = str(tmp_path)
+    state = contin.ContinuationState(h=0.02, h_min=1e-4, h_max=0.05, pt_max=4,
+                                     bi_direct=False)
+    contin.run(problem, u0, state, writer=store.RunWriter(base, "cut", problem))
+    assert store.read_bd(base, "cut").labels == [1, 2, 3, 4, 5]
+    interrupt_json_encoding(monkeypatch, lambda doc: doc.get("format") == "torcont-run")
+    with pytest.raises(RuntimeError, match="interrupted"):
+        store.RunWriter(base, "cut", problem)
+    monkeypatch.undo()
+    for lab in store.read_bd(base, "cut").labels:
+        assert store.read_solution(base, "cut", lab)[0]["label"] == lab
+    assert store.read_meta(base, "cut")["run_id"] == "cut"
 
 
 def read_events(base, run_id):
