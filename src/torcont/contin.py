@@ -4,9 +4,12 @@ The engine walks a one-dimensional solution manifold of a zero problem
 F(u) = 0 with one more unknown than equations.  It alternates tangent or
 secant prediction with Newton correction on the bordered system
 {F(u) = 0, <t, u - u_pred> = 0}, adapts the step size from the corrector
-iteration count, and watches scalar test functions for sign changes:
-crossings are localized by bisection in arclength with full re-convergence
-at every midpoint.
+iteration count, and watches scalar test functions for sign changes.  A
+Newton update that stops contracting the residual ends the correction.
+Events, monitor bounds and branch points share one localization: a
+safeguarded (Illinois) secant in the chord parameter of the bracketing
+step, whose trial points are predicted between the two corrected bracket
+ends, so most of them need at most one Newton update.
 
 Every bordered system is factored by condensation (:mod:`linsys`): the
 collocation interiors are eliminated subinterval by subinterval, the
@@ -36,7 +39,12 @@ CORRECTOR_MAX_ITER = 8
 FAST_ITERS = 4
 EVENT_VALUE_TOL = 1.0e-6
 EVENT_BRACKET_TOL = 1.0e-8
-BP_DET_DROP = 1.0e-6  # relative |det| reduction that ends BP bisection
+BP_DET_DROP = 1.0e-6  # relative |det| reduction that ends BP localization
+#: residual ratio a Newton update must reach from the second update on
+CONTRACTION = 0.5
+#: residual below which a localization trial point that stops converging is
+#: kept: near a branch point conditioning bounds the reachable residual
+LOCALIZE_FLOOR = 5.0 * CORRECTOR_TOL
 
 
 @dataclass
@@ -78,7 +86,6 @@ class ContinuationProblem:
     events: list = field(default_factory=list)
     detect_bp: bool = False
     start_strategy: tuple = ("pin_last", None)
-    dimension_deficit: Optional[int] = None
 
 
 @dataclass
@@ -90,9 +97,6 @@ class ContinuationState:
     h_max: float = 10.0
     pt_max: int = 50
     bi_direct: bool = True
-    pt_count: int = 0
-    u: Optional[np.ndarray] = None
-    tangent: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not (0 < self.h_min <= self.h_max):
@@ -124,34 +128,52 @@ class Branch:
 # -- bordered Newton ----------------------------------------------------------
 
 
-def _correct(problem, u_pred, border, anchor, tol=CORRECTOR_TOL,
-             max_iter=CORRECTOR_MAX_ITER):
-    """Newton on {F(u)=0, <border, u-anchor>=0}; returns (u, iters, lu)."""
+def _correct(problem, u_pred, border, anchor, max_iter=CORRECTOR_MAX_ITER, floor=0.0):
+    """Newton on {F(u)=0, <border, u-anchor>=0}; returns (u, iters, lu).
+
+    From the second update on, every update must shrink the residual by
+    ``CONTRACTION``; a correction that stops contracting ends at once.  It
+    also ends when an update leaves the residual ``floor`` that an earlier
+    iterate was below (near a branch point such an update runs along the
+    near-null direction).  A correction that ends unconverged returns its
+    best iterate if that is below the floor.  ``lu`` is factored at the
+    returned ``u`` when no update was needed or the floor ended the
+    correction; a correction that converged after updates returns the
+    factorization made before its last update.
+    """
     u = np.asarray(u_pred, dtype=float).copy()
     lu = None
-    best = np.inf
+    prev = np.inf
+    best = (np.inf, None, None)  # (residual, iterate, its factorization)
     for it in range(max_iter + 1):
         res = problem.residual(u)
         nrm = np.abs(res).max() if res.size else 0.0
-        gap = abs(border @ (u - anchor))
-        if nrm < tol and gap < tol * max(1.0, np.abs(u).max()):
+        gap = border @ (u - anchor)
+        if nrm < CORRECTOR_TOL and abs(gap) < CORRECTOR_TOL * max(1.0, np.abs(u).max()):
             if lu is None:
                 try:
                     lu = lu_factor(bordered_matrix(problem.jacobian(u), border))
                 except ConvergenceError:
                     lu = None  # converged on a singular point (e.g. exactly at a BP)
             return u, it, lu
-        if not np.isfinite(nrm) or nrm > 1e8 * max(best, 1.0):
-            raise ConvergenceError(f"corrector diverged (residual {nrm:.3e})")
-        best = min(best, nrm)
-        if it == max_iter:
+        if it == max_iter or (it >= 2 and nrm > CONTRACTION * prev) or best[0] < floor < nrm:
             break
+        if not np.isfinite(nrm) or nrm > 1e8 * max(best[0], 1.0):
+            raise ConvergenceError(f"corrector diverged (residual {nrm:.3e})")
         lu = lu_factor(bordered_matrix(problem.jacobian(u), border))
-        rhs = np.concatenate([res, [border @ (u - anchor)]])
-        u = u - lu.solve(rhs)
-    raise ConvergenceError(
-        f"corrector did not converge in {max_iter} iterations (residual {best:.3e})"
-    )
+        if nrm < best[0]:
+            best = (nrm, u, lu)
+        prev = nrm
+        u = u - lu.solve(np.concatenate([res, [gap]]))
+    if min(nrm, best[0]) < floor:
+        if nrm < best[0]:
+            return u, it, lu_factor(bordered_matrix(problem.jacobian(u), border))
+        return best[1], it, best[2]
+    if it < max_iter:
+        raise ConvergenceError(f"corrector stopped contracting after {it} iterations "
+                               f"(residual {prev:.3e} -> {nrm:.3e})")
+    raise ConvergenceError(f"corrector did not converge in {max_iter} iterations "
+                           f"(residual {min(nrm, best[0]):.3e})")
 
 
 def _check_square_plus_one(problem, u0):
@@ -189,87 +211,89 @@ def _initial_border(problem):
 # -- event localization -------------------------------------------------------
 
 
+def _localize(problem, u_a, u_b, border, value, f_a, f_b, value_tol, bracket_tol):
+    """Illinois regula falsi for a sign change of ``value`` on [u_a, u_b].
+
+    The secant places each trial point in the chord parameter (a little
+    inside the bracket); it is predicted between the two corrected bracket
+    ends, corrected with the frozen ``border`` down to ``LOCALIZE_FLOOR``,
+    and ``value(u, lu)`` is taken there with the corrector's factorization
+    ``lu`` (None: the bracket is lost).  The end kept twice in a row has
+    its value halved (Dowell & Jarratt 1971).
+    Stops when |value| < ``value_tol`` or the bracket is shorter than
+    ``bracket_tol``; returns (u, value, evaluations) of the trial point
+    with the smallest |value|.
+    """
+    width = np.linalg.norm(u_b - u_a)
+    ends = [[0.0, f_a, u_a], [1.0, f_b, u_b]]  # [s, value, corrected point]
+    moved = best = None
+    for it in range(1, 61):
+        (s_lo, f_lo, u_lo), (s_hi, f_hi, u_hi) = ends
+        w = np.clip(f_lo / (f_lo - f_hi), 0.01, 0.99)
+        u_pred = u_lo + w * (u_hi - u_lo)
+        u, _, lu = _correct(problem, u_pred, border, u_pred, floor=LOCALIZE_FLOOR)
+        val = value(u, lu)
+        if val is None:
+            raise ConvergenceError("bracket lost during localization (test function vanished)")
+        if best is None or abs(val) < abs(best[1]):
+            best = (u, val)
+        if abs(val) < value_tol:
+            break
+        k = int(np.sign(val) != np.sign(f_lo))  # the end the trial point replaces
+        ends[k] = [s_lo + w * (s_hi - s_lo), val, u]
+        if k == moved:
+            ends[1 - k][1] *= 0.5  # Illinois: the other end was kept twice
+        moved = k
+        if (ends[1][0] - ends[0][0]) * width < bracket_tol:
+            break
+    return best + (it,)
+
+
 def locate_event(problem, u_a, u_b, border, test_fn,
                  value_tol=EVENT_VALUE_TOL, bracket_tol=EVENT_BRACKET_TOL):
-    """Bisect in arclength between two points bracketing a sign change.
+    """Localize a sign change of ``test_fn`` between two points.
 
-    Each midpoint is predicted along the chord and fully re-converged with
-    the frozen ``border`` before the test function is evaluated.  Returns
-    (u_located, value, iterations); raises :class:`ConvergenceError` when
+    Safeguarded secant (:func:`_localize`) on the test function.  Returns
+    (u_located, value, evaluations); raises :class:`ConvergenceError` when
     the bracket is lost (for example over a fold in the test function).
     """
-    d = u_b - u_a
     val_a = test_fn(u_a)
     val_b = test_fn(u_b)
     if val_a is None or val_b is None or np.sign(val_a) == np.sign(val_b):
         raise ConvergenceError("locate_event needs opposite-sign bracket values")
-    sign_a = np.sign(val_a)
-    s_lo, s_hi = 0.0, 1.0
-    u_mid, val_mid = u_a, val_a
-    for it in range(60):
-        s = 0.5 * (s_lo + s_hi)
-        u_mid, _, _ = _correct(problem, u_a + s * d, border, u_a + s * d)
-        val_mid = test_fn(u_mid)
-        if val_mid is None:
-            raise ConvergenceError("bracket lost during bisection (test function vanished)")
-        if abs(val_mid) < value_tol:
-            return u_mid, val_mid, it + 1
-        if np.sign(val_mid) == sign_a:
-            s_lo = s
-        else:
-            s_hi = s
-        if (s_hi - s_lo) * np.linalg.norm(d) < bracket_tol:
-            return u_mid, val_mid, it + 1
-    return u_mid, val_mid, 60
+    return _localize(problem, u_a, u_b, border, lambda u, lu: test_fn(u),
+                     val_a, val_b, value_tol, bracket_tol)
 
 
-def _correct_near_singular(problem, u_pred, border, anchor):
-    """Corrector retry with a relaxed floor for near-singular points.
-
-    Close to a branch point the bordered system's conditioning bounds the
-    reachable residual at about kappa * eps; a single retry at a few times
-    the standard tolerance keeps bisection going instead of losing the
-    bracket."""
-    try:
-        return _correct(problem, u_pred, border, anchor)
-    except ConvergenceError:
-        return _correct(problem, u_pred, border, anchor,
-                        tol=5.0 * CORRECTOR_TOL, max_iter=12)
-
-
-def detect_branch_point(problem, u_a, u_b, border, sign_a, sign_b,
-                        logdet_scale=0.0):
+def detect_branch_point(problem, u_a, u_b, border, sign_a, sign_b, logdet_a, logdet_b):
     """Localize a branch point bracketed by a determinant sign change.
 
-    ``sign_a``/``sign_b`` are the bordered-Jacobian determinant signs at two
-    consecutive accepted points (from the scaled LU sign/log-magnitude
-    proxy, so magnitude under- or overflow cannot corrupt them); they must
-    differ.  Bisection in arclength re-converges every midpoint with the
-    frozen ``border`` and stops once |det| has dropped by ``BP_DET_DROP``
-    relative to ``logdet_scale`` (log of the bracket-end magnitude) or the
-    bracket is tighter than the arclength tolerance.
+    ``sign_a``/``sign_b`` and ``logdet_a``/``logdet_b`` are the sign and
+    log-magnitude of the bordered-Jacobian determinant at two consecutive
+    accepted points (from the scaled LU proxy, so magnitude under- or
+    overflow cannot corrupt them); the signs must differ.  The secant runs
+    on sign * exp(logdet - max(logdet_a, logdet_b)), linear through a
+    simple branch point.  The determinant is that of the corrector's last
+    factorization (see :func:`_correct`): for a trial point that converged
+    after updates it belongs to the iterate one update before the point,
+    as at the accepted bracket ends.  Stops once |det| has dropped by
+    ``BP_DET_DROP`` or the bracket is tighter than the arclength tolerance.
+    Returns (u_bp, evaluations).
     """
     if sign_a == 0 or sign_b == 0 or sign_a == sign_b:
         raise ConvergenceError("detect_branch_point needs opposite determinant signs")
-    d = u_b - u_a
-    s_lo, s_hi = 0.0, 1.0
-    u_best = None
-    for it in range(60):
-        s = 0.5 * (s_lo + s_hi)
-        u_mid, _, lu = _correct_near_singular(problem, u_a + s * d, border, u_a + s * d)
+    scale = max(logdet_a, logdet_b)
+
+    def scaled_det(u, lu):
         if lu is None:
-            return u_mid, it + 1  # landed on an exactly singular point
-        sign_mid, logdet_mid = det_sign_log(lu)
-        u_best = u_mid
-        if sign_mid == 0 or logdet_mid - logdet_scale < np.log(BP_DET_DROP):
-            return u_best, it + 1
-        if (s_hi - s_lo) * np.linalg.norm(d) < EVENT_BRACKET_TOL:
-            return u_best, it + 1
-        if sign_mid == sign_a:
-            s_lo = s
-        else:
-            s_hi = s
-    return u_best, 60
+            return 0.0  # landed on an exactly singular point
+        sign, logdet = det_sign_log(lu)
+        return sign * np.exp(logdet - scale)
+
+    u, _, its = _localize(problem, u_a, u_b, border, scaled_det,
+                          sign_a * np.exp(logdet_a - scale), sign_b * np.exp(logdet_b - scale),
+                          BP_DET_DROP, EVENT_BRACKET_TOL)
+    return u, its
 
 
 # -- branch switching ---------------------------------------------------------
@@ -428,6 +452,15 @@ def _walk(problem, branch, state, u_start, t0, emit):
             emit(u, ptype, t, det_sign=sign, iters=iters)
             pending = None
 
+    def located(u, ptype):
+        flush("RO")
+        pt = emit(u, ptype, t_prev)
+        branch.events.append({"type": ptype, "status": "located", "label": pt.label})
+
+    def unlocated(ptype, exc, **fields):
+        branch.events.append({"type": ptype, "status": "unlocated", **fields, "reason": str(exc),
+                              "bracket": (u_prev.copy(), u_new.copy())})
+
     branch.termination = "pt_max"
     while accepted < state.pt_max:
         u_pred = u_prev + h * t_prev
@@ -460,31 +493,17 @@ def _walk(problem, branch, state, u_start, t0, emit):
             if va is None or vb is None or va == 0.0 or np.sign(va) == np.sign(vb):
                 continue
             try:
-                u_ev, _, _ = locate_event(problem, u_prev, u_new, t_prev, ev.fn)
+                located(locate_event(problem, u_prev, u_new, t_prev, ev.fn)[0], ev.name)
             except ConvergenceError as exc:
-                branch.events.append(
-                    {"type": ev.name, "status": "unlocated", "reason": str(exc),
-                     "bracket": (u_prev.copy(), u_new.copy())}
-                )
-                continue
-            flush("RO")
-            pt = emit(u_ev, ev.name, t_prev, iters=0)
-            branch.events.append({"type": ev.name, "status": "located", "label": pt.label})
+                unlocated(ev.name, exc)
 
         # branch points: determinant sign change of the bordered Jacobian
         if problem.detect_bp and sign_prev != 0 and sign_new != 0 and sign_new != sign_prev:
             try:
-                scale = max(logdet_prev, logdet_new)
-                u_bp, _ = detect_branch_point(problem, u_prev, u_new, t_prev,
-                                              sign_prev, sign_new, scale)
-                flush("RO")
-                pt = emit(u_bp, "BP", t_prev, iters=0)
-                branch.events.append({"type": "BP", "status": "located", "label": pt.label})
+                located(detect_branch_point(problem, u_prev, u_new, t_prev, sign_prev, sign_new,
+                                            logdet_prev, logdet_new)[0], "BP")
             except ConvergenceError as exc:
-                branch.events.append(
-                    {"type": "BP", "status": "unlocated", "reason": str(exc),
-                     "bracket": (u_prev.copy(), u_new.copy())}
-                )
+                unlocated("BP", exc)
 
         # fold annotation: first active parameter reverses along the branch
         if problem.active:
@@ -524,7 +543,8 @@ def _walk(problem, branch, state, u_start, t0, emit):
                         lambda u: problem.monitors(u)[name] - edge,
                         value_tol=1e-9 * max(1.0, abs(edge)),
                     )
-                except ConvergenceError:
+                except ConvergenceError as exc:
+                    unlocated("EP", exc, monitor=name)  # still ends, on the step's end
                     u_ep = u_new
             # flush the pending point under its own reference section, then
             # re-anchor at the endpoint before emitting it

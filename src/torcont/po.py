@@ -311,7 +311,6 @@ def continuation_problem(
         events=events,
         detect_bp=detect_bp,
         start_strategy=start_strategy,
-        dimension_deficit=0,
     )
     return problem, u0
 

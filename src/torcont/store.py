@@ -272,6 +272,15 @@ def _write_atomic(path: str, doc: dict):
     os.replace(path + ".tmp", path)
 
 
+def _read_json(path: str) -> dict:
+    """Parse a JSON file; invalid JSON raises a FormatError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise FormatError(f"{path}: invalid JSON ({exc})") from None
+
+
 # -- reading -------------------------------------------------------------------
 
 
@@ -290,8 +299,7 @@ def read_meta(store: str, run_id: str) -> dict:
     path = os.path.join(run_dir(store, run_id), "meta.json")
     if not os.path.exists(path):
         raise NotFoundError(f"run {run_id!r} not found in store {store!r}")
-    with open(path) as fh:
-        meta = json.load(fh)
+    meta = _read_json(path)
     if meta.get("format") != "torcont-run" or meta.get("version") != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported run format/version")
     return meta
@@ -328,8 +336,7 @@ def read_solution(store: str, run_id: str, label: int, vf: Optional[VectorField]
     path = snapshot_path(store, run_id, label)
     if int(label) not in read_bd(store, run_id).labels or not os.path.exists(path):
         raise NotFoundError(f"label {label} not found in run {run_id!r}")
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     _check_format(doc, path)
     vf, sol = solution_from_snapshot(doc, vf, path)
     return doc, vf, sol
@@ -555,8 +562,7 @@ def restart_isol2tor(
     """
     if not os.path.exists(samples_path):
         raise NotFoundError(f"samples file {samples_path!r} does not exist")
-    with open(samples_path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(samples_path)
     if doc.get("format") != "torcont-samples" or doc.get("version") != FORMAT_VERSION:
         raise FormatError(f"{samples_path}: not a torcont samples file (or wrong version)")
     if vf is None:
@@ -586,5 +592,4 @@ def write_samples_file(path: str, vf: VectorField, t_grid, samples, params: dict
         "samples": np.asarray(samples, dtype=float).tolist(),
         "params": {k: float(v) for k, v in params.items()},
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    _write_atomic(path, doc)

@@ -581,6 +581,5 @@ def continuation_problem(
         events=[],
         detect_bp=detect_bp,
         start_strategy=start_strategy,
-        dimension_deficit=dimension_deficit(vf, start),
     )
     return problem, u0

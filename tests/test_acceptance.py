@@ -204,6 +204,32 @@ def test_criterion_4_vdp_pipeline(pipeline):
                   f"chain {runtime:.0f}s < 600s")
 
 
+@pytest.mark.parametrize("extra_loops", [3, 6])
+def test_vdp_transient_variants_locate_every_bp(tmp_path, extra_loops):
+    """With 3 or 6 more transient loops the first stage ends elsewhere and
+    the varrho family (30 points, as in the vdp benchmark) brackets other
+    branch points; each is located and the switch onto its secondary branch
+    succeeds."""
+    with open(os.path.join(CONFIGS, "vdp.json")) as fh:
+        doc = json.load(fh)
+    doc["stages"][0]["source"]["transient_loops"] += extra_loops
+    doc["stages"][1]["continuation"]["pt_max"] = 30
+    del doc["stages"][2]
+    path = str(tmp_path / "vdp.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    base = str(tmp_path / "store")
+    assert cli.cmd_run(path, store_dir=base, quiet=True) == 0
+    with open(os.path.join(base, "vdP_torus_varrho", "events.json")) as fh:
+        bp_events = [ev for ev in json.load(fh)["events"] if ev["type"] == "BP"]
+    assert bp_events and all(ev["status"] == "located" for ev in bp_events), bp_events
+    labels = store.read_bd(base, "vdP_torus_varrho").labels_of_type("BP")
+    assert labels == [ev["label"] for ev in bp_events]
+    for lab in labels:
+        problem, u0, psi = store.restart_BP2tor(base, "vdP_torus_varrho", lab)
+        assert psi.shape == (problem.n_unknowns,)
+
+
 def test_criterion_5_matrix_property_suite():
     worst = 0.0
     rng = np.random.default_rng(55)

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from torcont import contin
 from torcont.errors import BranchPointError, ConfigError, ConvergenceError
+from torcont.linsys import bordered_matrix, det_sign_log, lu_factor
 
 
 def algebraic_problem(residual, jac, names, released=None, **kw):
@@ -120,6 +121,32 @@ def transcritical_problem(**kw):
     )
 
 
+def curved_pitchfork_problem(**kw):
+    # x' = lam y - y^3 with y = x - sin(lam): a pitchfork at the origin whose
+    # trivial branch x = sin(lam) is curved, so no chord lies on it
+    def y(u):
+        return u[0] - np.sin(u[1])
+
+    return algebraic_problem(
+        lambda u: u[1] * y(u) - y(u) ** 3,
+        lambda u: [[u[1] - 3 * y(u) ** 2, y(u) - (u[1] - 3 * y(u) ** 2) * np.cos(u[1])]],
+        names=["x", "lam"],
+        **kw,
+    )
+
+
+def counted_factorizations(monkeypatch):
+    """A list that grows by one entry per ``contin.lu_factor`` call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(contin, "lu_factor", counted)
+    return calls
+
+
 class TestBranchPoints:
     @pytest.mark.parametrize("make,loc", [(pitchfork_problem, 0.0),
                                           (transcritical_problem, 0.0)])
@@ -144,6 +171,25 @@ class TestBranchPoints:
         xs = [abs(pt.monitors["x"]) for pt in branch2.points[1:]]
         assert max(xs) > 1e-2  # immediately off the trivial branch
 
+    def test_secant_locates_curved_pitchfork_in_few_factorizations(self, monkeypatch):
+        problem = curved_pitchfork_problem()
+        state = contin.ContinuationState(h=0.12, h_max=0.25, pt_max=30, bi_direct=False)
+        branch = contin.run(problem, np.array([np.sin(-1.0), -1.0]), state)
+        a, b = next((a, b) for a, b in zip(branch.points, branch.points[1:])
+                    if a.u[1] < 0.0 < b.u[1])
+        ends = [det_sign_log(lu_factor(bordered_matrix(problem.jacobian(pt.u), a.tangent)))
+                for pt in (a, b)]
+        assert ends[0][0] != ends[1][0]
+        calls = counted_factorizations(monkeypatch)
+        u_bp, evaluations = contin.detect_branch_point(
+            problem, a.u, b.u, a.tangent, ends[0][0], ends[1][0], ends[0][1], ends[1][1])
+        # the residual tolerance 1e-8 of a quadratic normal form fixes the
+        # point only to about its square root
+        assert np.abs(u_bp).max() < 1e-4
+        assert np.abs(problem.residual(u_bp)).max() < contin.CORRECTOR_TOL
+        # bisection down to the 1e-8 bracket would take over 20 corrections
+        assert evaluations <= 6 and len(calls) <= 8
+
     def test_switch_requires_two_dimensional_null_space(self):
         problem = circle_problem()
         u = np.array([1.0, 0.0])
@@ -151,7 +197,39 @@ class TestBranchPoints:
             contin.switch_branch(problem, u, np.array([0.0, 1.0]))
 
 
+class TestCorrector:
+    def test_correction_that_stops_contracting_ends_early(self, monkeypatch):
+        # Newton on arctan diverges from |x - lam| = 1.5: every update makes
+        # the residual larger, so the second one already ends the correction
+        problem = algebraic_problem(
+            lambda u: np.arctan(u[0] - u[1]),
+            lambda u: [[1 / (1 + (u[0] - u[1]) ** 2), -1 / (1 + (u[0] - u[1]) ** 2)]],
+            names=["x", "lam"],
+        )
+        u0 = np.array([1.5, 0.0])
+        calls = counted_factorizations(monkeypatch)
+        with pytest.raises(ConvergenceError, match="stopped contracting after 2 iterations"):
+            contin._correct(problem, u0, np.array([0.0, 1.0]), u0)
+        assert len(calls) == 2 < contin.CORRECTOR_MAX_ITER
+
+
 class TestLocateEvent:
+    def test_fold_normal_form_matches_exact_crossing(self):
+        # lam = x^2 around the fold at the origin; the event x = c crosses at
+        # (c, c^2)
+        problem = algebraic_problem(lambda u: u[1] - u[0] ** 2,
+                                    lambda u: [[-2 * u[0], 1.0]], names=["x", "lam"])
+        state = contin.ContinuationState(h=0.1, h_max=0.2, pt_max=20, bi_direct=False)
+        branch = contin.run(problem, np.array([-1.0, 1.0]), state,
+                            initial_tangent=np.array([1.0, -2.0]))  # towards the fold
+        c = 0.3183
+        a, b = next((a, b) for a, b in zip(branch.points, branch.points[1:])
+                    if a.u[0] < c < b.u[0])
+        u_loc, val, _ = contin.locate_event(problem, a.u, b.u, a.tangent, lambda u: u[0] - c)
+        assert abs(val) < contin.EVENT_VALUE_TOL
+        assert abs(u_loc[0] - c) < contin.EVENT_VALUE_TOL
+        assert abs(u_loc[1] - c ** 2) < contin.EVENT_VALUE_TOL
+
     def test_linear_crossing_converges_fast(self):
         problem = circle_problem()
         state = contin.ContinuationState(h=0.05, h_max=0.1, pt_max=60, bi_direct=False)

@@ -146,6 +146,32 @@ class TestRoundTrip:
             store.read_solution(str(tmp_path), "tor_mini", lab)
         assert path in str(info.value) and "'x_seg'" in str(info.value)
 
+    def test_truncated_snapshot_rejected(self, mini_pipeline, tmp_path):
+        base = mini_pipeline["base"]
+        lab = store.read_bd(base, "tor_mini").labels[-1]
+        with open(store.snapshot_path(base, "tor_mini", lab)) as fh:
+            doc = json.load(fh)
+        path = copy_run_with_snapshot(base, "tor_mini", lab, doc, tmp_path)
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        with pytest.raises(FormatError, match="invalid JSON") as info:
+            store.read_solution(str(tmp_path), "tor_mini", lab)
+        assert path in str(info.value)
+
+    def test_truncated_meta_rejected(self, mini_pipeline, tmp_path):
+        base = mini_pipeline["base"]
+        shutil.copytree(os.path.join(base, "po_mini"), tmp_path / "po_mini")
+        path = str(tmp_path / "po_mini" / "meta.json")
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text[: len(text) // 2])
+        with pytest.raises(FormatError, match="invalid JSON") as info:
+            store.read_meta(str(tmp_path), "po_mini")
+        assert path in str(info.value)
+
     def test_malformed_tangent_rejected_on_restart(self, mini_pipeline, tmp_path):
         base = mini_pipeline["base"]
         lab = store.read_bd(base, "tor_mini").labels[-1]
@@ -261,6 +287,7 @@ class TestSamplesFile:
         params = {"gam": 1.0, "w1": om1, "w2": om2, "om1": om1, "om2": om2,
                   "varrho": om1 / om2}
         store.write_samples_file(path, vf, tg, samples, params)
+        assert os.listdir(tmp_path) == ["samples.json"]  # no .tmp left behind
         problem, u0 = store.restart_isol2tor(
             path, released=["gam", "om1", "om2", "varrho"], vf=vf, ntst=6, degree=4)
         assert np.abs(problem.residual(u0)).max() < 1e-2
@@ -271,6 +298,14 @@ class TestSamplesFile:
             json.dump({"format": "something-else"}, fh)
         with pytest.raises(FormatError):
             store.restart_isol2tor(path, released=["om1", "om2", "varrho", "gam"])
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = str(tmp_path / "samples.json")
+        with open(path, "w") as fh:
+            fh.write('{"format": "torcont-samples", "version": 1, "t_grid": [0.0, ')
+        with pytest.raises(FormatError, match="invalid JSON") as info:
+            store.restart_isol2tor(path, released=["om1", "om2", "varrho", "gam"])
+        assert path in str(info.value)
 
     def test_missing_file(self):
         with pytest.raises(NotFoundError):
@@ -396,15 +431,24 @@ class TestEventsFile:
                                          bi_direct=True)
         branch = contin.run(problem, u0, state, writer=store.RunWriter(base, "lost", problem))
         unloc = [ev for ev in branch.events if ev["status"] == "unlocated"]
-        assert [ev["type"] for ev in unloc] == ["TR"]
+        # the TR and the bound of each direction: both bounds are crossed,
+        # and each direction still ends with an EP on its last step
+        assert [ev["type"] for ev in unloc] == ["TR", "EP", "EP"]
+        assert [pt.ptype for pt in branch.points].count("EP") == 3
         doc = read_events(base, "lost")
         assert doc["format"] == "torcont-events" and doc["version"] == store.FORMAT_VERSION
         stored = [ev for ev in doc["events"] if ev["status"] == "unlocated"]
-        assert len(stored) == 1
-        assert stored[0]["type"] == "TR" and stored[0]["reason"] == "bracket lost in the test"
-        ends = [problem.monitors(u) for u in unloc[0]["bracket"]]
-        assert stored[0]["bracket"] == ends  # exact: floats round-trip through JSON
-        assert (ends[0]["rho"] - 0.6154) * (ends[1]["rho"] - 0.6154) < 0
+        assert len(stored) == 3
+        assert all(ev["reason"] == "bracket lost in the test" for ev in stored)
+        for ev, raw, edge in zip(stored, unloc, (None, 0.55, 0.7)):
+            ends = [problem.monitors(u) for u in raw["bracket"]]
+            assert ev["bracket"] == ends  # exact: floats round-trip through JSON
+            if edge is None:
+                assert ev["type"] == "TR"
+                assert (ends[0]["rho"] - 0.6154) * (ends[1]["rho"] - 0.6154) < 0
+            else:
+                assert ev["type"] == "EP" and ev["monitor"] == "rho"
+                assert (ends[0]["rho"] - edge) * (ends[1]["rho"] - edge) < 0
         assert not [f for f in os.listdir(os.path.join(base, "lost")) if f.endswith(".tmp")]
         # a new run in the same directory drops the old run's events
         store.RunWriter(base, "lost", problem)
