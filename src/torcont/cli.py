@@ -227,15 +227,12 @@ def _make_circle_samples(vf, p0, src, path):
     loops = int(src.get("transient_loops", 10))
     t1 = t_ret * np.linspace(0.0, 1.0, int(src.get("samples_per_period", 10 * n_seg)))
     angles = 2 * np.pi * np.arange(n_seg) / n_seg
-    samples = np.empty((n_seg, t1.size, vf.dim_state))
-    for j in range(n_seg):
-        seed = np.zeros(vf.dim_state)
-        seed[0] = radius * np.cos(angles[j])
-        seed[1] = radius * np.sin(angles[j])
-        if loops > 0:
-            r = ivp.integrate(vf, loops * t1 if t1[0] == 0 else t1, seed, p0)
-            seed = r.y[-1]
-        samples[j] = ivp.integrate(vf, t1, seed, p0).y
+    seeds = np.zeros((n_seg, vf.dim_state))
+    seeds[:, 0] = radius * np.cos(angles)
+    seeds[:, 1] = radius * np.sin(angles)
+    if loops > 0:
+        seeds = ivp.integrate(vf, [0.0, loops * t_ret], seeds, p0).y[-1]
+    samples = ivp.integrate(vf, t1, seeds, p0).y.swapaxes(0, 1)
     full = {name: float(val) for name, val in zip(vf.param_names, p0)}
     full.update({k: float(params[k]) for k in torus.EXTRA_PARAMS})
     return t1, samples, full

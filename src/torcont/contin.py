@@ -139,7 +139,8 @@ def _correct(problem, u_pred, border, anchor, max_iter=CORRECTOR_MAX_ITER, floor
     best iterate if that is below the floor.  ``lu`` is factored at the
     returned ``u`` when no update was needed or the floor ended the
     correction; a correction that converged after updates returns the
-    factorization made before its last update.
+    factorization made before its last update.  ``lu`` is None when the
+    system at a point that needed no update is exactly singular.
     """
     u = np.asarray(u_pred, dtype=float).copy()
     lu = None
@@ -433,12 +434,18 @@ def _walk(problem, branch, state, u_start, t0, emit):
     u_prev = u_start
     t_prev = t0
     sign_prev, logdet_prev = 0, 0.0
+
+    def bp_skipped(reason):
+        # a point without a determinant sign drops the BP test of its steps
+        branch.events.append({"type": "BP", "status": "skipped", "reason": reason,
+                              "near_label": branch.points[-1].label if branch.points else 0})
+
     if problem.detect_bp:
         try:
             lu0 = lu_factor(bordered_matrix(problem.jacobian(u_start), t0))
             sign_prev, logdet_prev = det_sign_log(lu0)
-        except ConvergenceError:
-            pass  # starting exactly on a singular point (e.g. a BP restart)
+        except ConvergenceError as exc:  # e.g. a restart exactly at a BP
+            bp_skipped(f"start point: {exc}")
     event_prev = [ev.fn(u_prev) for ev in problem.events]
     mon_prev = problem.monitors(u_prev)
     h = min(max(state.h, state.h_min), state.h_max)
@@ -481,9 +488,12 @@ def _walk(problem, branch, state, u_start, t0, emit):
             branch.termination = "stagnated"
             return
         t_new = step / nrm
-        sign_new, logdet_new = (
-            det_sign_log(lu) if (problem.detect_bp and lu is not None) else (0, 0.0)
-        )
+        sign_new, logdet_new = 0, 0.0
+        if problem.detect_bp:
+            if lu is None:
+                bp_skipped("accepted point: the bordered system is exactly singular")
+            else:
+                sign_new, logdet_new = det_sign_log(lu)
         mon_new = problem.monitors(u_new)
 
         # scalar-event sign changes between the previous and the new point

@@ -8,6 +8,12 @@ abstraction.  It serves simulation (start data, the invariance oracle) and
 multipliers of ``po.floquet`` are tested against.  The variational equation
 is integrated jointly with the state as an augmented system of size n + n^2,
 so it never inherits interpolation error from a frozen reference.
+
+:func:`integrate` also takes a (k, n) block of initial states as one RK45
+system of size k n and returns ``y`` of shape (len(t), k, n).  RK45 tests
+the RMS of the scaled error over all components, and a member's own RMS is
+at most sqrt(k) times the block's, so the tolerances are divided by
+sqrt(k): each member then meets the tolerance it would get alone.
 """
 
 from __future__ import annotations
@@ -37,13 +43,14 @@ class IvpOptions:
 @dataclass
 class IvpResult:
     t: np.ndarray  # requested times
-    y: np.ndarray  # states, shape (len(t), n)
+    y: np.ndarray  # states, shape (len(t), n), or (len(t), k, n) for a block
     interpolant: Optional[object] = None  # scipy dense-output callable
 
     def __call__(self, t):
+        """States at ``t``, shape y.shape[1:] + shape(t)."""
         if self.interpolant is None:
             raise InputError("integration was run without dense_output")
-        return np.asarray(self.interpolant(t))
+        return np.asarray(self.interpolant(t)).reshape(self.y.shape[1:] + np.shape(t))
 
 
 @dataclass
@@ -57,8 +64,10 @@ def integrate(vf: VectorField, t_span, y0, p, opts: Optional[IvpOptions] = None)
     """Integrate the field through the ordered times in ``t_span``.
 
     The first entry is the initial time; states are returned at every
-    requested time.  Raises :class:`IntegrationError` carrying the last
-    valid time when the integrator gives up (stiffness, blow-up).
+    requested time.  ``y0`` is one state (n,) or a block (k, n) integrated
+    as one system (module docstring).  Raises :class:`IntegrationError`
+    carrying the last valid time when the integrator gives up (stiffness,
+    blow-up).
     """
     opts = opts or IvpOptions()
     ts = np.asarray(t_span, dtype=float)
@@ -67,26 +76,32 @@ def integrate(vf: VectorField, t_span, y0, p, opts: Optional[IvpOptions] = None)
     d = np.diff(ts)
     if not (np.all(d > 0) or np.all(d < 0)):
         raise InputError("t_span must be strictly monotone")
+    n = vf.dim_state
     y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (vf.dim_state,):
-        raise InputError(f"y0 has shape {y0.shape}, expected ({vf.dim_state},)")
+    if y0.ndim not in (1, 2) or y0.shape[-1] != n:
+        raise InputError(f"y0 has shape {y0.shape}, expected ({n},) or (k, {n})")
     p = np.asarray(p, dtype=float)
 
+    if y0.ndim == 1:
+        rhs, scale = (lambda t, y: eval_rhs(vf, t, y, p)), 1.0
+    else:
+        k = y0.shape[0]
+        rhs, scale = (lambda t, y: eval_rhs(vf, t, y.reshape(k, n).T, p).T.ravel()), np.sqrt(k)
     sol = solve_ivp(
-        lambda t, y: eval_rhs(vf, t, y, p),
+        rhs,
         (ts[0], ts[-1]),
-        y0,
+        y0.ravel(),
         method="RK45",
         t_eval=ts,
-        rtol=opts.rel_tol,
-        atol=opts.abs_tol,
+        rtol=opts.rel_tol / scale,
+        atol=opts.abs_tol / scale,
         max_step=opts.max_step if opts.max_step is not None else np.inf,
         dense_output=opts.dense_output,
     )
     if not sol.success:
         last = sol.t[-1] if sol.t.size else ts[0]
         raise IntegrationError(f"integration failed at t={last}: {sol.message}", last_time=last)
-    return IvpResult(t=sol.t, y=sol.y.T.copy(), interpolant=sol.sol)
+    return IvpResult(t=sol.t, y=sol.y.T.reshape((-1,) + y0.shape), interpolant=sol.sol)
 
 
 def transition_matrix(

@@ -335,8 +335,7 @@ class CondensedFactor:
         n, ne, n_t = p.n, p.n_extra, p.touched.size
         tail = np.zeros((p.n_tail, n_t * n + ne))
         tail.flat[p.tail_slot] = B.tail[p.tail_keep]
-        tail_x = tail[:, : n_t * n]
-        self._tail_x = sp.csr_matrix(tail_x)
+        self._tail_x = tail_x = tail[:, : n_t * n]
         maps = sp.csr_matrix((self._maps(p.touched).ravel(), p.map_indices, p.map_indptr),
                              shape=(n_t * n, p.K * n + ne))
         R = np.empty((p.K * n + ne,) * 2)

@@ -85,8 +85,13 @@ def _check_args(vf: VectorField, y, p):
 
 
 def eval_rhs(vf: VectorField, t: float, y, p) -> np.ndarray:
-    """Evaluate f(t, y, p); t is ignored for autonomous systems."""
+    """Evaluate f(t, y, p); t is ignored for autonomous systems.
+
+    A (n, k) block of states gives the (n, k) values (:func:`rhs_batch`).
+    """
     y, p = _check_args(vf, y, p)
+    if y.ndim == 2:
+        return rhs_batch(vf, t, y, p)
     return np.asarray(vf.rhs(t, y, p), dtype=float)
 
 

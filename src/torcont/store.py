@@ -213,14 +213,7 @@ class RunWriter:
     def __post_init__(self):
         self._dir = run_dir(self.store, self.run_id)
         os.makedirs(self._dir, exist_ok=True)
-        # the old rows go first, so no row outlives its snapshot
-        with open(os.path.join(self._dir, "bd.tsv"), "w") as fh:
-            fh.write(BD_HEADER + "\n")
-            fh.write("\t".join(["label", "type"] + list(self.problem.monitor_names)) + "\n")
-        for name in os.listdir(self._dir):
-            if name.startswith("sol_") or name == "events.json":
-                os.remove(os.path.join(self._dir, name))
-        meta = {
+        meta = json.dumps({
             "format": "torcont-run",
             "version": FORMAT_VERSION,
             "run_id": self.run_id,
@@ -228,8 +221,19 @@ class RunWriter:
             "system": _system_header(self.problem.vf),
             "monitor_names": list(self.problem.monitor_names),
             "released": list(self.problem.released),
-        }
-        _write_atomic(os.path.join(self._dir, "meta.json"), meta)
+        })
+        # encoded before anything changes; then the old header goes first and
+        # the old rows next: no header outlives its bd table, no row its snapshot
+        meta_path = os.path.join(self._dir, "meta.json")
+        if os.path.exists(meta_path):
+            os.remove(meta_path)
+        with open(os.path.join(self._dir, "bd.tsv"), "w") as fh:
+            fh.write(BD_HEADER + "\n")
+            fh.write("\t".join(["label", "type"] + list(self.problem.monitor_names)) + "\n")
+        for name in os.listdir(self._dir):
+            if name.startswith("sol_") or name == "events.json":
+                os.remove(os.path.join(self._dir, name))
+        _write_atomic(meta_path, meta)
 
     def write_point(self, pt: contin.BranchPoint):
         problem = self.problem
@@ -264,9 +268,11 @@ class RunWriter:
         _write_atomic(os.path.join(self._dir, "events.json"), doc)
 
 
-def _write_atomic(path: str, doc: dict):
-    """Write ``doc`` as JSON to a temporary file, then rename it to ``path``."""
-    text = json.dumps(doc)  # the C encoder; json.dump runs the Python one
+def _write_atomic(path: str, doc):
+    """Write ``doc`` (a dict or its JSON text) to a temporary file, then
+    rename it to ``path``."""
+    # json.dumps is the C encoder; json.dump runs the Python one
+    text = doc if isinstance(doc, str) else json.dumps(doc)
     with open(path + ".tmp", "w") as fh:
         fh.write(text)
     os.replace(path + ".tmp", path)

@@ -287,3 +287,33 @@ def test_rerun_into_used_directory_drops_stale_labels(cli_run, tmp_path, capsys)
     assert "not found" in capsys.readouterr().err
     assert sorted(f for f in os.listdir(os.path.join(base, "tor_s")) if f.startswith("sol_")) \
         == [f"sol_{lab:06d}.json" for lab in new]
+
+
+def test_circle_samples_integrate_all_seeds_at_once(monkeypatch):
+    # the simulate_circle source of configs/vdp.json: one integration for the
+    # transient and one for the sampled loop, as close to the seeds
+    # integrated one by one as their own integration error
+    from torcont import ivp, odesys
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "configs", "vdp.json")) as fh:
+        src = json.load(fh)["stages"][0]["source"]
+    vf = odesys.builtin_vdp()
+    p0 = np.array([1.5111, 0.11, 0.1])
+    calls = []
+    integrate = ivp.integrate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(ivp, "integrate", counted)
+    t1, samples, _ = cli._make_circle_samples(vf, p0, src, "stage vdP_torus")
+    monkeypatch.undo()
+    assert len(calls) == 2
+    n_seg, loops = src["n_seg"], src["transient_loops"]
+    assert samples.shape == (n_seg, 10 * n_seg, 2)
+    for j in range(n_seg):
+        angle = 2 * np.pi * j / n_seg
+        seed = src["radius"] * np.array([np.cos(angle), np.sin(angle)])
+        seed = ivp.integrate(vf, loops * t1, seed, p0).y[-1]
+        assert np.abs(ivp.integrate(vf, t1, seed, p0).y - samples[j]).max() < 1e-7

@@ -147,6 +147,20 @@ def counted_factorizations(monkeypatch):
     return calls
 
 
+def singular_factorization(monkeypatch, at):
+    """Make the ``at``-th ``contin.lu_factor`` call fail as on an exactly
+    singular system."""
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == at:
+            raise ConvergenceError("linear solve failed: injected singular system")
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(contin, "lu_factor", failing)
+
+
 class TestBranchPoints:
     @pytest.mark.parametrize("make,loc", [(pitchfork_problem, 0.0),
                                           (transcritical_problem, 0.0)])
@@ -189,6 +203,22 @@ class TestBranchPoints:
         assert np.abs(problem.residual(u_bp)).max() < contin.CORRECTOR_TOL
         # bisection down to the 1e-8 bracket would take over 20 corrections
         assert evaluations <= 6 and len(calls) <= 8
+
+    # on the line x = lam every prediction is already a solution: call 1
+    # factors the corrected start, call 2 the start of the walk, call 3 the
+    # first step's point, which converged without an update
+    @pytest.mark.parametrize("at,where", [(2, "start point"), (3, "accepted point")])
+    def test_skipped_bp_test_is_recorded(self, monkeypatch, at, where):
+        problem = algebraic_problem(lambda u: u[0] - u[1], lambda u: [[1.0, -1.0]],
+                                    names=["x", "lam"], detect_bp=True)
+        singular_factorization(monkeypatch, at)
+        state = contin.ContinuationState(h=0.1, h_max=0.1, pt_max=4, bi_direct=False)
+        branch = contin.run(problem, np.zeros(2), state)
+        assert len(branch.points) == 5
+        skipped = [ev for ev in branch.events if ev["status"] == "skipped"]
+        assert len(skipped) == 1
+        assert skipped[0]["type"] == "BP" and skipped[0]["near_label"] == 1
+        assert skipped[0]["reason"].startswith(where)
 
     def test_switch_requires_two_dimensional_null_space(self):
         problem = circle_problem()

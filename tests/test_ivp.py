@@ -1,5 +1,7 @@
 """Integrator accuracy and transition-matrix properties."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -133,3 +135,61 @@ def test_liouville_positive_determinant():
     p = np.array([3.5, 0.8, 0.0])
     res = ivp.transition_matrix(vf, 0.0, 1.7952, np.array([0.7, 0.1, 0.6]), p)
     assert np.linalg.det(res.monodromy) > 0
+
+
+# -- a block of initial states as one system ----------------------------------
+
+VDP_P = np.array([1.5111, 0.11, 0.1])
+VDP_T = 2 * np.pi / VDP_P[0]
+
+
+def circle_seeds(k=21, radius=2.0):
+    angles = 2 * np.pi * np.arange(k) / k
+    return np.stack([radius * np.cos(angles), radius * np.sin(angles)], axis=1)
+
+
+def test_one_member_block_equals_single_state():
+    # same system, same tolerances (divided by sqrt(1)); vdp's rhs gives the
+    # same values on a (2, 1) block as on a state
+    vf = odesys.builtin_vdp()
+    ts = np.linspace(0.0, 3 * VDP_T, 40)
+    y0 = np.array([2.0, 0.3])
+    single = ivp.integrate(vf, ts, y0, VDP_P)
+    block = ivp.integrate(vf, ts, y0[None], VDP_P)
+    assert np.array_equal(block.y[:, 0], single.y)
+
+
+def test_block_result_shape():
+    vf = odesys.builtin_vdp()
+    ts = np.linspace(0.0, VDP_T, 7)
+    seeds = circle_seeds(5)
+    res = ivp.integrate(vf, ts, seeds, VDP_P, ivp.IvpOptions(dense_output=True))
+    assert res.y.shape == (7, 5, 2)
+    assert np.array_equal(res.y[0], seeds)
+    assert res(0.5 * VDP_T).shape == (5, 2) and res(ts[1:3]).shape == (5, 2, 2)
+    with pytest.raises(InputError):
+        ivp.integrate(vf, ts, np.zeros((5, 3)), VDP_P)
+
+
+def test_block_members_meet_their_own_tolerance():
+    # each of the 21 circle seeds of configs/vdp.json stays as close to a
+    # rel_tol 1e-12 reference as when it is integrated alone
+    vf = odesys.builtin_vdp()
+    ts = np.linspace(0.0, 2 * VDP_T, 50)
+    seeds = circle_seeds()
+    tight = ivp.IvpOptions(rel_tol=1e-12, abs_tol=1e-14)
+    ref = np.array([ivp.integrate(vf, ts, s, VDP_P, tight).y for s in seeds])
+    alone = np.array([ivp.integrate(vf, ts, s, VDP_P).y for s in seeds])
+    block = ivp.integrate(vf, ts, seeds, VDP_P).y.swapaxes(0, 1)
+    dev = np.abs(block - ref).max(axis=(1, 2))
+    assert np.all(dev <= np.abs(alone - ref).max(axis=(1, 2)))
+
+
+def test_block_of_non_vectorized_field_matches_vectorized_twin():
+    vf = odesys.builtin_vdp()
+    loop = dataclasses.replace(vf, vectorized=False)
+    ts = np.linspace(0.0, 3 * VDP_T, 40)
+    seeds = circle_seeds()
+    a = ivp.integrate(vf, ts, seeds, VDP_P).y
+    b = ivp.integrate(loop, ts, seeds, VDP_P).y
+    assert np.abs(a - b).max() < 1e-12

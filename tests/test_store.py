@@ -1,5 +1,6 @@
 """Persistence: bit-exact round trips, bd tables, restart pathways."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -7,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from torcont import colloc, contin, odesys, po, store, torus
+from torcont import colloc, contin, linsys, odesys, po, store, torus
 from torcont.errors import ConfigError, ConvergenceError, FormatError, InputError, NotFoundError
 from util_systems import OM, T_LANG, langford_circle_traj
 
@@ -401,6 +402,75 @@ def test_interrupted_reopen_leaves_every_row_loadable(tmp_path, monkeypatch):
     for lab in store.read_bd(base, "cut").labels:
         assert store.read_solution(base, "cut", lab)[0]["label"] == lab
     assert store.read_meta(base, "cut")["run_id"] == "cut"
+
+
+def reopen_interrupted(base, monkeypatch, interrupt):
+    """Re-open the finished po run "cut" for a torus-like problem with
+    ``interrupt`` installed; returns the po problem."""
+    problem, u0 = small_po_problem()
+    state = contin.ContinuationState(h=0.02, h_min=1e-4, h_max=0.05, pt_max=4,
+                                     bi_direct=False)
+    contin.run(problem, u0, state, writer=store.RunWriter(base, "cut", problem))
+    other = dataclasses.replace(problem, kind="torus",
+                                monitor_names=problem.monitor_names + ["varrho"])
+    interrupt()
+    with pytest.raises(RuntimeError, match="interrupted"):
+        store.RunWriter(base, "cut", other)
+    monkeypatch.undo()
+    return problem
+
+
+def test_reopen_interrupted_while_encoding_keeps_the_old_run(tmp_path, monkeypatch):
+    base = str(tmp_path)
+    problem = reopen_interrupted(base, monkeypatch, lambda: interrupt_json_encoding(
+        monkeypatch, lambda doc: doc.get("format") == "torcont-run"))
+    meta = store.read_meta(base, "cut")
+    assert meta["kind"] == "po" and meta["monitor_names"] == problem.monitor_names
+    bd = store.read_bd(base, "cut")
+    assert list(bd.columns) == problem.monitor_names and bd.labels == [1, 2, 3, 4, 5]
+    for lab in bd.labels:
+        assert store.read_solution(base, "cut", lab)[0]["label"] == lab
+
+
+def test_reopen_interrupted_while_writing_meta_leaves_no_header(tmp_path, monkeypatch):
+    # past the encoding, the old meta.json is gone before bd.tsv changes:
+    # a reader finds no header rather than the po run's beside torus columns
+    base = str(tmp_path)
+
+    def interrupt():
+        replace = os.replace
+
+        def interrupting(src, dst):
+            if dst.endswith("meta.json"):
+                raise RuntimeError("interrupted while renaming")
+            return replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interrupting)
+
+    reopen_interrupted(base, monkeypatch, interrupt)
+    with pytest.raises(NotFoundError):
+        store.read_meta(base, "cut")
+    assert store.read_bd(base, "cut").labels == []
+
+
+def test_skipped_bp_test_is_written_to_events(tmp_path, monkeypatch):
+    # a walk whose start factor is singular records the skipped BP test
+    problem, u0 = small_po_problem()
+    problem.detect_bp = True
+    t0 = linsys.nullspace_tangent(problem.jacobian(u0), contin._initial_border(problem))
+
+    def singular_once(*args, **kwargs):
+        monkeypatch.setattr(contin, "lu_factor", linsys.lu_factor)
+        raise ConvergenceError("linear solve failed: injected singular system")
+
+    monkeypatch.setattr(contin, "lu_factor", singular_once)
+    state = contin.ContinuationState(h=0.02, h_min=1e-4, h_max=0.05, pt_max=2,
+                                     bi_direct=False)
+    contin.run(problem, u0, state, writer=store.RunWriter(str(tmp_path), "skip", problem),
+               initial_tangent=t0, correct_start=False)
+    events = read_events(str(tmp_path), "skip")["events"]
+    assert events == [{"type": "BP", "status": "skipped", "near_label": 1,
+                       "reason": "start point: linear solve failed: injected singular system"}]
 
 
 def read_events(base, run_id):
