@@ -36,6 +36,8 @@ from .errors import (
 )
 
 DEFAULT_STORE = "runs"
+#: problem kind -> adapter module, whose ``names(vf)`` lists its parameters and scalars
+KINDS = {"po": po, "torus": torus}
 
 
 # -- config loading and validation ---------------------------------------------
@@ -97,10 +99,10 @@ def resolve_system(doc: dict):
 def _check_released(released, vf, problem_kind, path):
     if not isinstance(released, list) or not all(isinstance(x, str) for x in released):
         _cfg_error(path, "must be a list of parameter names")
-    allowed = list(vf.param_names) + (list(torus.EXTRA_PARAMS) if problem_kind == "torus" else [])
-    for name in released:
-        if name not in allowed:
-            _cfg_error(path, f"unknown parameter {name!r}; known: {', '.join(allowed)}")
+    try:
+        contin.check_released(released, KINDS[problem_kind].names(vf)[0])
+    except ConfigError as exc:
+        _cfg_error(path, str(exc))
 
 
 def _state_from(cfg: dict, path: str) -> contin.ContinuationState:
@@ -119,9 +121,8 @@ def _bounds_from(cfg: dict, vf, problem_kind, path):
     bounds = cfg.get("bounds", {})
     if not isinstance(bounds, dict):
         _cfg_error(f"{path}.bounds", "must map monitor names to [lo, hi] pairs")
-    allowed = list(vf.param_names) + (
-        list(torus.EXTRA_PARAMS) + ["T0", "T"] if problem_kind == "torus" else ["T"]
-    )
+    params, scalars = KINDS[problem_kind].names(vf)
+    allowed = params + scalars
     out = {}
     for name, pair in bounds.items():
         if name not in allowed:
@@ -146,7 +147,7 @@ def validate_config(doc: dict):
             _cfg_error(f"{path}.run_id", f"duplicate run id {run_id!r}")
         seen.add(run_id)
         kind = _need(st, "problem", str, path)
-        if kind not in ("po", "torus"):
+        if kind not in KINDS:
             _cfg_error(f"{path}.problem", "must be 'po' or 'torus'")
         source = _need(st, "source", dict, path)
         skind = _need(source, "kind", str, f"{path}.source")
@@ -185,7 +186,7 @@ def _progress_printer(monitor_names, out=sys.stdout):
     return cb
 
 
-def _run_po_stage(vf, p0, st, store_dir, quiet=False):
+def _po_stage(vf, p0, st, store_dir, bounds):
     src = st["source"]
     path = f"stage {st['run_id']}"
     y0 = np.asarray(_need(src, "y0", list, path), dtype=float)
@@ -202,15 +203,11 @@ def _run_po_stage(vf, p0, st, store_dir, quiet=False):
 
     cont = st["continuation"]
     problem, u0 = po.continuation_problem(
-        vf, orbit, cont["released"],
-        bounds=_bounds_from(cont, vf, "po", path),
+        vf, orbit, cont["released"], bounds=bounds,
         detect_tr=bool(cont.get("detect_tr", True)),
         detect_bp=bool(cont.get("detect_bp", False)),
     )
-    state = _state_from(cont, path)
-    writer = store.RunWriter(store_dir, st["run_id"], problem)
-    progress = None if quiet else _progress_printer(problem.monitor_names)
-    return contin.run(problem, u0, state, writer=writer, progress=progress)
+    return problem, u0, {}
 
 
 def _make_circle_samples(vf, p0, src, path):
@@ -238,16 +235,13 @@ def _make_circle_samples(vf, p0, src, path):
     return t1, samples, full
 
 
-def _run_torus_stage(vf, p0, st, store_dir, quiet=False):
+def _torus_stage(vf, p0, st, store_dir, bounds):
     src = st["source"]
     cont = st["continuation"]
     path = f"stage {st['run_id']}"
     disc = st.get("discretization", {})
-    bounds = _bounds_from(cont, vf, "torus", path)
     detect_bp = bool(cont.get("detect_bp", True))
-    state = _state_from(cont, path)
-    initial_tangent = None
-    correct_start = True
+    start = {}
 
     kind = src["kind"]
     if kind == "samples":
@@ -282,15 +276,10 @@ def _run_torus_stage(vf, p0, st, store_dir, quiet=False):
             src.get("label", {"type": "BP", "pick": "first"}),
             vf=vf, bounds=bounds, detect_bp=detect_bp,
         )
-        initial_tangent = psi
-        correct_start = False
+        start = {"initial_tangent": psi, "correct_start": False}
     else:  # pragma: no cover - validated earlier
         _cfg_error(f"{path}.source.kind", f"unknown source {kind!r}")
-
-    writer = store.RunWriter(store_dir, st["run_id"], problem)
-    progress = None if quiet else _progress_printer(problem.monitor_names)
-    return contin.run(problem, u0, state, writer=writer, progress=progress,
-                      initial_tangent=initial_tangent, correct_start=correct_start)
+    return problem, u0, start
 
 
 def cmd_run(config_path: str, stage: str = None, store_dir: str = None,
@@ -303,10 +292,14 @@ def cmd_run(config_path: str, stage: str = None, store_dir: str = None,
         raise NotFoundError(f"config has no stage {stage!r}")
     for st in selected:
         print(f"== run {st['run_id']} ({st['problem']}, source {st['source']['kind']}) ==")
-        if st["problem"] == "po":
-            branch = _run_po_stage(vf, p0, st, base, quiet=quiet)
-        else:
-            branch = _run_torus_stage(vf, p0, st, base, quiet=quiet)
+        cont, path = st["continuation"], f"stage {st['run_id']}"
+        stage_problem = _po_stage if st["problem"] == "po" else _torus_stage
+        problem, u0, start = stage_problem(vf, p0, st, base,
+                                           _bounds_from(cont, vf, st["problem"], path))
+        writer = store.RunWriter(base, st["run_id"], problem)
+        progress = None if quiet else _progress_printer(problem.monitor_names)
+        branch = contin.run(problem, u0, _state_from(cont, path), writer=writer,
+                            progress=progress, **start)
         special = [f"{pt.ptype}:{pt.label}" for pt in branch.points if pt.ptype != "RO"]
         print(f"   {len(branch.points)} points, termination: {branch.termination}")
         if special:

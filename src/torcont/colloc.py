@@ -12,7 +12,7 @@ uniform across segments: an orbit is K = 1, a torus K = 2N+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,9 +143,6 @@ class Trajectory:
     @property
     def dim_state(self) -> int:
         return self.x_bp.shape[1]
-
-    def with_states(self, x_bp: np.ndarray) -> "Trajectory":
-        return replace(self, x_bp=x_bp)
 
 
 def n_residual_rows(mesh: SegmentMesh, n: int) -> int:

@@ -69,6 +69,9 @@ class ContinuationProblem:
     ``jacobian`` returns a :class:`linsys.CollocationJacobian` for orbit and
     torus problems and a sparse matrix for algebraic ones; ``vf`` is the
     vector field of orbit and torus problems.
+    Orbit and torus problems come from :func:`collocation_problem`: their
+    full unknowns are the segment states, the scalars (T, or T0 and T) and
+    every parameter name, of which ``u`` keeps the active ones.
     """
 
     n_unknowns: int
@@ -86,6 +89,66 @@ class ContinuationProblem:
     events: list = field(default_factory=list)
     detect_bp: bool = False
     start_strategy: tuple = ("pin_last", None)
+
+
+def check_released(released, known) -> list:
+    """``released`` as a list; an unknown or repeated name raises ConfigError."""
+    released = list(released)
+    for i, name in enumerate(released):
+        if name not in known:
+            raise ConfigError(f"unknown parameter {name!r}; known: {', '.join(known)}")
+        if name in released[:i]:
+            raise ConfigError(f"parameter {name!r} released twice")
+    return released
+
+
+def collocation_problem(kind, vf, start, full0, names, n_active, released, *,
+                        build, residual, jacobian, pattern, reference,
+                        bounds=None, detect_bp=False):
+    """Continuation problem of an orbit or torus ``start``; returns (problem, u0).
+
+    ``names`` is (parameter names, scalar names), and ``full0`` the start's
+    full unknowns: its states, the scalars, then every parameter.  ``u``
+    keeps the states, the scalars and the first ``n_active`` released names;
+    further names are monitored only.  The kind makes a solution from full
+    unknowns and a section reference (``build(full, ref)``), evaluates it
+    (``residual(sol)``, ``jacobian(sol, pattern)``), lays out its Jacobian
+    on the full columns ``keep`` past the states (``pattern(keep)``) and
+    freezes a solution's section (``reference(sol)``), which moves to every
+    accepted point.  The start correction holds the first active column.
+    """
+    params, scalars = names
+    released = check_released(released, params)
+    active = released[:n_active]
+    S = full0.size - len(params)
+    X = S - len(scalars)
+    cols = np.r_[:S, [S + params.index(name) for name in active]].astype(int)
+    ref = [start.reference or reference(start)]
+
+    def full_of(u):
+        full = np.concatenate([u[:S], full0[S:]])
+        full[cols[S:]] = u[S:]
+        return full
+
+    def embed(u):
+        return build(full_of(u), ref[0])
+
+    pat = pattern(cols[X:])
+
+    def monitors(u):
+        full = full_of(u)
+        return dict(zip(params + scalars, full[S:].tolist() + full[X:S].tolist()))
+
+    def on_accept(u):
+        ref[0] = reference(embed(u))
+
+    problem = ContinuationProblem(
+        n_unknowns=cols.size, residual=lambda u: residual(embed(u)),
+        jacobian=lambda u: jacobian(embed(u), pat), monitors=monitors,
+        monitor_names=params + scalars, released=released, active=active, embed=embed,
+        kind=kind, vf=vf, bounds=dict(bounds or {}), on_accept=on_accept, detect_bp=detect_bp,
+        start_strategy=("pin", S) if active else ("pin_last", None))
+    return problem, full0[cols]
 
 
 @dataclass

@@ -6,6 +6,9 @@ reference point (moving section: the reference is replaced by the previous
 accepted solution during continuation).  Floquet multipliers come from the
 same discretization: the monodromy matrix is the product of the
 per-subinterval transition maps of the orbit's collocation Jacobian.
+The continuation adapter is a thin kind on :func:`contin.collocation_problem`:
+the full unknowns are the states x_bp, T and every parameter, of which ``u``
+keeps the active one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import colloc
+from . import colloc, contin
 from .errors import ConvergenceError
 # transition_matrix is not called here; perfbench/tracing.py wraps this binding
 from .ivp import IvpOptions, transition_matrix
@@ -24,6 +27,13 @@ from .odesys import VectorField, eval_rhs
 
 #: complex pairs need |Im mu| above this to count for TR testing
 IMAG_TOL = 1.0e-6
+#: floquet warns when eps*max|mu|/min|mu|, the smallest multiplier's rounding bound, exceeds this
+ROUNDING_TOL = 1.0e-6
+
+
+def names(vf: VectorField):
+    """(releasable parameter names, scalar names) of an orbit, in full-column order."""
+    return list(vf.param_names), ["T"]
 
 
 @dataclass(frozen=True)
@@ -114,32 +124,18 @@ def solve_po(
     max_iter: int = 20,
 ) -> PeriodicOrbit:
     """Newton-correct a near-periodic trajectory at fixed parameters."""
-    p = np.asarray(p, dtype=float)
-    n = vf.dim_state
-    X = traj_guess.x_bp.size
-    ref = reference or make_reference(vf, traj_guess, p)
-
-    def embed(u):
-        return replace(traj_guess, x_bp=u[:X].reshape(-1, n), duration=u[X])
-
-    def res(u):
-        return po_residual(vf, embed(u), p, ref)
-
-    pattern = po_jacobian_pattern(vf, traj_guess.mesh, keep=[X])
-
-    def jac(u):
-        return po_jacobian(vf, embed(u), p, ref, pattern)
-
-    u0 = np.concatenate([traj_guess.x_bp.ravel(), [traj_guess.duration]])
-    u, _ = newton_square(res, jac, u0, tol=tol, max_iter=max_iter, context="periodic orbit")
-    traj = embed(u)
-    if traj.duration <= 1e-6 * abs(traj_guess.duration):
+    problem, u0 = continuation_problem(vf, PeriodicOrbit(traj_guess, np.asarray(p, dtype=float),
+                                                         reference), [], detect_tr=False)
+    u, _ = newton_square(problem.residual, problem.jacobian, u0, tol=tol, max_iter=max_iter,
+                         context="periodic orbit")
+    orbit = problem.embed(u)
+    if orbit.period <= 1e-6 * abs(traj_guess.duration):
         # constants with T = 0 satisfy the discretized problem; reject them
         raise ConvergenceError(
             f"orbit correction collapsed to a zero-period solution "
-            f"(T = {traj.duration:.3e}); the initial guess does not bracket an orbit"
+            f"(T = {orbit.period:.3e}); the initial guess does not bracket an orbit"
         )
-    return PeriodicOrbit(traj=traj, p=p, reference=make_reference(vf, traj, p))
+    return replace(orbit, reference=make_reference(vf, orbit.traj, orbit.p))
 
 
 @dataclass
@@ -148,7 +144,8 @@ class FloquetData:
 
     ``tr_angle``/``tr_eigvec`` describe the complex pair closest to the unit
     circle (the TR candidate), with the trivial flow multiplier excluded for
-    autonomous systems.  ``warning`` flags an ill-conditioned eigenproblem.
+    autonomous systems.  ``warning`` flags an ill-conditioned eigenproblem
+    and small multipliers lost to rounding.
     """
 
     multipliers: np.ndarray
@@ -167,19 +164,20 @@ def floquet(vf: VectorField, po: PeriodicOrbit) -> FloquetData:
     per-subinterval transition maps from x(0) to x(T)
     (:func:`linsys.monodromy`), exact for the discretized variational
     equation.  A plain product loses the small multipliers of a strongly
-    unstable orbit to rounding (Fairgrieve & Jepson 1991).  The trivial
-    multiplier (autonomous systems) is the one closest to 1 and is excluded
-    from TR candidacy.
+    unstable orbit to rounding (Fairgrieve & Jepson 1991); ``warning`` says
+    so when that error's bound eps*max|mu|/min|mu| exceeds ``ROUNDING_TOL``.
+    The trivial multiplier (autonomous systems) is the one closest to 1 and
+    is excluded from TR candidacy.
     """
     pattern = po_jacobian_pattern(vf, po.traj.mesh, keep=[])
     M = monodromy(po_jacobian(vf, po.traj, po.p, po.reference, pattern))
-    warning = None
+    warnings = []
     try:
         mu, vecs = np.linalg.eig(M)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
         mu = np.linalg.eigvals(M)
         vecs = None
-        warning = f"eigenvector computation failed: {exc}"
+        warnings.append(f"eigenvector computation failed: {exc}")
 
     trivial = int(np.argmin(np.abs(mu - 1.0))) if vf.autonomous else None
 
@@ -193,7 +191,11 @@ def floquet(vf: VectorField, po: PeriodicOrbit) -> FloquetData:
     if vecs is not None:
         cond = np.linalg.cond(vecs)
         if cond > 1e12:
-            warning = f"ill-conditioned eigenvector basis (cond {cond:.2e})"
+            warnings.append(f"ill-conditioned eigenvector basis (cond {cond:.2e})")
+    amp = np.abs(mu)
+    bound = np.finfo(float).eps * amp.max() / max(amp.min(), np.finfo(float).tiny)
+    if bound > ROUNDING_TOL:
+        warnings.append(f"small multipliers lost to rounding (eps*max|mu|/min|mu| = {bound:.1e})")
     return FloquetData(
         multipliers=mu,
         monodromy=M,
@@ -201,7 +203,7 @@ def floquet(vf: VectorField, po: PeriodicOrbit) -> FloquetData:
         tr_angle=tr_angle,
         tr_eigvec=tr_eigvec,
         tr_distance=tr_distance,
-        warning=warning,
+        warning="; ".join(warnings) or None,
     )
 
 
@@ -223,95 +225,35 @@ def continuation_problem(
     bounds=None,
     detect_bp: bool = False,
     detect_tr: bool = True,
-    start_strategy=None,
 ):
     """Wrap a periodic orbit as a ContinuationProblem; returns (problem, u0).
 
-    The orbit zero problem has dimension deficit 0, so the first released
-    name becomes active and any further names are monitor-only.  A TR event
-    function (Floquet test) is attached unless ``detect_tr`` is false.
+    The orbit kind of :func:`contin.collocation_problem`: the full unknowns
+    are [x_bp, T, p_0 .. p_{q-1}].  The zero problem has dimension deficit
+    0, so the first released name becomes active and any further names are
+    monitor-only.  A TR event function (Floquet test) is attached unless
+    ``detect_tr`` is false.
     """
-    from . import contin
-    from .errors import ConfigError
+    traj = start.traj
+    X = traj.x_bp.size
 
-    n = vf.dim_state
-    X = start.traj.x_bp.size
-    released = list(released)
-    for name in released:
-        if name not in vf.param_names:
-            raise ConfigError(
-                f"unknown parameter {name!r}; known: {', '.join(vf.param_names)}"
-            )
-    active = released[:1]
-    active_idx = [vf.param_index(name) for name in active]
+    def build(full, ref):
+        return PeriodicOrbit(replace(traj, x_bp=full[:X].reshape(traj.x_bp.shape),
+                                     duration=full[X]), full[X + 1:], ref)
 
-    base_p = np.asarray(start.p, dtype=float).copy()
-    ref_cell = [start.reference or make_reference(vf, start.traj, start.p)]
-
-    def embed(u):
-        p = base_p.copy()
-        for i, ip in enumerate(active_idx):
-            p[ip] = u[X + 1 + i]
-        traj = colloc.Trajectory(
-            mesh=start.traj.mesh,
-            x_bp=u[:X].reshape(-1, n),
-            duration=u[X],
-            t_offset=start.traj.t_offset,
-        )
-        return PeriodicOrbit(traj=traj, p=p, reference=ref_cell[0])
-
-    def residual(u):
-        po_ = embed(u)
-        return po_residual(vf, po_.traj, po_.p, po_.reference)
-
-    pattern = po_jacobian_pattern(vf, start.traj.mesh,
-                                  keep=[X] + [X + 1 + ip for ip in active_idx])
-
-    def jacobian(u):
-        po_ = embed(u)
-        return po_jacobian(vf, po_.traj, po_.p, po_.reference, pattern)
-
-    monitor_names = list(vf.param_names) + ["T"]
-
-    def monitors(u):
-        po_ = embed(u)
-        vals = {name: float(po_.p[i]) for i, name in enumerate(vf.param_names)}
-        vals["T"] = float(po_.period)
-        return vals
-
-    def on_accept(u):
-        po_ = embed(u)
-        ref_cell[0] = make_reference(vf, po_.traj, po_.p)
-
-    events = []
-    if detect_tr:
-        def tr_event(u):
-            return tr_test_function(floquet(vf, embed(u)))
-
-        events.append(contin.EventSpec(name="TR", fn=tr_event))
-
-    vals0 = [start.p[ip] for ip in active_idx]
-    u0 = np.concatenate([start.traj.x_bp.ravel(), [start.traj.duration], vals0])
-    if start_strategy is None:
-        start_strategy = ("pin", X + 1) if active else ("pin_last", None)
-
-    problem = contin.ContinuationProblem(
-        n_unknowns=u0.size,
-        residual=residual,
-        jacobian=jacobian,
-        monitors=monitors,
-        monitor_names=monitor_names,
-        released=released,
-        active=active,
-        embed=embed,
-        kind="po",
-        vf=vf,
-        bounds=dict(bounds or {}),
-        on_accept=on_accept,
-        events=events,
-        detect_bp=detect_bp,
-        start_strategy=start_strategy,
+    problem, u0 = contin.collocation_problem(
+        "po", vf, start, np.concatenate([traj.x_bp.ravel(), [traj.duration], start.p]),
+        names(vf), 1, released, bounds=bounds, detect_bp=detect_bp,
+        build=build,
+        residual=lambda orbit: po_residual(vf, orbit.traj, orbit.p, orbit.reference),
+        jacobian=lambda orbit, pattern: po_jacobian(vf, orbit.traj, orbit.p, orbit.reference,
+                                                    pattern),
+        pattern=lambda keep: po_jacobian_pattern(vf, traj.mesh, keep),
+        reference=lambda orbit: make_reference(vf, orbit.traj, orbit.p),
     )
+    if detect_tr:
+        problem.events.append(contin.EventSpec(
+            "TR", lambda u: tr_test_function(floquet(vf, problem.embed(u)))))
     return problem, u0
 
 
@@ -331,14 +273,3 @@ def sample_orbit(vf: VectorField, y0, p, mesh: colloc.SegmentMesh, duration: flo
     return colloc.Trajectory(mesh=mesh, x_bp=sol.y[inverse], duration=duration,
                              t_offset=t_offset)
 
-
-def reanchor(vf: VectorField, po: PeriodicOrbit, t_shift: float) -> PeriodicOrbit:
-    """Same orbit re-anchored so the section sits at time ``t_shift``.
-
-    Rebuilds the base-point states by integrating from the interpolated
-    shifted point; used to check phase-anchor invariance of the multipliers.
-    """
-    T = po.period
-    y0 = colloc.interpolate(po.traj, po.traj.t_offset + (t_shift % T))
-    traj = sample_orbit(vf, y0, po.p, po.traj.mesh, T)
-    return solve_po(vf, traj, po.p)

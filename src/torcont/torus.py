@@ -19,9 +19,12 @@ Residual ordering (normative, matching the Jacobian row layout):
   (h) non-autonomous only: Omega_2 - om2   (declared forcing parameter)
 
 Full Jacobian columns: [all x_bp segment-major, T0, T, p_1..p_q, om1, om2,
-varrho].  The zero problem with no released parameters therefore has three
-fewer unknowns than equations (dimension deficit -3); releasing four
-parameters yields a one-dimensional solution manifold.
+varrho], that is the states, the scalars and every parameter name.  The
+zero problem with no released parameters therefore has three fewer
+unknowns than equations (dimension deficit -3); releasing four parameters
+yields a one-dimensional solution manifold.  The continuation adapter is a
+thin kind on :func:`contin.collocation_problem`, which holds this column
+rule for orbits and tori: ``u`` keeps the states, T0, T and the active names.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ from .odesys import VectorField, eval_rhs
 
 #: extended parameter names every torus problem exposes beyond the system's
 EXTRA_PARAMS = ("om1", "om2", "varrho")
+
+
+def names(vf: VectorField):
+    """(releasable parameter names, scalar names) of a torus, in full-column order."""
+    return list(vf.param_names) + list(EXTRA_PARAMS), ["T0", "T"]
 
 
 @dataclass(frozen=True)
@@ -120,25 +128,12 @@ def _layout(sol: TorusSolution, vf: VectorField):
     q = vf.dim_params
     rows_seg = sol.mesh.n_coll * n + (sol.mesh.ntst - 1) * n
     rows = n_seg * rows_seg + n_seg * n + 4 + 1
-    cols = X + 2 + q + 3
-    return X_seg, X, q, rows_seg, rows, cols
-
-
-def param_column(vf: VectorField, X: int, name: str) -> int:
-    """Column of a released parameter in the full Jacobian."""
-    q = vf.dim_params
-    if name in vf.param_names:
-        return X + 2 + vf.param_names.index(name)
-    if name in EXTRA_PARAMS:
-        return X + 2 + q + EXTRA_PARAMS.index(name)
-    raise ConfigError(
-        f"unknown parameter {name!r}; known: {', '.join(vf.param_names + EXTRA_PARAMS)}"
-    )
+    return X_seg, X, q, rows_seg, rows
 
 
 def dimension_deficit(vf: VectorField, sol: TorusSolution) -> int:
     """Unknowns minus equations of the zero problem with nothing released."""
-    _, X, _, _, rows, _ = _layout(sol, vf)
+    _, X, _, _, rows = _layout(sol, vf)
     return (X + 2) - rows
 
 
@@ -177,7 +172,7 @@ def torus_jacobian_pattern(vf: VectorField, sol: TorusSolution,
     varrho column of (b), then the scalar rows.
     """
     n_seg, nbp, n = sol.x_seg.shape
-    X_seg, X, q, rows_seg, rows, _ = _layout(sol, vf)
+    X_seg, X, q, rows_seg, rows = _layout(sol, vf)
     col_T0, col_T = X, X + 1
     col_om1, col_om2, col_rho = X + 2 + q, X + 2 + q + 1, X + 2 + q + 2
 
@@ -460,7 +455,6 @@ def solve_fixed(
     """
     from .linsys import newton_square
 
-    released = list(released)
     if len(released) != 3:
         raise ConfigError("solve_fixed needs exactly three released parameters")
     problem, u0 = continuation_problem(vf, sol, released, detect_bp=False)
@@ -471,9 +465,6 @@ def solve_fixed(
 
 # -- continuation adapter ------------------------------------------------------
 
-#: number of released parameters a torus run needs for a 1-d manifold
-N_RELEASED = 4
-
 
 def continuation_problem(
     vf: VectorField,
@@ -481,105 +472,28 @@ def continuation_problem(
     released,
     bounds: Optional[dict] = None,
     detect_bp: bool = True,
-    start_strategy: Optional[tuple] = None,
 ):
     """Wrap a torus solution as a ContinuationProblem; returns (problem, u0).
 
-    ``released`` is the ordered list of parameter names to free; the first
-    four become unknowns, any further names are monitored only.  The
-    reference section moves: after each accepted point it is re-frozen at
-    that point.
+    The torus kind of :func:`contin.collocation_problem`.  ``released`` is
+    the ordered list of parameter names to free; the first four become
+    unknowns, any further names are monitored only.  The reference section
+    moves: after each accepted point it is re-frozen at that point.
     """
-    n_seg, nbp, n = start.x_seg.shape
-    X_seg, X, q, rows_seg, rows, cols = _layout(start, vf)
-    released = list(released)
-    seen = set()
-    for name in released:
-        param_column(vf, X, name)  # validates
-        if name in seen:
-            raise ConfigError(f"parameter {name!r} released twice")
-        seen.add(name)
-    active = released[: min(len(released), N_RELEASED)]
-    active_cols = [param_column(vf, X, name) for name in active]
+    X, q = start.x_seg.size, vf.dim_params
 
-    base_p = start.p.copy()
-    base_extra = {"om1": start.om1, "om2": start.om2, "varrho": start.varrho}
-    ref_cell = [start.reference or reference_from_solution(vf, start)]
+    def build(full, ref):
+        return TorusSolution(start.mesh, start.coupling, full[:X].reshape(start.x_seg.shape),
+                             full[X], full[X + 1], full[X + 2:X + 2 + q], *full[X + 2 + q:], ref)
 
-    def embed(u):
-        x_seg = u[:X].reshape(n_seg, nbp, n)
-        p = base_p.copy()
-        extra = dict(base_extra)
-        # active values are stored past [x, T0, T] in released order
-        for i, name in enumerate(active):
-            val = u[X + 2 + i]
-            if name in vf.param_names:
-                p[vf.param_names.index(name)] = val
-            else:
-                extra[name] = val
-        return TorusSolution(
-            mesh=start.mesh,
-            coupling=start.coupling,
-            x_seg=x_seg,
-            T0=u[X],
-            T=u[X + 1],
-            p=p,
-            om1=extra["om1"],
-            om2=extra["om2"],
-            varrho=extra["varrho"],
-            reference=ref_cell[0],
-        )
-
-    def residual(u):
-        return torus_residual(vf, embed(u))
-
-    pattern = torus_jacobian_pattern(vf, start, keep=[X, X + 1] + active_cols)
-
-    def jacobian(u):
-        return torus_jacobian(vf, embed(u), pattern)
-
-    monitor_names = list(vf.param_names) + list(EXTRA_PARAMS) + ["T0", "T"]
-
-    def monitors(u):
-        sol = embed(u)
-        vals = {name: float(sol.p[i]) for i, name in enumerate(vf.param_names)}
-        vals.update(om1=sol.om1, om2=sol.om2, varrho=sol.varrho, T0=sol.T0, T=sol.T)
-        return vals
-
-    def on_accept(u):
-        ref_cell[0] = reference_from_solution(vf, embed(u))
-
-    def u_of(sol):
-        vals = []
-        for name in active:
-            if name in vf.param_names:
-                vals.append(sol.p[vf.param_names.index(name)])
-            else:
-                vals.append(getattr(sol, name))
-        return np.concatenate([sol.x_seg.ravel(), [sol.T0, sol.T], vals])
-
-    u0 = u_of(start)
-    if start_strategy is None:
-        if active:
-            start_strategy = ("pin", X + 2)  # hold the first released parameter
-        else:
-            start_strategy = ("pin_last", None)
-
-    problem = contin.ContinuationProblem(
-        n_unknowns=u0.size,
-        residual=residual,
-        jacobian=jacobian,
-        monitors=monitors,
-        monitor_names=monitor_names,
-        released=released,
-        active=active,
-        embed=embed,
-        kind="torus",
-        vf=vf,
-        bounds=dict(bounds or {}),
-        on_accept=on_accept,
-        events=[],
-        detect_bp=detect_bp,
-        start_strategy=start_strategy,
+    full0 = np.concatenate([start.x_seg.ravel(), [start.T0, start.T], start.p,
+                            [start.om1, start.om2, start.varrho]])
+    return contin.collocation_problem(
+        "torus", vf, start, full0, names(vf), 4, released,
+        bounds=bounds, detect_bp=detect_bp,
+        build=build,
+        residual=lambda sol: torus_residual(vf, sol),
+        jacobian=lambda sol, pattern: torus_jacobian(vf, sol, pattern),
+        pattern=lambda keep: torus_jacobian_pattern(vf, start, keep),
+        reference=lambda sol: reference_from_solution(vf, sol),
     )
-    return problem, u0

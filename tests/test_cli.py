@@ -69,6 +69,15 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert "stages[0].continuation.released" in err and "rho2" in err
 
+    def test_duplicate_released_name_rejected_before_any_run(self, tmp_path, capsys):
+        path = self.make(tmp_path, lambda c: c["stages"][1]["continuation"].__setitem__(
+            "released", ["varrho", "rho", "om1", "om2", "rho"]))
+        rc = cli.main(["run", path])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stages[1].continuation.released" in err and "'rho' released twice" in err
+        assert not os.path.exists(tmp_path / "po_s")  # the po stage did not run
+
     def test_missing_field_diagnostic(self, tmp_path, capsys):
         path = self.make(tmp_path, lambda c: c["stages"][1]["source"].pop("kind"))
         rc = cli.main(["run", path])

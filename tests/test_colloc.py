@@ -1,5 +1,7 @@
 """Collocation mesh, residual, Jacobian and interpolation properties."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -116,7 +118,7 @@ class TestSegmentJacobian:
         mesh = colloc.build_mesh(3, 3)
         t1 = colloc.Trajectory(mesh=mesh, x_bp=RNG.standard_normal((mesh.n_base, 1)),
                                duration=1.2)
-        t2 = t1.with_states(RNG.standard_normal((mesh.n_base, 1)))
+        t2 = replace(t1, x_bp=RNG.standard_normal((mesh.n_base, 1)))
         J1 = dense_jacobian(vf, t1, [])[0]
         J2 = dense_jacobian(vf, t2, [])[0]
         assert np.abs(J1 - J2).max() < 1e-14

@@ -99,7 +99,8 @@ def forced_torus():
 def _torus_case(vf, sol, released):
     problem, u0 = torus.continuation_problem(vf, sol, released, detect_bp=False)
     X = sol.x_seg.size
-    keep = list(range(X + 2)) + [torus.param_column(vf, X, name) for name in released]
+    names = torus.names(vf)[0]
+    keep = list(range(X + 2)) + [X + 2 + names.index(name) for name in released]
 
     def fresh(u):
         return torus.torus_jacobian(vf, problem.embed(u)).tocsc()[:, keep]

@@ -11,6 +11,8 @@ This pins the Floquet multipliers, the TR location rho* = 0.51/(K - 0.357)
 and the TR angle alpha = sqrt(2K) * T without touching the code under test.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -42,6 +44,18 @@ def langford_circle_traj(mesh, rho):
     t = T_LANG * mesh.basepoints
     x = np.column_stack([r * np.cos(OM * t), r * np.sin(OM * t), np.full(t.size, 0.7)])
     return colloc.Trajectory(mesh=mesh, x_bp=x, duration=T_LANG)
+
+
+def reanchor(vf, orbit, t_shift):
+    """Same orbit re-anchored so the section sits at time ``t_shift``.
+
+    Rebuilds the base-point states by integrating from the interpolated
+    shifted point; used to check phase-anchor invariance of the multipliers.
+    """
+    T = orbit.period
+    y0 = colloc.interpolate(orbit.traj, orbit.traj.t_offset + (t_shift % T))
+    traj = po.sample_orbit(vf, y0, orbit.p, orbit.traj.mesh, T)
+    return po.solve_po(vf, traj, orbit.p)
 
 
 def rotation_field():
@@ -82,7 +96,7 @@ class TestPoResidual:
         for scale in (1e-3, 2e-3, 4e-3):
             x = traj.x_bp.copy()
             x[0] += scale * f0
-            res = po.po_residual(vf, traj.with_states(x), [], ref)
+            res = po.po_residual(vf, replace(traj, x_bp=x), [], ref)
             vals.append(res[-1])
         assert np.isclose(vals[1] / vals[0], 2.0, rtol=1e-9)
         assert np.isclose(vals[2] / vals[0], 4.0, rtol=1e-9)
@@ -112,6 +126,21 @@ class TestFloquet:
         mu = np.sort_complex(po.floquet(vf, orbit).multipliers)
         mu_ref = np.sort_complex(np.linalg.eigvals(expm(A * T)))
         assert np.abs(mu - mu_ref).max() < 1e-6
+
+    @pytest.mark.parametrize("lam, lost", [(10.0, False), (15.0, True), (20.0, True)])
+    def test_rounding_loss_warned(self, lam, lost):
+        # x' = Q diag(lam, 0.3, -lam) Q^T x: the product form loses e^-lam to
+        # rounding once eps e^(2 lam) exceeds ROUNDING_TOL (error 1e-4 at lam = 15)
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))
+        vf, orbit = linear_zero_orbit(Q @ np.diag([lam, 0.3, -lam]) @ Q.T, 1.0)
+        warning = po.floquet(vf, orbit).warning
+        assert (warning is not None and "rounding" in warning) == lost
+
+    def test_no_rounding_warning_on_langford(self):
+        vf = odesys.builtin_langford()
+        mesh = colloc.build_mesh(20, 4)
+        orbit = po.solve_po(vf, langford_circle_traj(mesh, 0.2), np.array([OM, 0.2, 0.0]))
+        assert po.floquet(vf, orbit).warning is None
 
     @pytest.mark.parametrize("rho", [1.5, 0.9, RHO_STAR])
     def test_langford_multipliers_against_analytic_oracle(self, rho):
@@ -156,7 +185,7 @@ class TestFloquet:
         orbit = po.solve_po(vf, langford_circle_traj(mesh, 1.1), p)
         mu0 = np.sort_complex(po.floquet(vf, orbit).multipliers)
         for shift in (0.3 * T_LANG, 0.7 * T_LANG):
-            orbit2 = po.reanchor(vf, orbit, shift)
+            orbit2 = reanchor(vf, orbit, shift)
             mu1 = np.sort_complex(po.floquet(vf, orbit2).multipliers)
             assert np.abs(mu1 - mu0).max() < 1e-5
 
