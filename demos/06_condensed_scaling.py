@@ -36,7 +36,7 @@ def problem_at(vf, orbit, floq, N):
                                              detect_bp=False)
     seed = np.zeros(u0.size)
     seed[: sol.x_seg.size] = torus.tr_perturbation_direction(sol)
-    problem.start_strategy = ("seed", seed)
+    problem.start_border = seed
     return problem, u0, seed / np.linalg.norm(seed)
 
 

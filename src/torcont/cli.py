@@ -38,6 +38,12 @@ from .errors import (
 DEFAULT_STORE = "runs"
 #: problem kind -> adapter module, whose ``names(vf)`` lists its parameters and scalars
 KINDS = {"po": po, "torus": torus}
+#: problem kind -> source kind -> required source fields and their types
+SOURCES = {
+    "po": {"simulate": {"y0": list, "period": (int, float)}},
+    "torus": {"samples": {"path": str}, "simulate_circle": {"n_seg": int, "params": dict},
+              "tr": {"run": str}, "torus": {"run": str}, "bp": {"run": str}},
+}
 
 
 # -- config loading and validation ---------------------------------------------
@@ -151,13 +157,15 @@ def validate_config(doc: dict):
             _cfg_error(f"{path}.problem", "must be 'po' or 'torus'")
         source = _need(st, "source", dict, path)
         skind = _need(source, "kind", str, f"{path}.source")
-        valid_sources = {
-            "po": ("simulate",),
-            "torus": ("samples", "simulate_circle", "tr", "torus", "bp"),
-        }[kind]
-        if skind not in valid_sources:
-            _cfg_error(f"{path}.source.kind",
-                       f"{kind} stages accept {', '.join(valid_sources)}")
+        if skind not in SOURCES[kind]:
+            _cfg_error(f"{path}.source.kind", f"{kind} stages accept {', '.join(SOURCES[kind])}")
+        for key, types in SOURCES[kind][skind].items():
+            _need(source, key, types, f"{path}.source")
+        if skind == "simulate_circle":
+            for key in torus.EXTRA_PARAMS:
+                _need(source["params"], key, (int, float), f"{path}.source.params")
+            if source["params"]["om2"] <= 0:
+                _cfg_error(f"{path}.source.params.om2", "must be positive")
         cont = _need(st, "continuation", dict, path)
         if skind != "bp":
             released = _need(cont, "released", list, f"{path}.continuation")
@@ -188,9 +196,8 @@ def _progress_printer(monitor_names, out=sys.stdout):
 
 def _po_stage(vf, p0, st, store_dir, bounds):
     src = st["source"]
-    path = f"stage {st['run_id']}"
-    y0 = np.asarray(_need(src, "y0", list, path), dtype=float)
-    period = float(_need(src, "period", (int, float), path))
+    y0 = np.asarray(src["y0"], dtype=float)
+    period = float(src["period"])
     transient = float(src.get("transient_periods", 100))
     disc = st.get("discretization", {})
     mesh = colloc.build_mesh(int(disc.get("ntst", 20)), int(disc.get("degree", 4)))
@@ -207,20 +214,13 @@ def _po_stage(vf, p0, st, store_dir, bounds):
         detect_tr=bool(cont.get("detect_tr", True)),
         detect_bp=bool(cont.get("detect_bp", False)),
     )
-    return problem, u0, {}
+    return problem, u0
 
 
-def _make_circle_samples(vf, p0, src, path):
-    n_seg = int(_need(src, "n_seg", int, path))
+def _make_circle_samples(vf, p0, src):
+    n_seg, params = src["n_seg"], src["params"]
     radius = float(src.get("radius", 2.0))
-    params = _need(src, "params", dict, path)
-    for key in torus.EXTRA_PARAMS:
-        if key not in params:
-            _cfg_error(f"{path}.source.params", f"missing {key}")
-    om2 = float(params["om2"])
-    if om2 <= 0:
-        _cfg_error(f"{path}.source.params.om2", "must be positive")
-    t_ret = 2 * np.pi / om2
+    t_ret = 2 * np.pi / float(params["om2"])
     loops = int(src.get("transient_loops", 10))
     t1 = t_ret * np.linspace(0.0, 1.0, int(src.get("samples_per_period", 10 * n_seg)))
     angles = 2 * np.pi * np.arange(n_seg) / n_seg
@@ -238,48 +238,43 @@ def _make_circle_samples(vf, p0, src, path):
 def _torus_stage(vf, p0, st, store_dir, bounds):
     src = st["source"]
     cont = st["continuation"]
-    path = f"stage {st['run_id']}"
     disc = st.get("discretization", {})
     detect_bp = bool(cont.get("detect_bp", True))
-    start = {}
 
     kind = src["kind"]
     if kind == "samples":
         problem, u0 = store.restart_isol2tor(
-            _need(src, "path", str, path), cont["released"], vf=vf,
+            src["path"], cont["released"], vf=vf,
             ntst=int(disc.get("ntst", 20)), degree=int(disc.get("degree", 4)),
             bounds=bounds, detect_bp=detect_bp,
         )
     elif kind == "simulate_circle":
-        t1, samples, full = _make_circle_samples(vf, p0, src, path)
+        t1, samples, full = _make_circle_samples(vf, p0, src)
         mesh = colloc.build_mesh(int(disc.get("ntst", 20)), int(disc.get("degree", 4)))
         sol = torus.init_from_samples(vf, t1, samples, full, mesh=mesh)
         problem, u0 = torus.continuation_problem(
             vf, sol, cont["released"], bounds=bounds, detect_bp=detect_bp)
     elif kind == "tr":
         problem, u0 = store.restart_TR2tor(
-            store_dir, _need(src, "run", str, path),
+            store_dir, src["run"],
             src.get("label", {"type": "TR", "pick": "first"}),
             cont["released"], N=int(src.get("N", 10)),
             eps=src.get("eps"), vf=vf, bounds=bounds, detect_bp=detect_bp,
         )
     elif kind == "torus":
         problem, u0 = store.restart_tor2tor(
-            store_dir, _need(src, "run", str, path),
+            store_dir, src["run"],
             src.get("label", {"type": "EP", "pick": "last"}),
             released=cont.get("released"), vf=vf, bounds=bounds, detect_bp=detect_bp,
             N=disc.get("N"), ntst=disc.get("ntst"), degree=disc.get("degree"),
         )
-    elif kind == "bp":
-        problem, u0, psi = store.restart_BP2tor(
-            store_dir, _need(src, "run", str, path),
+    else:  # "bp"; validate_config admits no other source kind
+        problem, u0 = store.restart_BP2tor(
+            store_dir, src["run"],
             src.get("label", {"type": "BP", "pick": "first"}),
             vf=vf, bounds=bounds, detect_bp=detect_bp,
         )
-        start = {"initial_tangent": psi, "correct_start": False}
-    else:  # pragma: no cover - validated earlier
-        _cfg_error(f"{path}.source.kind", f"unknown source {kind!r}")
-    return problem, u0, start
+    return problem, u0
 
 
 def cmd_run(config_path: str, stage: str = None, store_dir: str = None,
@@ -294,12 +289,12 @@ def cmd_run(config_path: str, stage: str = None, store_dir: str = None,
         print(f"== run {st['run_id']} ({st['problem']}, source {st['source']['kind']}) ==")
         cont, path = st["continuation"], f"stage {st['run_id']}"
         stage_problem = _po_stage if st["problem"] == "po" else _torus_stage
-        problem, u0, start = stage_problem(vf, p0, st, base,
-                                           _bounds_from(cont, vf, st["problem"], path))
+        problem, u0 = stage_problem(vf, p0, st, base,
+                                    _bounds_from(cont, vf, st["problem"], path))
         writer = store.RunWriter(base, st["run_id"], problem)
         progress = None if quiet else _progress_printer(problem.monitor_names)
         branch = contin.run(problem, u0, _state_from(cont, path), writer=writer,
-                            progress=progress, **start)
+                            progress=progress)
         special = [f"{pt.ptype}:{pt.label}" for pt in branch.points if pt.ptype != "RO"]
         print(f"   {len(branch.points)} points, termination: {branch.termination}")
         if special:

@@ -40,6 +40,7 @@ FAST_ITERS = 4
 EVENT_VALUE_TOL = 1.0e-6
 EVENT_BRACKET_TOL = 1.0e-8
 BP_DET_DROP = 1.0e-6  # relative |det| reduction that ends BP localization
+NULL_TOL = 1.0e-4  # scaled |J psi| above which a switched direction is no null direction
 #: residual ratio a Newton update must reach from the second update on
 CONTRACTION = 0.5
 #: residual below which a localization trial point that stops converging is
@@ -63,9 +64,9 @@ class ContinuationProblem:
     ``len(active)`` names are active unknowns, the rest are monitor-only
     (the usual continuation-toolbox convention, so extra names can
     ride along for monitoring).
-    ``start_strategy`` fixes the border of the initial correction: a
-    ("seed", vector) pair anchors the correction orthogonal to a known
-    branch direction, ("pin", column) holds one unknown at its seed value.
+    ``start_border`` (a vector in ``u``) borders the start correction; by
+    default it holds the first active unknown, column ``n_unknowns - len(active)``.
+    With a ``start_tangent`` the start is not corrected and the run leaves along it.
     ``jacobian`` returns a :class:`linsys.CollocationJacobian` for orbit and
     torus problems and a sparse matrix for algebraic ones; ``vf`` is the
     vector field of orbit and torus problems.
@@ -88,7 +89,8 @@ class ContinuationProblem:
     on_accept: Callable[[np.ndarray], None] = lambda u: None
     events: list = field(default_factory=list)
     detect_bp: bool = False
-    start_strategy: tuple = ("pin_last", None)
+    start_border: Optional[np.ndarray] = None
+    start_tangent: Optional[np.ndarray] = None
 
 
 def check_released(released, known) -> list:
@@ -100,6 +102,11 @@ def check_released(released, known) -> list:
         if name in released[:i]:
             raise ConfigError(f"parameter {name!r} released twice")
     return released
+
+
+def active_columns(S, params, active) -> np.ndarray:
+    """Full-unknown columns of ``u``: the first ``S``, then the ``active`` names."""
+    return np.r_[:S, [S + params.index(name) for name in active]].astype(int)
 
 
 def collocation_problem(kind, vf, start, full0, names, n_active, released, *,
@@ -115,14 +122,14 @@ def collocation_problem(kind, vf, start, full0, names, n_active, released, *,
     (``residual(sol)``, ``jacobian(sol, pattern)``), lays out its Jacobian
     on the full columns ``keep`` past the states (``pattern(keep)``) and
     freezes a solution's section (``reference(sol)``), which moves to every
-    accepted point.  The start correction holds the first active column.
+    accepted point.
     """
     params, scalars = names
     released = check_released(released, params)
     active = released[:n_active]
     S = full0.size - len(params)
     X = S - len(scalars)
-    cols = np.r_[:S, [S + params.index(name) for name in active]].astype(int)
+    cols = active_columns(S, params, active)
     ref = [start.reference or reference(start)]
 
     def full_of(u):
@@ -146,8 +153,7 @@ def collocation_problem(kind, vf, start, full0, names, n_active, released, *,
         n_unknowns=cols.size, residual=lambda u: residual(embed(u)),
         jacobian=lambda u: jacobian(embed(u), pat), monitors=monitors,
         monitor_names=params + scalars, released=released, active=active, embed=embed,
-        kind=kind, vf=vf, bounds=dict(bounds or {}), on_accept=on_accept, detect_bp=detect_bp,
-        start_strategy=("pin", S) if active else ("pin_last", None))
+        kind=kind, vf=vf, bounds=dict(bounds or {}), on_accept=on_accept, detect_bp=detect_bp)
     return problem, full0[cols]
 
 
@@ -261,14 +267,12 @@ def _check_square_plus_one(problem, u0):
 
 
 def _initial_border(problem):
-    kind, payload = problem.start_strategy
-    vec = np.zeros(problem.n_unknowns)
-    if kind == "seed":
-        vec = np.asarray(payload, dtype=float).copy()
-    elif kind == "pin":
-        vec[payload] = 1.0
-    else:  # pin_last
-        vec[-1] = 1.0
+    """The normalized start border (see :class:`ContinuationProblem`)."""
+    if problem.start_border is None:
+        vec = np.zeros(problem.n_unknowns)
+        vec[problem.n_unknowns - len(problem.active)] = 1.0
+    else:
+        vec = np.asarray(problem.start_border, dtype=float)
     return vec / np.linalg.norm(vec)
 
 
@@ -363,8 +367,7 @@ def detect_branch_point(problem, u_a, u_b, border, sign_a, sign_b, logdet_a, log
 # -- branch switching ---------------------------------------------------------
 
 
-def switch_branch(problem, u_bp: np.ndarray, incoming_tangent: np.ndarray,
-                  null_tol: float = 1.0e-4):
+def switch_branch(problem, u_bp: np.ndarray, incoming_tangent: np.ndarray):
     """Second branch direction at a localized branch point.
 
     At a simple branch point the Jacobian has a two-dimensional null space
@@ -404,7 +407,7 @@ def switch_branch(problem, u_bp: np.ndarray, incoming_tangent: np.ndarray,
     J = J.tocsc()
     scale = max(1.0, np.abs(J).max())
     defect = np.abs(J @ psi).max() / scale
-    if defect > null_tol:
+    if defect > NULL_TOL:
         raise BranchPointError(
             f"null space is not two-dimensional within tolerance (defect {defect:.2e})"
         )
@@ -415,46 +418,42 @@ def switch_branch(problem, u_bp: np.ndarray, incoming_tangent: np.ndarray,
 
 
 def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
-        writer=None, progress: Optional[Callable] = None,
-        initial_tangent: Optional[np.ndarray] = None,
-        correct_start: bool = True) -> Branch:
+        writer=None, progress: Optional[Callable] = None) -> Branch:
     """Trace the solution branch through ``u0``.
 
-    The start is corrected with a fixed border chosen by the problem's
-    start strategy, then the branch is traversed with secant prediction and
-    bordered Newton correction.  After each accepted point the problem's
-    ``on_accept`` hook runs (moving Poincare sections), monitors are
-    recorded, events are tested and bounds are enforced.  With
+    The start is corrected with the problem's start border, or taken as it
+    is when the problem has a start tangent (see
+    :class:`ContinuationProblem`); then the branch is traversed with secant
+    prediction and bordered Newton correction.  After each accepted point
+    the problem's ``on_accept`` hook runs (moving Poincare sections),
+    monitors are recorded, events are tested and bounds are enforced.  A
+    bound on a name that is not a monitor raises ConfigError.  With
     ``bi_direct`` both tangent orientations are explored; labels keep
     ascending across the two passes.  A ``writer`` stores every labeled
     point as it is emitted and the branch events when the run ends.
-
-    ``correct_start=False`` takes ``u0`` as already on the manifold and
-    requires ``initial_tangent``; branch-point restarts use this because
-    every bordered system is singular exactly at a branch point.
     """
     u0 = np.asarray(u0, dtype=float)
     _check_square_plus_one(problem, u0)
+    unknown = [name for name in problem.bounds if name not in problem.monitor_names]
+    if unknown:
+        raise ConfigError(f"bounds on unknown monitor(s) {', '.join(unknown)}; "
+                          f"known: {', '.join(problem.monitor_names)}")
 
     start_iters = 0
-    if correct_start:
+    if problem.start_tangent is None:
         border0 = _initial_border(problem)
         try:
             u_start, start_iters, _ = _correct(problem, u0, border0, u0,
                                                max_iter=max(CORRECTOR_MAX_ITER, 10))
         except ConvergenceError as exc:
             raise ConvergenceError(f"initial correction failed: {exc}") from exc
-    else:
-        if initial_tangent is None:
-            raise ConfigError("correct_start=False requires an explicit initial tangent")
-        u_start = u0.copy()
-
-    problem.on_accept(u_start)
-    if initial_tangent is not None:
-        t0 = np.asarray(initial_tangent, dtype=float)
-        t0 = t0 / np.linalg.norm(t0)
-    else:
+        problem.on_accept(u_start)
         t0 = nullspace_tangent(problem.jacobian(u_start), border0)
+    else:
+        u_start = u0.copy()
+        problem.on_accept(u_start)
+        t0 = np.asarray(problem.start_tangent, dtype=float)
+        t0 = t0 / np.linalg.norm(t0)
 
     branch = Branch()
     label_counter = [0]
@@ -593,9 +592,7 @@ def _walk(problem, branch, state, u_start, t0, emit):
         bound_hit = None
         for name, interval in problem.bounds.items():
             lo, hi = interval
-            va, vb = mon_prev.get(name), mon_new.get(name)
-            if va is None or vb is None:
-                continue
+            va, vb = mon_prev[name], mon_new[name]
             inside_a = (lo is None or va >= lo) and (hi is None or va <= hi)
             if not inside_a:
                 continue

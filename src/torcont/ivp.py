@@ -32,7 +32,6 @@ from .odesys import VectorField, eval_jac_state, eval_rhs
 class IvpOptions:
     rel_tol: float = 1.0e-8
     abs_tol: float = 1.0e-10
-    max_step: Optional[float] = None
     dense_output: bool = False
 
     def __post_init__(self):
@@ -95,7 +94,6 @@ def integrate(vf: VectorField, t_span, y0, p, opts: Optional[IvpOptions] = None)
         t_eval=ts,
         rtol=opts.rel_tol / scale,
         atol=opts.abs_tol / scale,
-        max_step=opts.max_step if opts.max_step is not None else np.inf,
         dense_output=opts.dense_output,
     )
     if not sol.success:

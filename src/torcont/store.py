@@ -180,7 +180,7 @@ def solution_from_snapshot(doc: dict, vf: Optional[VectorField] = None,
             mesh=mesh,
             x_bp=_decode_array(doc["x_bp"], path, "x_bp"),
             duration=doc["T"],
-            t_offset=doc.get("t_offset", 0.0),
+            t_offset=doc["t_offset"],
         )
         ref = doc["reference"]
         orbit = po_mod.PeriodicOrbit(
@@ -278,11 +278,24 @@ def _write_atomic(path: str, doc):
     os.replace(path + ".tmp", path)
 
 
+class _Fields(dict):
+    """A JSON object read from the file ``path``; a missing field raises a
+    FormatError naming the file and the field."""
+
+    def __init__(self, path: str, pairs):
+        super().__init__(pairs)
+        self.path = path
+
+    def __missing__(self, key):
+        raise FormatError(f"{self.path}: missing field {key!r}")
+
+
 def _read_json(path: str) -> dict:
-    """Parse a JSON file; invalid JSON raises a FormatError naming the file."""
+    """Parse a JSON file into :class:`_Fields` objects; invalid JSON raises a
+    FormatError naming the file."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=lambda pairs: _Fields(path, pairs))
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
@@ -406,21 +419,6 @@ def list_runs(store: str):
 # -- restart pathways ----------------------------------------------------------
 
 
-def _map_tangent(doc: dict, path: str, X: int, new_active, n_unknowns):
-    """Map a stored tangent onto a (possibly different) released set; zero
-    when the tangent is too short for the layout."""
-    t_old = _decode_array(doc["tangent"], path, "tangent")
-    seed = np.zeros(n_unknowns)
-    if t_old.size < X + 2:
-        return seed
-    old_active = doc.get("active", doc["released"])[: t_old.size - X - 2]
-    seed[:X + 2] = t_old[:X + 2]
-    for i, name in enumerate(new_active):
-        if name in old_active:
-            seed[X + 2 + i] = t_old[X + 2 + old_active.index(name)]
-    return seed
-
-
 def restart_tor2tor(
     store: str,
     run_id: str,
@@ -439,6 +437,7 @@ def restart_tor2tor(
     overridden, in which case the saved solution is interpolated onto the
     finer grid (trigonometric in the angle, Lagrange in time) and
     re-converged as an isolated square problem before continuation.
+    Otherwise the stored tangent, mapped by name, borders the start.
     """
     bd = read_bd(store, run_id)
     lab = pick_label(bd, label)
@@ -453,12 +452,13 @@ def restart_tor2tor(
 
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, released, bounds=bounds, detect_bp=detect_bp)
-    X = sol.x_seg.size
-    if not refined and doc.get("tangent") is not None:
-        seed = _map_tangent(doc, snapshot_path(store, run_id, lab), X, problem.active,
-                            problem.n_unknowns)
-        if np.linalg.norm(seed) > 0:
-            problem.start_strategy = ("seed", seed)
+    if not refined:
+        params, scalars = torus_mod.names(vf)
+        S = sol.x_seg.size + len(scalars)
+        t_full = np.zeros(S + len(params))
+        t_full[contin.active_columns(S, params, doc["active"])] = _decode_array(
+            doc["tangent"], snapshot_path(store, run_id, lab), "tangent")
+        problem.start_border = t_full[contin.active_columns(S, params, problem.active)]
     return problem, u0
 
 
@@ -515,9 +515,8 @@ def restart_TR2tor(
     sol = torus_mod.init_from_TR(vf, orbit, floq, N=N, eps=eps)
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, list(released), bounds=bounds, detect_bp=detect_bp)
-    seed = np.concatenate([torus_mod.tr_perturbation_direction(sol),
-                           np.zeros(problem.n_unknowns - sol.x_seg.size)])
-    problem.start_strategy = ("seed", seed)
+    problem.start_border = np.concatenate([torus_mod.tr_perturbation_direction(sol),
+                                           np.zeros(problem.n_unknowns - sol.x_seg.size)])
     return problem, u0
 
 
@@ -529,10 +528,8 @@ def restart_BP2tor(
     bounds: Optional[dict] = None,
     detect_bp: bool = True,
 ):
-    """Secondary-branch continuation through a stored torus branch point.
-
-    Returns (problem, u0, switched_tangent); run with ``correct_start=False``
-    and ``initial_tangent=switched_tangent`` (the driver below does this).
+    """Secondary-branch continuation through a stored torus branch point;
+    returns (problem, u0) whose ``start_tangent`` is the switched direction.
     """
     bd = read_bd(store, run_id)
     lab = pick_label(bd, label if label is not None else {"type": "BP", "pick": "first"})
@@ -547,8 +544,8 @@ def restart_BP2tor(
     incoming = _decode_array(doc["tangent"], snapshot_path(store, run_id, lab), "tangent")
     if incoming.size != problem.n_unknowns:
         raise FormatError("stored tangent does not match the rebuilt problem layout")
-    psi = contin.switch_branch(problem, u0, incoming)
-    return problem, u0, psi
+    problem.start_tangent = contin.switch_branch(problem, u0, incoming)
+    return problem, u0
 
 
 def restart_isol2tor(

@@ -226,8 +226,8 @@ def test_vdp_transient_variants_locate_every_bp(tmp_path, extra_loops):
     labels = store.read_bd(base, "vdP_torus_varrho").labels_of_type("BP")
     assert labels == [ev["label"] for ev in bp_events]
     for lab in labels:
-        problem, u0, psi = store.restart_BP2tor(base, "vdP_torus_varrho", lab)
-        assert psi.shape == (problem.n_unknowns,)
+        problem, u0 = store.restart_BP2tor(base, "vdP_torus_varrho", lab)
+        assert problem.start_tangent.shape == (problem.n_unknowns,)
 
 
 def test_criterion_5_matrix_property_suite():

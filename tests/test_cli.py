@@ -84,6 +84,22 @@ class TestConfigValidation:
         assert rc == 2
         assert "stages[1].source.kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source, where", [
+        ({"kind": "tr"}, "stages[1].source.run"),
+        ({"kind": "simulate_circle", "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
+         "stages[1].source.n_seg"),
+        ({"kind": "simulate_circle", "n_seg": 5, "params": {"om1": 1.0}},
+         "stages[1].source.params.om2: missing required field"),
+        ({"kind": "simulate_circle", "n_seg": 5,
+          "params": {"om1": 1.0, "om2": 0.0, "varrho": 0.1}}, "stages[1].source.params.om2"),
+    ], ids=["run", "n_seg", "torus-params", "om2"])
+    def test_source_fields_checked_before_any_run(self, tmp_path, capsys, source, where):
+        path = self.make(tmp_path, lambda c: c["stages"][1].__setitem__("source", source))
+        rc = cli.main(["run", path])
+        assert rc == 2
+        assert where in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "po_s")  # the po stage did not run
+
     def test_bad_json_position_reported(self, tmp_path, capsys):
         path = str(tmp_path / "broken.json")
         with open(path, "w") as fh:
@@ -316,7 +332,7 @@ def test_circle_samples_integrate_all_seeds_at_once(monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(ivp, "integrate", counted)
-    t1, samples, _ = cli._make_circle_samples(vf, p0, src, "stage vdP_torus")
+    t1, samples, _ = cli._make_circle_samples(vf, p0, src)
     monkeypatch.undo()
     assert len(calls) == 2
     n_seg, loops = src["n_seg"], src["transient_loops"]

@@ -10,7 +10,7 @@ through their module bindings at call time.
 import numpy as np
 import pytest
 
-from torcont import colloc, odesys, po, torus
+from torcont import colloc, contin, odesys, po, torus
 from torcont.errors import ConfigError
 from util_systems import decoupled_torus, langford_circle_traj
 
@@ -68,7 +68,9 @@ def test_builder_contract(case):
     assert problem.monitors(u0) == values
 
     # the start correction holds the first active column
-    assert problem.start_strategy == ("pin", S)
+    assert problem.start_border is None and problem.start_tangent is None
+    border = contin._initial_border(problem)
+    assert border[S] == 1.0 and np.count_nonzero(border) == 1
 
 
 @pytest.mark.parametrize("extra", [["nope"], None], ids=["unknown", "duplicate"])

@@ -74,6 +74,12 @@ class TestCircle:
         if "bound" in branch.termination:
             assert abs(last.monitors["y"] - 0.5) < 1e-7
 
+    def test_bound_on_unknown_monitor_rejected(self):
+        # a misspelt bound name would never end the run
+        problem = circle_problem(bounds={"yy": (None, 0.5)})
+        with pytest.raises(ConfigError, match=r"unknown monitor\(s\) yy; known: x, y"):
+            contin.run(problem, np.array([1.0, 0.0]), contin.ContinuationState())
+
     def test_over_determined_rejected_before_newton(self):
         calls = {"n": 0}
 
@@ -181,7 +187,8 @@ class TestBranchPoints:
         psi = contin.switch_branch(problem, bp.u, bp.tangent)
         assert abs(psi @ bp.tangent) < 1e-8
         state2 = contin.ContinuationState(h=0.05, h_max=0.1, pt_max=10, bi_direct=False)
-        branch2 = contin.run(problem, bp.u, state2, initial_tangent=psi)
+        problem.start_tangent = psi
+        branch2 = contin.run(problem, bp.u, state2)
         xs = [abs(pt.monitors["x"]) for pt in branch2.points[1:]]
         assert max(xs) > 1e-2  # immediately off the trivial branch
 
@@ -250,8 +257,8 @@ class TestLocateEvent:
         problem = algebraic_problem(lambda u: u[1] - u[0] ** 2,
                                     lambda u: [[-2 * u[0], 1.0]], names=["x", "lam"])
         state = contin.ContinuationState(h=0.1, h_max=0.2, pt_max=20, bi_direct=False)
-        branch = contin.run(problem, np.array([-1.0, 1.0]), state,
-                            initial_tangent=np.array([1.0, -2.0]))  # towards the fold
+        problem.start_tangent = np.array([1.0, -2.0])  # towards the fold
+        branch = contin.run(problem, np.array([-1.0, 1.0]), state)
         c = 0.3183
         a, b = next((a, b) for a, b in zip(branch.points, branch.points[1:])
                     if a.u[0] < c < b.u[0])

@@ -173,6 +173,26 @@ class TestRoundTrip:
             store.read_meta(str(tmp_path), "po_mini")
         assert path in str(info.value)
 
+    @pytest.mark.parametrize("run_id, field", [
+        ("po_mini", "T"), ("po_mini", "t_offset"), ("po_mini", "reference"),
+        ("tor_mini", "varrho"), ("tor_mini", "active"), ("tor_mini", "tangent"),
+    ])
+    def test_missing_field_rejected(self, mini_pipeline, tmp_path, run_id, field):
+        # every version-2 writer writes these fields: a snapshot without one
+        # is malformed, and no default stands in for it
+        base = mini_pipeline["base"]
+        lab = store.read_bd(base, run_id).labels[-1]
+        with open(store.snapshot_path(base, run_id, lab)) as fh:
+            doc = json.load(fh)
+        del doc[field]
+        path = copy_run_with_snapshot(base, run_id, lab, doc, tmp_path)
+        with pytest.raises(FormatError, match=f"missing field '{field}'") as info:
+            if run_id == "po_mini":
+                store.read_solution(str(tmp_path), run_id, lab)
+            else:
+                store.restart_tor2tor(str(tmp_path), run_id, lab)
+        assert path in str(info.value)
+
     def test_malformed_tangent_rejected_on_restart(self, mini_pipeline, tmp_path):
         base = mini_pipeline["base"]
         lab = store.read_bd(base, "tor_mini").labels[-1]
@@ -466,8 +486,8 @@ def test_skipped_bp_test_is_written_to_events(tmp_path, monkeypatch):
     monkeypatch.setattr(contin, "lu_factor", singular_once)
     state = contin.ContinuationState(h=0.02, h_min=1e-4, h_max=0.05, pt_max=2,
                                      bi_direct=False)
-    contin.run(problem, u0, state, writer=store.RunWriter(str(tmp_path), "skip", problem),
-               initial_tangent=t0, correct_start=False)
+    problem.start_tangent = t0
+    contin.run(problem, u0, state, writer=store.RunWriter(str(tmp_path), "skip", problem))
     events = read_events(str(tmp_path), "skip")["events"]
     assert events == [{"type": "BP", "status": "skipped", "near_label": 1,
                        "reason": "start point: linear solve failed: injected singular system"}]

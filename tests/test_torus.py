@@ -290,8 +290,8 @@ class TestInitFromTR:
         vf, sol = langford_torus_guess(N=5, ntst=10, degree=4, rho=0.6154465)
         problem, u0 = torus.continuation_problem(
             vf, sol, released=["varrho", "rho", "om1", "om2"])
-        problem.start_strategy = ("seed", np.concatenate(
-            [torus.tr_perturbation_direction(sol), np.zeros(6)]))
+        problem.start_border = np.concatenate(
+            [torus.tr_perturbation_direction(sol), np.zeros(6)])
         from torcont.contin import _correct, _initial_border
 
         border = _initial_border(problem)
