@@ -205,11 +205,12 @@ def builtin_langford() -> VectorField:
     """
 
     # cubes as products: numpy's x**3 on an array calls pow() per element,
-    # about 50x slower than x*x*x at the 8,080 nodes of an N = 50 torus
+    # about 50x slower than x*x*x at the 8,080 nodes of an N = 50 torus;
+    # np.array rather than np.stack, whose overhead triples a one-state call
     def rhs(t, y, p):
         x1, x2, x3 = y[0], y[1], y[2]
         om, rho, eps = p[0], p[1], p[2]
-        return np.stack(
+        return np.array(
             [
                 (x3 - 0.7) * x1 - om * x2,
                 om * x1 + (x3 - 0.7) * x2,
@@ -261,7 +262,7 @@ def builtin_vdp() -> VectorField:
     def rhs(t, y, p):
         x, xd = y[0], y[1]
         om, c, a = p[0], p[1], p[2]
-        return np.stack([xd, c * (1.0 - x**2) * xd - x + a * np.cos(om * t)])
+        return np.array([xd, c * (1.0 - x**2) * xd - x + a * np.cos(om * t)])
 
     def jac_state(t, y, p):
         x, xd = y[0], y[1]

@@ -429,6 +429,8 @@ def invariance_deviation(
     returns the trajectory should sit on the initial circle at angle
     phi_1 + 2*pi*k*varrho.  Returns the Euclidean deviations per return,
     measured against the trigonometric interpolant of the initial circle.
+    Each figure includes the integration's own error at ``opts`` besides
+    the discretization and correction error of the torus.
     """
     opts = opts or IvpOptions(rel_tol=1.0e-10, abs_tol=1.0e-12)
     y0 = sol.x_seg[0, 0]

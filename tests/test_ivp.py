@@ -87,14 +87,25 @@ def test_dense_output_interpolant():
         res2(0.5)
 
 
-def test_blowup_reports_last_time():
-    vf = odesys.VectorField(
+def blowup_field():
+    # x' = x^2, x(0) = 1 has the solution 1 / (1 - t), which blows up at t = 1
+    return odesys.VectorField(
         dim_state=1, dim_params=0, param_names=(), autonomous=True,
         rhs=lambda t, y, p: y**2,
+        jac_state=lambda t, y, p: np.array([[2.0 * y[0]]]),
     )
+
+
+def test_blowup_reports_last_time():
     with pytest.raises(ivp.IntegrationError) as err:
-        ivp.integrate(vf, [0.0, 2.0], [1.0], [])
-    assert err.value.last_time is not None and err.value.last_time <= 2.0
+        ivp.integrate(blowup_field(), [0.0, 2.0], [1.0], [])
+    assert abs(err.value.last_time - 1.0) < 1e-3
+
+
+def test_variational_blowup_reports_last_time():
+    with pytest.raises(ivp.IntegrationError) as err:
+        ivp.transition_matrix(blowup_field(), 0.0, 2.0, np.array([1.0]), [])
+    assert abs(err.value.last_time - 1.0) < 1e-3
 
 
 def test_monodromy_rotation_is_identity():
