@@ -4,7 +4,8 @@ Runs the checked-in Langford workflow (periodic orbits -> TR detection ->
 torus family -> rotation-number-fixed restart) through the config file, then
 validates one torus by forward simulation and exports its surface grid.
 
-Expect a few minutes: the torus stages carry 101 segments (N = 50).
+Expect about 15 s on a 2-vCPU machine: the torus stages carry 101 segments
+(N = 50).
 Artifacts land in ./runs (override with TORCONT_STORE).
 """
 

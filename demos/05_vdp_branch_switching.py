@@ -6,7 +6,8 @@ other way), a first family at fixed rotation number, a second family with
 the rotation number free where branch points appear, and a restart through
 the first branch point onto the secondary family.
 
-Expect a few minutes.  Artifacts land in ./runs (override TORCONT_STORE).
+Expect about 7 s on a 2-vCPU machine.  Artifacts land in ./runs (override
+TORCONT_STORE).
 """
 
 import os

@@ -111,15 +111,31 @@ def _check_released(released, vf, problem_kind, path):
         _cfg_error(path, str(exc))
 
 
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+#: continuation field -> (ContinuationState attribute, value check, what it needs)
+STATE_FIELDS = {
+    "h0": ("h", _is_number, "a number"),
+    "h_min": ("h_min", _is_number, "a number"),
+    "h_max": ("h_max", _is_number, "a number"),
+    "pt_max": ("pt_max", lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
+               "a positive integer"),
+    "bi_direct": ("bi_direct", lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def _state_from(cfg: dict, path: str) -> contin.ContinuationState:
     kw = {}
-    for key, attr in (("h0", "h"), ("h_min", "h_min"), ("h_max", "h_max"),
-                      ("pt_max", "pt_max"), ("bi_direct", "bi_direct")):
+    for key, (attr, valid, need) in STATE_FIELDS.items():
         if key in cfg:
+            if not valid(cfg[key]):
+                _cfg_error(f"{path}.{key}", f"must be {need}, got {cfg[key]!r}")
             kw[attr] = cfg[key]
     try:
         return contin.ContinuationState(**kw)
-    except (TypeError, ConfigError) as exc:
+    except ConfigError as exc:
         _cfg_error(path, str(exc))
 
 
@@ -136,6 +152,10 @@ def _bounds_from(cfg: dict, vf, problem_kind, path):
         if not isinstance(pair, list) or len(pair) != 2:
             _cfg_error(f"{path}.bounds.{name}", "expected [lo, hi] (null for one-sided)")
         lo, hi = pair
+        if not all(end is None or _is_number(end) for end in pair):
+            _cfg_error(f"{path}.bounds.{name}", f"ends must be numbers or null, got {pair!r}")
+        if lo is not None and hi is not None and lo > hi:
+            _cfg_error(f"{path}.bounds.{name}", f"lower end {lo} is above upper end {hi}")
         out[name] = (None if lo is None else float(lo), None if hi is None else float(hi))
     return out
 
@@ -172,6 +192,10 @@ def validate_config(doc: dict):
             _check_released(released, vf, kind, f"{path}.continuation.released")
         _bounds_from(cont, vf, kind, f"{path}.continuation")
         _state_from(cont, f"{path}.continuation")
+        for key in ("detect_tr", "detect_bp"):
+            if key in cont and not isinstance(cont[key], bool):
+                _cfg_error(f"{path}.continuation.{key}",
+                           f"must be true or false, got {cont[key]!r}")
         disc = st.get("discretization", {})
         for key in ("ntst", "degree", "N"):
             if key in disc and (not isinstance(disc[key], int) or disc[key] < 1):

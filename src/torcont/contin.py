@@ -1,11 +1,17 @@
 """Pseudo-arclength continuation with events and branch switching.
 
 The engine walks a one-dimensional solution manifold of a zero problem
-F(u) = 0 with one more unknown than equations.  It alternates tangent or
-secant prediction with Newton correction on the bordered system
-{F(u) = 0, <t, u - u_pred> = 0}, adapts the step size from the corrector
-iteration count, and watches scalar test functions for sign changes.  A
-Newton update that stops contracting the residual ends the correction.
+F(u) = 0 with one more unknown than equations.  Each step of size h
+predicts u_pred = u + h t along the secant t of the last step (the start
+tangent on a direction's first step) and corrects with Newton on the
+bordered system {F(u) = 0, <t, u - u_pred> = 0}.  From a direction's third
+step on, Newton starts at the quadratic through the last three accepted
+points, extrapolated in accumulated chord length to h past the last one
+and projected onto that hyperplane: the step solves the same intersection
+in fewer updates.  A retry after a rejected correction starts at u_pred.
+The engine adapts the step size from the corrector iteration count and
+watches scalar test functions for sign changes.  A Newton update that
+stops contracting the residual ends the correction.
 Events, monitor bounds and branch points share one localization: a
 safeguarded (Illinois) secant in the chord parameter of the bracketing
 step, whose trial points are predicted between the two corrected bracket
@@ -197,21 +203,26 @@ class Branch:
 # -- bordered Newton ----------------------------------------------------------
 
 
-def _correct(problem, u_pred, border, anchor, max_iter=CORRECTOR_MAX_ITER, floor=0.0):
-    """Newton on {F(u)=0, <border, u-anchor>=0}; returns (u, iters, lu).
+def _correct(problem, u_first, border, anchor, max_iter=CORRECTOR_MAX_ITER, floor=0.0,
+             need_lu=False):
+    """Newton from ``u_first`` on {F(u)=0, <border, u-anchor>=0}; returns (u, iters, lu).
 
     From the second update on, every update must shrink the residual by
     ``CONTRACTION``; a correction that stops contracting ends at once.  It
     also ends when an update leaves the residual ``floor`` that an earlier
     iterate was below (near a branch point such an update runs along the
     near-null direction).  A correction that ends unconverged returns its
-    best iterate if that is below the floor.  ``lu`` is factored at the
-    returned ``u`` when no update was needed or the floor ended the
-    correction; a correction that converged after updates returns the
-    factorization made before its last update.  ``lu`` is None when the
-    system at a point that needed no update is exactly singular.
+    best iterate if that is below the floor.  A correction that converged
+    after updates returns the factorization made before its last update.
+    A returned ``u`` that no update factored (none was needed, or the floor
+    ended the correction there) is factored only with ``need_lu``, for a
+    caller that reads the determinant; otherwise ``lu`` is None, as it is
+    when the system at a point that needed no update is exactly singular.
     """
-    u = np.asarray(u_pred, dtype=float).copy()
+    def factor(v):
+        return lu_factor(bordered_matrix(problem.jacobian(v), border))
+
+    u = np.asarray(u_first, dtype=float).copy()
     lu = None
     prev = np.inf
     best = (np.inf, None, None)  # (residual, iterate, its factorization)
@@ -220,9 +231,9 @@ def _correct(problem, u_pred, border, anchor, max_iter=CORRECTOR_MAX_ITER, floor
         nrm = np.abs(res).max() if res.size else 0.0
         gap = border @ (u - anchor)
         if nrm < CORRECTOR_TOL and abs(gap) < CORRECTOR_TOL * max(1.0, np.abs(u).max()):
-            if lu is None:
+            if lu is None and need_lu:
                 try:
-                    lu = lu_factor(bordered_matrix(problem.jacobian(u), border))
+                    lu = factor(u)
                 except ConvergenceError:
                     lu = None  # converged on a singular point (e.g. exactly at a BP)
             return u, it, lu
@@ -230,14 +241,14 @@ def _correct(problem, u_pred, border, anchor, max_iter=CORRECTOR_MAX_ITER, floor
             break
         if not np.isfinite(nrm) or nrm > 1e8 * max(best[0], 1.0):
             raise ConvergenceError(f"corrector diverged (residual {nrm:.3e})")
-        lu = lu_factor(bordered_matrix(problem.jacobian(u), border))
+        lu = factor(u)
         if nrm < best[0]:
             best = (nrm, u, lu)
         prev = nrm
         u = u - lu.solve(np.concatenate([res, [gap]]))
     if min(nrm, best[0]) < floor:
         if nrm < best[0]:
-            return u, it, lu_factor(bordered_matrix(problem.jacobian(u), border))
+            return u, it, factor(u) if need_lu else None
         return best[1], it, best[2]
     if it < max_iter:
         raise ConvergenceError(f"corrector stopped contracting after {it} iterations "
@@ -279,14 +290,16 @@ def _initial_border(problem):
 # -- event localization -------------------------------------------------------
 
 
-def _localize(problem, u_a, u_b, border, value, f_a, f_b, value_tol, bracket_tol):
+def _localize(problem, u_a, u_b, border, value, f_a, f_b, value_tol, bracket_tol,
+              need_lu=False):
     """Illinois regula falsi for a sign change of ``value`` on [u_a, u_b].
 
     The secant places each trial point in the chord parameter (a little
     inside the bracket); it is predicted between the two corrected bracket
     ends, corrected with the frozen ``border`` down to ``LOCALIZE_FLOOR``,
-    and ``value(u, lu)`` is taken there with the corrector's factorization
-    ``lu`` (None: the bracket is lost).  The end kept twice in a row has
+    and ``value(u, lu)`` is taken there (None: the bracket is lost); ``lu``
+    is the corrector's factorization, made at every trial point only with
+    ``need_lu`` (see :func:`_correct`).  The end kept twice in a row has
     its value halved (Dowell & Jarratt 1971).
     Stops when |value| < ``value_tol`` or the bracket is shorter than
     ``bracket_tol``; returns (u, value, evaluations) of the trial point
@@ -299,7 +312,8 @@ def _localize(problem, u_a, u_b, border, value, f_a, f_b, value_tol, bracket_tol
         (s_lo, f_lo, u_lo), (s_hi, f_hi, u_hi) = ends
         w = np.clip(f_lo / (f_lo - f_hi), 0.01, 0.99)
         u_pred = u_lo + w * (u_hi - u_lo)
-        u, _, lu = _correct(problem, u_pred, border, u_pred, floor=LOCALIZE_FLOOR)
+        u, _, lu = _correct(problem, u_pred, border, u_pred, floor=LOCALIZE_FLOOR,
+                            need_lu=need_lu)
         val = value(u, lu)
         if val is None:
             raise ConvergenceError("bracket lost during localization (test function vanished)")
@@ -360,7 +374,7 @@ def detect_branch_point(problem, u_a, u_b, border, sign_a, sign_b, logdet_a, log
 
     u, _, its = _localize(problem, u_a, u_b, border, scaled_det,
                           sign_a * np.exp(logdet_a - scale), sign_b * np.exp(logdet_b - scale),
-                          BP_DET_DROP, EVENT_BRACKET_TOL)
+                          BP_DET_DROP, EVENT_BRACKET_TOL, need_lu=True)
     return u, its
 
 
@@ -423,8 +437,12 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
 
     The start is corrected with the problem's start border, or taken as it
     is when the problem has a start tangent (see
-    :class:`ContinuationProblem`); then the branch is traversed with secant
-    prediction and bordered Newton correction.  After each accepted point
+    :class:`ContinuationProblem`); then the branch is traversed by bordered
+    Newton correction of secant predictions, each step's Newton iteration
+    starting at the quadratic extrapolation of the last three accepted
+    points of its direction (at the prediction on a direction's first two
+    steps and on a retry after a rejected correction; see the module
+    docstring).  After each accepted point
     the problem's ``on_accept`` hook runs (moving Poincare sections),
     monitors are recorded, events are tested and bounds are enforced.  A
     bound on a name that is not a monitor raises ConfigError.  With
@@ -492,6 +510,19 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
     return branch
 
 
+def _extrapolate(recent, h, t, u_pred):
+    """Newton start of a step: the quadratic through the three ``recent``
+    (chord length, point) pairs at chord length h past the last, projected
+    onto the step's hyperplane {u : <t, u - u_pred> = 0} (``t`` a unit
+    vector)."""
+    (s0, u0), (s1, u1), (s2, u2) = recent
+    s = s2 + h
+    q = ((s - s1) * (s - s2) / ((s0 - s1) * (s0 - s2)) * u0
+         + (s - s0) * (s - s2) / ((s1 - s0) * (s1 - s2)) * u1
+         + (s - s0) * (s - s1) / ((s2 - s0) * (s2 - s1)) * u2)
+    return q - (t @ (q - u_pred)) * t
+
+
 def _walk(problem, branch, state, u_start, t0, emit):
     u_prev = u_start
     t_prev = t0
@@ -511,6 +542,8 @@ def _walk(problem, branch, state, u_start, t0, emit):
     event_prev = [ev.fn(u_prev) for ev in problem.events]
     mon_prev = problem.monitors(u_prev)
     h = min(max(state.h, state.h_min), state.h_max)
+    recent = [(0.0, u_start)]  # (chord length, point) of the last accepted points
+    retry = False
     accepted = 0
     pending = None  # accepted point not yet emitted (may become the final EP)
 
@@ -533,15 +566,19 @@ def _walk(problem, branch, state, u_start, t0, emit):
     branch.termination = "pt_max"
     while accepted < state.pt_max:
         u_pred = u_prev + h * t_prev
+        u_first = u_pred if retry or len(recent) < 3 else _extrapolate(recent, h, t_prev, u_pred)
         try:
-            u_new, iters, lu = _correct(problem, u_pred, t_prev, u_pred)
+            u_new, iters, lu = _correct(problem, u_first, t_prev, u_pred,
+                                        need_lu=problem.detect_bp)
         except ConvergenceError:
             if h <= state.h_min * (1 + 1e-12):
                 flush("EP")
                 branch.termination = "corrector failure at h_min"
                 return
             h = max(0.5 * h, state.h_min)
+            retry = True
             continue
+        retry = False
 
         step = u_new - u_prev
         nrm = np.linalg.norm(step)
@@ -629,6 +666,7 @@ def _walk(problem, branch, state, u_start, t0, emit):
         flush("RO")
         problem.on_accept(u_new)
         pending = (u_new, t_new, sign_new, iters)
+        recent = recent[-2:] + [(recent[-1][0] + nrm, u_new)]
         u_prev, t_prev = u_new, t_new
         sign_prev, logdet_prev = sign_new, logdet_new
         event_prev = event_new

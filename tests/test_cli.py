@@ -100,6 +100,28 @@ class TestConfigValidation:
         assert where in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "po_s")  # the po stage did not run
 
+    @pytest.mark.parametrize("key, value, where", [
+        ("pt_max", "10", "pt_max"),
+        ("pt_max", 0, "pt_max"),
+        ("pt_max", True, "pt_max"),
+        ("h0", "0.3", "h0"),
+        ("h_min", None, "h_min"),
+        ("h_max", False, "h_max"),
+        ("bi_direct", "no", "bi_direct"),
+        ("detect_bp", "no", "detect_bp"),
+        ("bounds", {"rho": ["a", 2.0]}, "bounds.rho"),
+        ("bounds", {"rho": [2.0, 0.2]}, "bounds.rho"),
+    ], ids=["pt_max-str", "pt_max-zero", "pt_max-bool", "h0-str", "h_min-null",
+            "h_max-bool", "bi_direct-str", "detect_bp-str", "bound-str", "bound-reversed"])
+    def test_continuation_fields_checked_before_any_run(self, tmp_path, capsys, key, value,
+                                                        where):
+        path = self.make(tmp_path, lambda c: c["stages"][1]["continuation"].__setitem__(
+            key, value))
+        rc = cli.main(["run", path])
+        assert rc == 2
+        assert f"stages[1].continuation.{where}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "po_s")  # the po stage did not run
+
     def test_bad_json_position_reported(self, tmp_path, capsys):
         path = str(tmp_path / "broken.json")
         with open(path, "w") as fh:

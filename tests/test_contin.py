@@ -211,10 +211,12 @@ class TestBranchPoints:
         # bisection down to the 1e-8 bracket would take over 20 corrections
         assert evaluations <= 6 and len(calls) <= 8
 
-    # on the line x = lam every prediction is already a solution: call 1
-    # factors the corrected start, call 2 the start of the walk, call 3 the
-    # first step's point, which converged without an update
-    @pytest.mark.parametrize("at,where", [(2, "start point"), (3, "accepted point")])
+    # on the line x = lam every prediction is already a solution: the start
+    # correction reads no determinant and factors nothing, so call 1 factors
+    # the start of the walk and call 2 the first step's point, which
+    # converged without an update
+    @pytest.mark.parametrize("at,where", [(1, "start point"), (2, "accepted point")],
+                             ids=["start point", "accepted point"])
     def test_skipped_bp_test_is_recorded(self, monkeypatch, at, where):
         problem = algebraic_problem(lambda u: u[0] - u[1], lambda u: [[1.0, -1.0]],
                                     names=["x", "lam"], detect_bp=True)
@@ -374,3 +376,59 @@ class TestStepControl:
         # manifold consistency: every accepted point satisfies the residual
         for pt in branch.points:
             assert abs(problem.residual(pt.u)).max() < 1e-8
+
+
+def recorded_corrections(monkeypatch, reject=()):
+    """A list of (u_first, border, anchor, u) per ``contin._correct`` call;
+    the calls numbered in ``reject`` (from 1) fail as a rejected correction."""
+    calls = []
+    correct = contin._correct
+
+    def recorded(problem, u_first, border, anchor, *args, **kwargs):
+        calls.append((u_first.copy(), border.copy(), anchor.copy(), None))
+        if len(calls) in reject:
+            raise ConvergenceError("injected rejection")
+        out = correct(problem, u_first, border, anchor, *args, **kwargs)
+        calls[-1] = calls[-1][:3] + (out[0],)
+        return out
+
+    monkeypatch.setattr(contin, "_correct", recorded)
+    return calls
+
+
+class TestNewtonStart:
+    STATE = dict(h=0.1, h_min=1e-3, h_max=0.3, pt_max=40, bi_direct=False)
+
+    def test_extrapolated_start_solves_the_secant_step(self, monkeypatch):
+        calls = recorded_corrections(monkeypatch)
+        contin.run(circle_problem(), np.array([1.0, 0.0]), contin.ContinuationState(**self.STATE))
+        steps = calls[1:]  # call 1 corrects the start
+        for k, (u_first, border, anchor, u) in enumerate(steps):
+            # the start lies on the step's hyperplane, away from the
+            # prediction from the third step on
+            assert abs(border @ (u_first - anchor)) < 1e-14
+            assert np.array_equal(u_first, anchor) == (k < 2)
+            # the point is the circle's intersection with that hyperplane,
+            # nearest to the prediction, up to the corrector tolerance
+            n = np.array([-border[1], border[0]])
+            p = anchor @ n
+            roots = -p + np.array([1.0, -1.0]) * np.sqrt(p * p - anchor @ anchor + 1.0)
+            exact = anchor + roots[np.argmin(np.abs(roots))] * n
+            assert np.abs(u - exact).max() < contin.CORRECTOR_TOL
+
+    def test_extrapolated_start_saves_newton_updates(self):
+        branch = contin.run(circle_problem(), np.array([1.0, 0.0]),
+                            contin.ContinuationState(**self.STATE))
+        # starting every step at its secant prediction takes 119 updates
+        assert sum(pt.corrector_iters for pt in branch.points) == 81
+
+    def test_retry_after_rejection_starts_at_the_prediction(self, monkeypatch):
+        calls = recorded_corrections(monkeypatch, reject=(5,))  # the walk's fourth step
+        contin.run(circle_problem(), np.array([1.0, 0.0]), contin.ContinuationState(**self.STATE))
+        u_prev = calls[3][3]
+        rejected, retry, after = calls[4], calls[5], calls[6]
+        assert not np.array_equal(rejected[0], rejected[2])  # extrapolated
+        assert np.array_equal(retry[1], rejected[1])
+        assert np.allclose(retry[2] - u_prev, 0.5 * (rejected[2] - u_prev), rtol=0, atol=1e-15)
+        assert np.array_equal(retry[0], retry[2])
+        assert not np.array_equal(after[0], after[2])  # the next step extrapolates again
