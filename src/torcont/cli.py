@@ -115,26 +115,37 @@ def _is_number(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
-#: continuation field -> (ContinuationState attribute, value check, what it needs)
-STATE_FIELDS = {
-    "h0": ("h", _is_number, "a number"),
-    "h_min": ("h_min", _is_number, "a number"),
-    "h_max": ("h_max", _is_number, "a number"),
-    "pt_max": ("pt_max", lambda v: isinstance(v, int) and not isinstance(v, bool) and v > 0,
-               "a positive integer"),
-    "bi_direct": ("bi_direct", lambda v: isinstance(v, bool), "true or false"),
+def _is_int(val, least) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool) and val >= least
+
+
+_NUMBER = (_is_number, "a number")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_POSITIVE_INT = (lambda v: _is_int(v, 1), "a positive integer")
+#: stage section -> optional field -> (value check, what it needs)
+OPTIONAL_FIELDS = {
+    "source": {
+        "transient_periods": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
+        "N": _POSITIVE_INT,
+        "eps": (lambda v: v is None or _is_number(v), "a number or null"),
+        "radius": (lambda v: _is_number(v) and v > 0, "a positive number"),
+        "transient_loops": (lambda v: _is_int(v, 0), "an integer >= 0"),
+        "samples_per_period": (lambda v: _is_int(v, 2), "an integer >= 2"),
+    },
+    "continuation": {"h0": _NUMBER, "h_min": _NUMBER, "h_max": _NUMBER, "pt_max": _POSITIVE_INT,
+                     "bi_direct": _BOOL, "detect_tr": _BOOL, "detect_bp": _BOOL},
+    "discretization": {"ntst": _POSITIVE_INT, "degree": _POSITIVE_INT, "N": _POSITIVE_INT},
 }
+#: continuation field -> ContinuationState attribute
+STATE_FIELDS = {"h0": "h", "h_min": "h_min", "h_max": "h_max", "pt_max": "pt_max",
+                "bi_direct": "bi_direct"}
 
 
 def _state_from(cfg: dict, path: str) -> contin.ContinuationState:
-    kw = {}
-    for key, (attr, valid, need) in STATE_FIELDS.items():
-        if key in cfg:
-            if not valid(cfg[key]):
-                _cfg_error(f"{path}.{key}", f"must be {need}, got {cfg[key]!r}")
-            kw[attr] = cfg[key]
+    """The ContinuationState of a continuation section with checked fields."""
     try:
-        return contin.ContinuationState(**kw)
+        return contin.ContinuationState(**{attr: cfg[key] for key, attr in STATE_FIELDS.items()
+                                           if key in cfg})
     except ConfigError as exc:
         _cfg_error(path, str(exc))
 
@@ -187,19 +198,18 @@ def validate_config(doc: dict):
             if source["params"]["om2"] <= 0:
                 _cfg_error(f"{path}.source.params.om2", "must be positive")
         cont = _need(st, "continuation", dict, path)
+        for section, fields in OPTIONAL_FIELDS.items():
+            values = st.get(section, {})
+            if not isinstance(values, dict):
+                _cfg_error(f"{path}.{section}", f"must be an object, got {values!r}")
+            for key, (valid, need) in fields.items():
+                if key in values and not valid(values[key]):
+                    _cfg_error(f"{path}.{section}.{key}", f"must be {need}, got {values[key]!r}")
         if skind != "bp":
             released = _need(cont, "released", list, f"{path}.continuation")
             _check_released(released, vf, kind, f"{path}.continuation.released")
         _bounds_from(cont, vf, kind, f"{path}.continuation")
         _state_from(cont, f"{path}.continuation")
-        for key in ("detect_tr", "detect_bp"):
-            if key in cont and not isinstance(cont[key], bool):
-                _cfg_error(f"{path}.continuation.{key}",
-                           f"must be true or false, got {cont[key]!r}")
-        disc = st.get("discretization", {})
-        for key in ("ntst", "degree", "N"):
-            if key in disc and (not isinstance(disc[key], int) or disc[key] < 1):
-                _cfg_error(f"{path}.discretization.{key}", "must be a positive integer")
     return vf, p0, stages
 
 

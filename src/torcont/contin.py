@@ -10,8 +10,10 @@ points, extrapolated in accumulated chord length to h past the last one
 and projected onto that hyperplane: the step solves the same intersection
 in fewer updates.  A retry after a rejected correction starts at u_pred.
 The engine adapts the step size from the corrector iteration count and
-watches scalar test functions for sign changes.  A Newton update that
-stops contracting the residual ends the correction.
+watches scalar test functions for sign changes.  Each correction is the
+bordered case of the package's one Newton iteration,
+:func:`linsys.newton_square`: an update that stops contracting the residual
+ends it.
 Events, monitor bounds and branch points share one localization: a
 safeguarded (Illinois) secant in the chord parameter of the bracketing
 step, whose trial points are predicted between the two corrected bracket
@@ -35,20 +37,20 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import linsys  # newton_square by module attribute, where perfbench's tracer wraps it
 from .errors import BranchPointError, ConfigError, ConvergenceError
 from .linsys import bordered_matrix, det_sign_log, lu_factor, nullspace_tangent
 from .odesys import VectorField
 
 CORRECTOR_TOL = 1.0e-8
 CORRECTOR_MAX_ITER = 8
+START_MAX_ITER = 10  # without a predictor: a run's start, square orbit and torus solves
 #: corrector iteration count at or below which the step size is doubled
 FAST_ITERS = 4
 EVENT_VALUE_TOL = 1.0e-6
 EVENT_BRACKET_TOL = 1.0e-8
 BP_DET_DROP = 1.0e-6  # relative |det| reduction that ends BP localization
 NULL_TOL = 1.0e-4  # scaled |J psi| above which a switched direction is no null direction
-#: residual ratio a Newton update must reach from the second update on
-CONTRACTION = 0.5
 #: residual below which a localization trial point that stops converging is
 #: kept: near a branch point conditioning bounds the reachable residual
 LOCALIZE_FLOOR = 5.0 * CORRECTOR_TOL
@@ -207,54 +209,14 @@ def _correct(problem, u_first, border, anchor, max_iter=CORRECTOR_MAX_ITER, floo
              need_lu=False):
     """Newton from ``u_first`` on {F(u)=0, <border, u-anchor>=0}; returns (u, iters, lu).
 
-    From the second update on, every update must shrink the residual by
-    ``CONTRACTION``; a correction that stops contracting ends at once.  It
-    also ends when an update leaves the residual ``floor`` that an earlier
-    iterate was below (near a branch point such an update runs along the
-    near-null direction).  A correction that ends unconverged returns its
-    best iterate if that is below the floor.  A correction that converged
-    after updates returns the factorization made before its last update.
-    A returned ``u`` that no update factored (none was needed, or the floor
-    ended the correction there) is factored only with ``need_lu``, for a
-    caller that reads the determinant; otherwise ``lu`` is None, as it is
-    when the system at a point that needed no update is exactly singular.
+    The bordered case of :func:`linsys.newton_square`, with its contraction
+    test, residual ``floor``, ``need_lu`` and returned factorization, to
+    ``CORRECTOR_TOL``.
     """
-    def factor(v):
-        return lu_factor(bordered_matrix(problem.jacobian(v), border))
-
-    u = np.asarray(u_first, dtype=float).copy()
-    lu = None
-    prev = np.inf
-    best = (np.inf, None, None)  # (residual, iterate, its factorization)
-    for it in range(max_iter + 1):
-        res = problem.residual(u)
-        nrm = np.abs(res).max() if res.size else 0.0
-        gap = border @ (u - anchor)
-        if nrm < CORRECTOR_TOL and abs(gap) < CORRECTOR_TOL * max(1.0, np.abs(u).max()):
-            if lu is None and need_lu:
-                try:
-                    lu = factor(u)
-                except ConvergenceError:
-                    lu = None  # converged on a singular point (e.g. exactly at a BP)
-            return u, it, lu
-        if it == max_iter or (it >= 2 and nrm > CONTRACTION * prev) or best[0] < floor < nrm:
-            break
-        if not np.isfinite(nrm) or nrm > 1e8 * max(best[0], 1.0):
-            raise ConvergenceError(f"corrector diverged (residual {nrm:.3e})")
-        lu = factor(u)
-        if nrm < best[0]:
-            best = (nrm, u, lu)
-        prev = nrm
-        u = u - lu.solve(np.concatenate([res, [gap]]))
-    if min(nrm, best[0]) < floor:
-        if nrm < best[0]:
-            return u, it, factor(u) if need_lu else None
-        return best[1], it, best[2]
-    if it < max_iter:
-        raise ConvergenceError(f"corrector stopped contracting after {it} iterations "
-                               f"(residual {prev:.3e} -> {nrm:.3e})")
-    raise ConvergenceError(f"corrector did not converge in {max_iter} iterations "
-                           f"(residual {min(nrm, best[0]):.3e})")
+    return linsys.newton_square(
+        lambda u: np.append(problem.residual(u), border @ (u - anchor)),
+        lambda u: bordered_matrix(problem.jacobian(u), border),
+        u_first, CORRECTOR_TOL, max_iter, floor=floor, need_lu=need_lu, context="corrector")
 
 
 def _check_square_plus_one(problem, u0):
@@ -461,8 +423,7 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
     if problem.start_tangent is None:
         border0 = _initial_border(problem)
         try:
-            u_start, start_iters, _ = _correct(problem, u0, border0, u0,
-                                               max_iter=max(CORRECTOR_MAX_ITER, 10))
+            u_start, start_iters, _ = _correct(problem, u0, border0, u0, max_iter=START_MAX_ITER)
         except ConvergenceError as exc:
             raise ConvergenceError(f"initial correction failed: {exc}") from exc
         problem.on_accept(u_start)

@@ -35,6 +35,17 @@ row of B, which :func:`det_sign_log` turns into (sign, log|det|).
 
 A plain sparse matrix is the case K = 0: the whole matrix is the reduced
 system.  Only small algebraic problems take that path.
+
+:func:`newton_square` is the package's one Newton iteration, for the
+bordered continuation corrector (``contin._correct``) and the square orbit
+and torus solves (``po.solve_po``, ``torus.solve_fixed``).  It converges on
+the max-norm of the whole residual; from the second update on, each update
+must shrink the residual by ``CONTRACTION``.  It also stops when an update
+leaves an optional residual floor that an earlier iterate was below (near a
+branch point such an update runs along the near-null direction).  Stopped
+unconverged, it returns its best iterate if that is below the floor and
+fails otherwise, as on divergence.  Each update factors the Jacobian once,
+and a solution comes with the factor made before its last update.
 """
 
 from __future__ import annotations
@@ -54,6 +65,9 @@ from .errors import ConvergenceError
 # but not 309x100 or 160x160.  The trailing updates are plain products:
 # OpenBLAS threads the larger ones, but that did not slow the run.
 _LU_ENTRIES = 9_999
+
+#: residual ratio a Newton update must reach from the second update on
+CONTRACTION = 0.5
 
 
 def _getrf(R):
@@ -447,31 +461,47 @@ def nullspace_tangent(J, seed: np.ndarray) -> np.ndarray:
     return t / nrm
 
 
-def newton_square(residual_fn, jacobian_fn, u0: np.ndarray, tol: float = 1.0e-10,
-                  max_iter: int = 20, context: str = "Newton"):
-    """Plain Newton on a square system; returns (u, iterations).
+def newton_square(residual_fn, jacobian_fn, u0: np.ndarray, tol: float, max_iter: int,
+                  floor: float = 0.0, need_lu: bool = False, context: str = "Newton"):
+    """Newton from ``u0`` on a square system; returns (u, iterations, lu).
 
-    Convergence is declared on the max-norm of the residual.  Raises
-    :class:`ConvergenceError` when the iteration stalls or exhausts
-    ``max_iter``.
+    Policy and ``floor`` as in the module docstring.  A returned ``u`` that
+    no update factored is factored only with ``need_lu``, for a caller that
+    reads the determinant; otherwise, or when that system is exactly
+    singular, ``lu`` is None.
     """
+    def factor(v):
+        return lu_factor(jacobian_fn(v))
+
     u = np.asarray(u0, dtype=float).copy()
-    res = residual_fn(u)
-    best = np.inf
+    lu = None
+    prev = np.inf
+    best = (np.inf, None, None)  # (residual, iterate, its factorization)
     for it in range(max_iter + 1):
+        res = residual_fn(u)
         nrm = np.abs(res).max()
         if nrm < tol:
-            return u, it
-        if not np.isfinite(nrm) or nrm > 1e6 * max(best, 1.0):
-            raise ConvergenceError(f"{context} diverged (residual {nrm:.3e})")
-        best = min(best, nrm)
-        if it == max_iter:
+            if lu is None and need_lu:
+                try:
+                    lu = factor(u)
+                except ConvergenceError:
+                    lu = None  # converged on a singular point (e.g. exactly at a BP)
+            return u, it, lu
+        if it == max_iter or (it >= 2 and nrm > CONTRACTION * prev) or best[0] < floor < nrm:
             break
-        J = jacobian_fn(u)
-        du = lu_factor(J).solve(-res)
-        u = u + du
-        res = residual_fn(u)
-    raise ConvergenceError(
-        f"{context} did not reach tolerance {tol:.1e} in {max_iter} iterations "
-        f"(residual {np.abs(res).max():.3e})"
-    )
+        if not np.isfinite(nrm) or nrm > 1e8 * max(best[0], 1.0):
+            raise ConvergenceError(f"{context} diverged (residual {nrm:.3e})")
+        lu = factor(u)
+        if nrm < best[0]:
+            best = (nrm, u, lu)
+        prev = nrm
+        u = u - lu.solve(res)
+    if min(nrm, best[0]) < floor:
+        if nrm < best[0]:
+            return u, it, factor(u) if need_lu else None
+        return best[1], it, best[2]
+    if it < max_iter:
+        raise ConvergenceError(f"{context} stopped contracting after {it} iterations "
+                               f"(residual {prev:.3e} -> {nrm:.3e})")
+    raise ConvergenceError(f"{context} did not converge in {max_iter} iterations "
+                           f"(residual {min(nrm, best[0]):.3e})")

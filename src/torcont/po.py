@@ -115,19 +115,14 @@ def po_jacobian(vf: VectorField, traj: colloc.Trajectory, p, reference: PoRefere
     return CollocationJacobian(pattern, seg, np.concatenate([np.ones(n), -np.ones(n), phase]))
 
 
-def solve_po(
-    vf: VectorField,
-    traj_guess: colloc.Trajectory,
-    p,
-    reference: Optional[PoReference] = None,
-    tol: float = 1.0e-10,
-    max_iter: int = 20,
-) -> PeriodicOrbit:
-    """Newton-correct a near-periodic trajectory at fixed parameters."""
+def solve_po(vf: VectorField, traj_guess: colloc.Trajectory, p,
+             reference: Optional[PoReference] = None) -> PeriodicOrbit:
+    """Newton-correct a near-periodic trajectory at fixed parameters, to a
+    residual max-norm below ``contin.CORRECTOR_TOL`` (:func:`linsys.newton_square`)."""
     problem, u0 = continuation_problem(vf, PeriodicOrbit(traj_guess, np.asarray(p, dtype=float),
                                                          reference), [], detect_tr=False)
-    u, _ = newton_square(problem.residual, problem.jacobian, u0, tol=tol, max_iter=max_iter,
-                         context="periodic orbit")
+    u, _, _ = newton_square(problem.residual, problem.jacobian, u0, contin.CORRECTOR_TOL,
+                            contin.START_MAX_ITER, context="periodic orbit")
     orbit = problem.embed(u)
     if orbit.period <= 1e-6 * abs(traj_guess.duration):
         # constants with T = 0 satisfy the discretized problem; reject them

@@ -339,10 +339,14 @@ def read_bd(store: str, run_id: str) -> BdTable:
             cells = line.rstrip("\n").split("\t")
             if len(cells) != len(names):
                 raise FormatError(f"{path}: malformed row {line!r}")
-            labels.append(int(cells[0]))
+            try:
+                label, values = int(cells[0]), [float(cell) for cell in cells[2:]]
+            except ValueError:
+                raise FormatError(f"{path}: row {line!r} has a cell that does not parse") from None
+            labels.append(label)
             types.append(cells[1])
-            for name, cell in zip(names[2:], cells[2:]):
-                columns[name].append(float(cell))
+            for name, value in zip(names[2:], values):
+                columns[name].append(value)
     return BdTable(run_id=run_id, labels=labels, types=types, columns=columns)
 
 

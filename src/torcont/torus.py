@@ -446,13 +446,8 @@ def invariance_deviation(
     return devs
 
 
-def solve_fixed(
-    vf: VectorField,
-    sol: TorusSolution,
-    released=("om1", "om2", "varrho"),
-    tol: float = 1.0e-9,
-    max_iter: int = 12,
-) -> TorusSolution:
+def solve_fixed(vf: VectorField, sol: TorusSolution, released=("om1", "om2", "varrho"),
+                tol: float = contin.CORRECTOR_TOL) -> TorusSolution:
     """Newton-correct a torus guess as an isolated (square) problem.
 
     Releasing exactly three parameters balances the -3 dimension deficit,
@@ -460,14 +455,15 @@ def solve_fixed(
     isolated (the phase conditions pin both phases).  The reference section
     stays frozen at the guess during the solve and is re-anchored at the
     result.  Used to re-converge a solution on a finer discretization.
+    :func:`linsys.newton_square` runs to a residual max-norm below ``tol``.
     """
     from .linsys import newton_square
 
     if len(released) != 3:
         raise ConfigError("solve_fixed needs exactly three released parameters")
     problem, u0 = continuation_problem(vf, sol, released, detect_bp=False)
-    u, _ = newton_square(problem.residual, problem.jacobian, u0, tol=tol,
-                         max_iter=max_iter, context="torus correction")
+    u, _, _ = newton_square(problem.residual, problem.jacobian, u0, tol, contin.START_MAX_ITER,
+                            context="torus correction")
     return update_reference(vf, problem.embed(u))
 
 

@@ -92,12 +92,40 @@ class TestConfigValidation:
          "stages[1].source.params.om2: missing required field"),
         ({"kind": "simulate_circle", "n_seg": 5,
           "params": {"om1": 1.0, "om2": 0.0, "varrho": 0.1}}, "stages[1].source.params.om2"),
-    ], ids=["run", "n_seg", "torus-params", "om2"])
+        ({"kind": "tr", "run": "po_s", "N": True}, "stages[1].source.N"),
+        ({"kind": "tr", "run": "po_s", "N": 0}, "stages[1].source.N"),
+        ({"kind": "tr", "run": "po_s", "eps": "0"}, "stages[1].source.eps"),
+        ({"kind": "simulate_circle", "n_seg": 5, "radius": 0,
+          "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}}, "stages[1].source.radius"),
+        ({"kind": "simulate_circle", "n_seg": 5, "transient_loops": -1,
+          "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
+         "stages[1].source.transient_loops"),
+        ({"kind": "simulate_circle", "n_seg": 5, "samples_per_period": 1,
+          "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
+         "stages[1].source.samples_per_period"),
+    ], ids=["run", "n_seg", "torus-params", "om2", "N-bool", "N-zero", "eps-str", "radius-zero",
+            "transient_loops-negative", "samples_per_period-one"])
     def test_source_fields_checked_before_any_run(self, tmp_path, capsys, source, where):
         path = self.make(tmp_path, lambda c: c["stages"][1].__setitem__("source", source))
         rc = cli.main(["run", path])
         assert rc == 2
         assert where in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "po_s")  # the po stage did not run
+
+    @pytest.mark.parametrize("mutate, where", [
+        (lambda st: st.__setitem__("discretization", 5), "discretization"),
+        (lambda st: st["discretization"].__setitem__("ntst", True), "discretization.ntst"),
+        (lambda st: st["discretization"].__setitem__("degree", 2.0), "discretization.degree"),
+        (lambda st: st["source"].__setitem__("transient_periods", "many"),
+         "source.transient_periods"),
+        (lambda st: st["source"].__setitem__("transient_periods", -1), "source.transient_periods"),
+    ], ids=["discretization-int", "ntst-bool", "degree-float", "transient_periods-str",
+            "transient_periods-negative"])
+    def test_po_stage_fields_checked_before_any_run(self, tmp_path, capsys, mutate, where):
+        path = self.make(tmp_path, lambda c: mutate(c["stages"][0]))
+        rc = cli.main(["run", path])
+        assert rc == 2
+        assert f"stages[0].{where}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "po_s")  # the po stage did not run
 
     @pytest.mark.parametrize("key, value, where", [

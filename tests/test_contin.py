@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
-from torcont import contin
+from torcont import contin, linsys
 from torcont.errors import BranchPointError, ConfigError, ConvergenceError
 from torcont.linsys import bordered_matrix, det_sign_log, lu_factor
 
@@ -142,7 +142,8 @@ def curved_pitchfork_problem(**kw):
 
 
 def counted_factorizations(monkeypatch):
-    """A list that grows by one entry per ``contin.lu_factor`` call."""
+    """A list that grows by one entry per ``lu_factor`` call, at the
+    ``contin`` and the ``linsys`` binding (Newton and null-space tangent)."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -150,12 +151,13 @@ def counted_factorizations(monkeypatch):
         return lu_factor(*args, **kwargs)
 
     monkeypatch.setattr(contin, "lu_factor", counted)
+    monkeypatch.setattr(linsys, "lu_factor", counted)
     return calls
 
 
 def singular_factorization(monkeypatch, at):
-    """Make the ``at``-th ``contin.lu_factor`` call fail as on an exactly
-    singular system."""
+    """Make the ``at``-th ``lu_factor`` call (counted as by
+    :func:`counted_factorizations`) fail as on an exactly singular system."""
     calls = []
 
     def failing(*args, **kwargs):
@@ -165,6 +167,7 @@ def singular_factorization(monkeypatch, at):
         return lu_factor(*args, **kwargs)
 
     monkeypatch.setattr(contin, "lu_factor", failing)
+    monkeypatch.setattr(linsys, "lu_factor", failing)
 
 
 class TestBranchPoints:
@@ -213,9 +216,9 @@ class TestBranchPoints:
 
     # on the line x = lam every prediction is already a solution: the start
     # correction reads no determinant and factors nothing, so call 1 factors
-    # the start of the walk and call 2 the first step's point, which
-    # converged without an update
-    @pytest.mark.parametrize("at,where", [(1, "start point"), (2, "accepted point")],
+    # the start tangent's bordered system, call 2 the start of the walk and
+    # call 3 the first step's point, which converged without an update
+    @pytest.mark.parametrize("at,where", [(2, "start point"), (3, "accepted point")],
                              ids=["start point", "accepted point"])
     def test_skipped_bp_test_is_recorded(self, monkeypatch, at, where):
         problem = algebraic_problem(lambda u: u[0] - u[1], lambda u: [[1.0, -1.0]],
@@ -236,19 +239,31 @@ class TestBranchPoints:
             contin.switch_branch(problem, u, np.array([0.0, 1.0]))
 
 
+def bordered_arctan_correction():
+    problem = algebraic_problem(
+        lambda u: np.arctan(u[0] - u[1]),
+        lambda u: [[1 / (1 + (u[0] - u[1]) ** 2), -1 / (1 + (u[0] - u[1]) ** 2)]],
+        names=["x", "lam"],
+    )
+    u0 = np.array([1.5, 0.0])
+    contin._correct(problem, u0, np.array([0.0, 1.0]), u0)
+
+
+def square_arctan_newton():
+    linsys.newton_square(np.arctan, lambda x: sp.csr_matrix([[1 / (1 + x[0] ** 2)]]),
+                         np.array([1.5]), contin.CORRECTOR_TOL, contin.CORRECTOR_MAX_ITER)
+
+
 class TestCorrector:
-    def test_correction_that_stops_contracting_ends_early(self, monkeypatch):
-        # Newton on arctan diverges from |x - lam| = 1.5: every update makes
-        # the residual larger, so the second one already ends the correction
-        problem = algebraic_problem(
-            lambda u: np.arctan(u[0] - u[1]),
-            lambda u: [[1 / (1 + (u[0] - u[1]) ** 2), -1 / (1 + (u[0] - u[1]) ** 2)]],
-            names=["x", "lam"],
-        )
-        u0 = np.array([1.5, 0.0])
+    @pytest.mark.parametrize("newton", [bordered_arctan_correction, square_arctan_newton],
+                             ids=["bordered", "square"])
+    def test_correction_that_stops_contracting_ends_early(self, monkeypatch, newton):
+        # Newton on arctan diverges from |x - lam| = 1.5 (x = 1.5 in the
+        # square case): every update makes the residual larger, so the
+        # second one already ends the iteration
         calls = counted_factorizations(monkeypatch)
         with pytest.raises(ConvergenceError, match="stopped contracting after 2 iterations"):
-            contin._correct(problem, u0, np.array([0.0, 1.0]), u0)
+            newton()
         assert len(calls) == 2 < contin.CORRECTOR_MAX_ITER
 
 

@@ -173,6 +173,25 @@ class TestRoundTrip:
             store.read_meta(str(tmp_path), "po_mini")
         assert path in str(info.value)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda cells: cells.__setitem__(0, "2a"), "does not parse"),
+        (lambda cells: cells.__setitem__(-1, "n/a"), "does not parse"),
+        (lambda cells: cells.pop(), "malformed row"),
+    ], ids=["label", "monitor", "cell-count"])
+    def test_malformed_bd_row_rejected(self, mini_pipeline, tmp_path, corrupt, message):
+        shutil.copytree(os.path.join(mini_pipeline["base"], "po_mini"), tmp_path / "po_mini")
+        path = str(tmp_path / "po_mini" / "bd.tsv")
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+        cells = lines[3].split("\t")
+        corrupt(cells)
+        lines[3] = "\t".join(cells)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines))
+        with pytest.raises(FormatError, match=message) as info:
+            store.read_bd(str(tmp_path), "po_mini")
+        assert path in str(info.value) and repr(lines[3] + "\n") in str(info.value)
+
     @pytest.mark.parametrize("run_id, field", [
         ("po_mini", "T"), ("po_mini", "t_offset"), ("po_mini", "reference"),
         ("tor_mini", "varrho"), ("tor_mini", "active"), ("tor_mini", "tangent"),
