@@ -33,7 +33,7 @@ from .fourier import CouplingMatrices, coupling_residual, dft_matrix, phase_deri
 from .ivp import IvpOptions, IvpResult, TransitionMatrixResult, integrate, transition_matrix
 from .odesys import VectorField, builtin_langford, builtin_vdp, eval_rhs, get_builtin
 from .po import FloquetData, PeriodicOrbit, floquet, po_residual, solve_po, tr_test_function
-from .store import RunRecord, load_run, read_bd, read_solution
+from .store import read_bd, read_solution
 from .torus import (
     ReferenceSection,
     TorusSolution,

@@ -127,7 +127,9 @@ OPTIONAL_FIELDS = {
     "source": {
         "transient_periods": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
         "N": _POSITIVE_INT,
-        "eps": (lambda v: v is None or _is_number(v), "a number or null"),
+        "eps": (lambda v: v is None or (_is_number(v) and v != 0), "a nonzero number or null"),
+        "label": (store.is_label_spec, 'a label >= 1 or {"type": ..., "pick": '
+                                       '"first", "last" or an index}'),
         "radius": (lambda v: _is_number(v) and v > 0, "a positive number"),
         "transient_loops": (lambda v: _is_int(v, 0), "an integer >= 0"),
         "samples_per_period": (lambda v: _is_int(v, 2), "an integer >= 2"),
@@ -288,24 +290,21 @@ def _torus_stage(vf, p0, st, store_dir, bounds):
         sol = torus.init_from_samples(vf, t1, samples, full, mesh=mesh)
         problem, u0 = torus.continuation_problem(
             vf, sol, cont["released"], bounds=bounds, detect_bp=detect_bp)
-    elif kind == "tr":
+    elif kind == "tr":  # the restarts hold the defaults of unstated fields
         problem, u0 = store.restart_TR2tor(
-            store_dir, src["run"],
-            src.get("label", {"type": "TR", "pick": "first"}),
-            cont["released"], N=int(src.get("N", 10)),
-            eps=src.get("eps"), vf=vf, bounds=bounds, detect_bp=detect_bp,
+            store_dir, src["run"], src.get("label"), cont["released"],
+            vf=vf, bounds=bounds, detect_bp=detect_bp,
+            **{key: src[key] for key in ("N", "eps") if key in src},
         )
     elif kind == "torus":
         problem, u0 = store.restart_tor2tor(
-            store_dir, src["run"],
-            src.get("label", {"type": "EP", "pick": "last"}),
+            store_dir, src["run"], src.get("label"),
             released=cont.get("released"), vf=vf, bounds=bounds, detect_bp=detect_bp,
             N=disc.get("N"), ntst=disc.get("ntst"), degree=disc.get("degree"),
         )
     else:  # "bp"; validate_config admits no other source kind
         problem, u0 = store.restart_BP2tor(
-            store_dir, src["run"],
-            src.get("label", {"type": "BP", "pick": "first"}),
+            store_dir, src["run"], src.get("label"),
             vf=vf, bounds=bounds, detect_bp=detect_bp,
         )
     return problem, u0
@@ -347,8 +346,7 @@ def cmd_validate(store_dir: str, run_id: str, label: int, n_returns: int = 20,
                  out=None) -> int:
     out = out or sys.stdout
     doc, vf, sol = store.read_solution(store_dir, run_id, label)
-    if doc["kind"] != "torus":
-        raise ConfigError(f"label {label} of run {run_id!r} is not a torus solution")
+    store.expect_point(doc, run_id, "torus")
     try:
         devs = torus.invariance_deviation(vf, sol, n_returns=n_returns)
     except IntegrationError as exc:
@@ -366,8 +364,7 @@ def cmd_validate(store_dir: str, run_id: str, label: int, n_returns: int = 20,
 def cmd_export(store_dir: str, run_id: str, label: int, theta2_count: int = 65,
                out_path: str = None) -> int:
     doc, vf, sol = store.read_solution(store_dir, run_id, label)
-    if doc["kind"] != "torus":
-        raise ConfigError(f"label {label} of run {run_id!r} is not a torus solution")
+    store.expect_point(doc, run_id, "torus")
     grid = torus.export_torus_mesh(sol, theta2_count)
     out_path = out_path or f"{run_id}_label{label}_torus.tsv"
     with open(out_path, "w") as fh:

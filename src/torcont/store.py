@@ -21,7 +21,7 @@ import base64
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -350,64 +350,64 @@ def read_bd(store: str, run_id: str) -> BdTable:
     return BdTable(run_id=run_id, labels=labels, types=types, columns=columns)
 
 
-def read_solution(store: str, run_id: str, label: int, vf: Optional[VectorField] = None):
-    """Load a labeled snapshot; returns (doc, vf, solution object).
+def read_solution(store: str, run_id: str, label, vf: Optional[VectorField] = None):
+    """Load the snapshot of a stored point; returns (doc, vf, solution object).
 
-    Only labels of the run's bd table count; a snapshot file without a row
-    is not part of the run.
+    ``label`` is a bd label or a label spec (:func:`is_label_spec`), resolved
+    against the run's bd table, which is parsed once; a snapshot file without
+    a row is not part of the run.  ``doc["label"]`` is the resolved label.
     """
-    path = snapshot_path(store, run_id, label)
-    if int(label) not in read_bd(store, run_id).labels or not os.path.exists(path):
-        raise NotFoundError(f"label {label} not found in run {run_id!r}")
+    lab = pick_label(read_bd(store, run_id), label)
+    path = snapshot_path(store, run_id, lab)
+    if not os.path.exists(path):
+        raise NotFoundError(f"label {lab} not found in run {run_id!r}")
     doc = _read_json(path)
     _check_format(doc, path)
+    if doc["label"] != lab:
+        raise FormatError(f"{path}: holds label {doc['label']!r}, not {lab}")
     vf, sol = solution_from_snapshot(doc, vf, path)
     return doc, vf, sol
 
 
-@dataclass
-class RunRecord:
-    """One persisted continuation run: header, bd table, solution access."""
-
-    store: str
-    run_id: str
-    meta: dict
-    bd: BdTable
-
-    def solution(self, label, vf: Optional[VectorField] = None):
-        """Load the snapshot behind a bd label (or a label spec)."""
-        return read_solution(self.store, self.run_id, pick_label(self.bd, label), vf)
-
-    def labels_of_type(self, ptype: str):
-        return self.bd.labels_of_type(ptype)
+def expect_point(doc: dict, run_id: str, kind: str, ptype: Optional[str] = None):
+    """Raise a ConfigError unless the snapshot ``doc`` of run ``run_id`` is
+    of ``kind`` and, if given, of point type ``ptype``."""
+    if doc["kind"] != kind:
+        raise ConfigError(f"label {doc['label']} of run {run_id!r} is a {doc['kind']}, "
+                          f"not a {'periodic orbit' if kind == 'po' else kind}")
+    if ptype is not None and doc["point_type"] != ptype:
+        raise ConfigError(f"label {doc['label']} of run {run_id!r} is type "
+                          f"{doc['point_type']!r}, not {ptype}")
 
 
-def load_run(store: str, run_id: str) -> RunRecord:
-    """Open a run directory for reading (header + bd table)."""
-    return RunRecord(store=store, run_id=run_id, meta=read_meta(store, run_id),
-                     bd=read_bd(store, run_id))
+def is_label_spec(spec) -> bool:
+    """Whether ``spec`` names a stored point: a label (an int >= 1), or
+    {"type": <point type>, "pick": "first" (the default), "last" or an
+    index into the labels of that type}."""
+    def index(val):
+        return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+    if isinstance(spec, dict) and isinstance(spec.get("type"), str):
+        return spec.get("pick", "first") in ("first", "last") or index(spec.get("pick"))
+    return index(spec) and spec >= 1
 
 
 def pick_label(bd: BdTable, spec) -> int:
-    """Resolve a label spec: an int, or {"type": ..., "pick": first|last|index}."""
-    if isinstance(spec, (int, np.integer)):
-        if int(spec) not in bd.labels:
+    """Resolve a label spec (:func:`is_label_spec`) against a bd table."""
+    if not is_label_spec(spec):
+        raise ConfigError(f"invalid label spec {spec!r}")
+    if not isinstance(spec, dict):
+        if spec not in bd.labels:
             raise NotFoundError(f"label {spec} not in run {bd.run_id!r}")
         return int(spec)
-    if isinstance(spec, dict) and "type" in spec:
-        labs = bd.labels_of_type(spec["type"])
-        if not labs:
-            raise NotFoundError(f"run {bd.run_id!r} has no {spec['type']} points")
-        pick = spec.get("pick", "first")
-        if pick == "first":
-            return labs[0]
-        if pick == "last":
-            return labs[-1]
-        try:
-            return labs[int(pick)]
-        except (ValueError, IndexError):
-            raise NotFoundError(f"cannot pick {pick!r} from {len(labs)} labels") from None
-    raise ConfigError(f"invalid label spec {spec!r}")
+    labs = bd.labels_of_type(spec["type"])
+    if not labs:
+        raise NotFoundError(f"run {bd.run_id!r} has no {spec['type']} points")
+    pick = spec.get("pick", "first")
+    try:
+        return labs[{"first": 0, "last": -1}.get(pick, pick)]
+    except IndexError:
+        raise NotFoundError(f"cannot pick {pick!r} from {len(labs)} labels") from None
 
 
 def list_runs(store: str):
@@ -437,17 +437,16 @@ def restart_tor2tor(
 ):
     """Continue tori from a saved torus solution; returns (problem, u0).
 
-    The discretization is rebuilt identically unless N/ntst/degree are
+    ``label`` is a label or a label spec (``None``: the run's last EP).  The
+    discretization is rebuilt identically unless N/ntst/degree are
     overridden, in which case the saved solution is interpolated onto the
     finer grid (trigonometric in the angle, Lagrange in time) and
     re-converged as an isolated square problem before continuation.
     Otherwise the stored tangent, mapped by name, borders the start.
     """
-    bd = read_bd(store, run_id)
-    lab = pick_label(bd, label)
-    doc, vf, sol = read_solution(store, run_id, lab, vf)
-    if doc["kind"] != "torus":
-        raise ConfigError(f"label {lab} of run {run_id!r} is a {doc['kind']}, not a torus")
+    doc, vf, sol = read_solution(
+        store, run_id, {"type": "EP", "pick": "last"} if label is None else label, vf)
+    expect_point(doc, run_id, "torus")
     released = list(released) if released is not None else list(doc["released"])
 
     refined = any(v is not None for v in (N, ntst, degree))
@@ -461,7 +460,7 @@ def restart_tor2tor(
         S = sol.x_seg.size + len(scalars)
         t_full = np.zeros(S + len(params))
         t_full[contin.active_columns(S, params, doc["active"])] = _decode_array(
-            doc["tangent"], snapshot_path(store, run_id, lab), "tangent")
+            doc["tangent"], snapshot_path(store, run_id, doc["label"]), "tangent")
         problem.start_border = t_full[contin.active_columns(S, params, problem.active)]
     return problem, u0
 
@@ -500,22 +499,21 @@ def restart_TR2tor(
 ):
     """Torus continuation seeded at a TR periodic orbit; returns (problem, u0).
 
-    Floquet data is recomputed from the stored orbit; the start correction
-    is bordered with the torus-function perturbation direction.
+    ``label`` is a label or a label spec (``None``: the run's first TR).
+    Floquet data is recomputed from the stored orbit; the torus has 2N+1
+    segments, and the start correction is bordered with the torus-function
+    perturbation direction.
     """
     if eps is not None and eps == 0.0:
         raise InputError("eps = 0 gives the degenerate torus; use a positive eps "
                          "(or omit it for the amplitude-scaled default)")
-    bd = read_bd(store, run_id)
-    lab = pick_label(bd, label if label is not None else {"type": "TR", "pick": "first"})
-    doc, vf, orbit = read_solution(store, run_id, lab, vf)
-    if doc["kind"] != "po":
-        raise ConfigError(f"label {lab} of run {run_id!r} is a {doc['kind']}, not a periodic orbit")
-    if doc.get("point_type") != "TR":
-        raise ConfigError(f"label {lab} of run {run_id!r} is type {doc.get('point_type')!r}, not TR")
+    doc, vf, orbit = read_solution(
+        store, run_id, {"type": "TR", "pick": "first"} if label is None else label, vf)
+    expect_point(doc, run_id, "po", "TR")
     floq = po_mod.floquet(vf, orbit)
     if floq.tr_eigvec is None:
-        raise ConfigError(f"no complex multiplier pair at label {lab}; cannot seed a torus")
+        raise ConfigError(f"no complex multiplier pair at label {doc['label']}; "
+                          "cannot seed a torus")
     sol = torus_mod.init_from_TR(vf, orbit, floq, N=N, eps=eps)
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, list(released), bounds=bounds, detect_bp=detect_bp)
@@ -532,20 +530,18 @@ def restart_BP2tor(
     bounds: Optional[dict] = None,
     detect_bp: bool = True,
 ):
-    """Secondary-branch continuation through a stored torus branch point;
+    """Secondary-branch continuation through the torus branch point that
+    ``label`` names (a label or a label spec; ``None``: the run's first BP);
     returns (problem, u0) whose ``start_tangent`` is the switched direction.
     """
-    bd = read_bd(store, run_id)
-    lab = pick_label(bd, label if label is not None else {"type": "BP", "pick": "first"})
-    doc, vf, sol = read_solution(store, run_id, lab, vf)
-    if doc["kind"] != "torus":
-        raise ConfigError(f"label {lab} of run {run_id!r} is a {doc['kind']}, not a torus")
-    if doc.get("point_type") != "BP":
-        raise ConfigError(f"label {lab} of run {run_id!r} is type {doc.get('point_type')!r}, not BP")
+    doc, vf, sol = read_solution(
+        store, run_id, {"type": "BP", "pick": "first"} if label is None else label, vf)
+    expect_point(doc, run_id, "torus", "BP")
     released = list(doc["released"])
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, released, bounds=bounds, detect_bp=detect_bp)
-    incoming = _decode_array(doc["tangent"], snapshot_path(store, run_id, lab), "tangent")
+    incoming = _decode_array(doc["tangent"], snapshot_path(store, run_id, doc["label"]),
+                             "tangent")
     if incoming.size != problem.n_unknowns:
         raise FormatError("stored tangent does not match the rebuilt problem layout")
     problem.start_tangent = contin.switch_branch(problem, u0, incoming)

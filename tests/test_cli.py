@@ -95,6 +95,14 @@ class TestConfigValidation:
         ({"kind": "tr", "run": "po_s", "N": True}, "stages[1].source.N"),
         ({"kind": "tr", "run": "po_s", "N": 0}, "stages[1].source.N"),
         ({"kind": "tr", "run": "po_s", "eps": "0"}, "stages[1].source.eps"),
+        ({"kind": "tr", "run": "po_s", "eps": 0}, "stages[1].source.eps"),
+        ({"kind": "tr", "run": "po_s", "label": True}, "stages[1].source.label"),
+        ({"kind": "tr", "run": "po_s", "label": "first"}, "stages[1].source.label"),
+        ({"kind": "tr", "run": "po_s", "label": {"pick": "first"}}, "stages[1].source.label"),
+        ({"kind": "tr", "run": "po_s", "label": {"type": "TR", "pick": "middle"}},
+         "stages[1].source.label"),
+        ({"kind": "tr", "run": "po_s", "label": {"type": "TR", "pick": True}},
+         "stages[1].source.label"),
         ({"kind": "simulate_circle", "n_seg": 5, "radius": 0,
           "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}}, "stages[1].source.radius"),
         ({"kind": "simulate_circle", "n_seg": 5, "transient_loops": -1,
@@ -103,8 +111,9 @@ class TestConfigValidation:
         ({"kind": "simulate_circle", "n_seg": 5, "samples_per_period": 1,
           "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
          "stages[1].source.samples_per_period"),
-    ], ids=["run", "n_seg", "torus-params", "om2", "N-bool", "N-zero", "eps-str", "radius-zero",
-            "transient_loops-negative", "samples_per_period-one"])
+    ], ids=["run", "n_seg", "torus-params", "om2", "N-bool", "N-zero", "eps-str", "eps-zero",
+            "label-bool", "label-str", "label-no-type", "label-pick-middle", "label-pick-bool",
+            "radius-zero", "transient_loops-negative", "samples_per_period-one"])
     def test_source_fields_checked_before_any_run(self, tmp_path, capsys, source, where):
         path = self.make(tmp_path, lambda c: c["stages"][1].__setitem__("source", source))
         rc = cli.main(["run", path])
@@ -269,6 +278,15 @@ class TestValidate:
     def test_validate_missing_label_not_found(self, cli_run):
         rc = cli.main(["validate", "tor_s", "999", "--store", cli_run["store"]])
         assert rc == 4
+
+    @pytest.mark.parametrize("verb", ["validate", "export"])
+    def test_orbit_label_is_not_a_torus(self, cli_run, tmp_path, capsys, verb):
+        out = str(tmp_path / "grid.tsv")
+        argv = [verb, "po_s", "1", "--store", cli_run["store"]]
+        rc = cli.main(argv + (["-o", out] if verb == "export" else []))
+        assert rc == 2
+        assert "not a torus" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
 
 class TestExportBd:

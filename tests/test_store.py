@@ -93,6 +93,15 @@ class TestRoundTrip:
         with pytest.raises(NotFoundError):
             store.read_solution(mini_pipeline["base"], "po_mini", 999)
 
+    def test_snapshot_of_another_label_rejected(self, mini_pipeline, tmp_path):
+        base = mini_pipeline["base"]
+        with open(store.snapshot_path(base, "po_mini", 2)) as fh:
+            doc = json.load(fh)
+        path = copy_run_with_snapshot(base, "po_mini", 1, doc, tmp_path)
+        with pytest.raises(FormatError, match="holds label 2") as info:
+            store.read_solution(str(tmp_path), "po_mini", 1)
+        assert path in str(info.value)
+
     def test_missing_run(self, mini_pipeline):
         with pytest.raises(NotFoundError):
             store.read_bd(mini_pipeline["base"], "nope")
@@ -272,6 +281,12 @@ class TestRestarts:
         assert sol.mesh.ntst == 8 and sol.mesh.degree == 4
         assert sol.N == 3
 
+    def test_tor2tor_starts_at_the_last_ep_by_default(self, mini_pipeline):
+        base = mini_pipeline["base"]
+        last_ep = store.read_bd(base, "tor_mini").labels_of_type("EP")[-1]
+        _, u0 = store.restart_tor2tor(base, "tor_mini", None)
+        assert np.array_equal(u0, store.restart_tor2tor(base, "tor_mini", last_ep)[1])
+
     def test_tor2tor_type_check(self, mini_pipeline):
         with pytest.raises(ConfigError, match="not a torus"):
             store.restart_tor2tor(mini_pipeline["base"], "po_mini", 1)
@@ -371,17 +386,45 @@ def test_list_runs(mini_pipeline):
     assert "po_mini" in runs and "tor_mini" in runs
 
 
-def test_run_record_aggregate(mini_pipeline):
-    rec = store.load_run(mini_pipeline["base"], "po_mini")
-    assert rec.meta["kind"] == "po"
-    assert rec.bd.labels == sorted(rec.bd.labels)
-    # every special-type row resolves to a snapshot through the record
+def test_read_solution_resolves_label_specs(mini_pipeline):
+    base = mini_pipeline["base"]
+    bd = store.read_bd(base, "po_mini")
+    # every special-type row resolves to its snapshot, by label and by spec
     for ptype in ("EP", "TR"):
-        for lab in rec.labels_of_type(ptype):
-            doc, vf, sol = rec.solution(lab)
+        labs = bd.labels_of_type(ptype)
+        for lab in labs:
+            doc, _, _ = store.read_solution(base, "po_mini", lab)
             assert doc["label"] == lab and doc["point_type"] == ptype
-    doc, _, _ = rec.solution({"type": "TR", "pick": "first"})
-    assert doc["point_type"] == "TR"
+        for pick, want in (("first", labs[0]), ("last", labs[-1]), (-1, labs[-1])):
+            doc, _, _ = store.read_solution(base, "po_mini", {"type": ptype, "pick": pick})
+            assert doc["label"] == want and doc["point_type"] == ptype
+    doc, _, _ = store.read_solution(base, "po_mini", {"type": "TR"})  # pick defaults to first
+    assert doc["label"] == bd.labels_of_type("TR")[0]
+
+
+@pytest.mark.parametrize("spec", [
+    True, 0, "first", {"pick": "first"}, {"type": "TR", "pick": True},
+    {"type": "TR", "pick": "1"}, {"type": "TR", "pick": "middle"},
+], ids=["bool", "zero", "str", "no-type", "pick-bool", "pick-str", "pick-middle"])
+def test_invalid_label_spec_rejected(mini_pipeline, spec):
+    with pytest.raises(ConfigError, match="invalid label spec"):
+        store.read_solution(mini_pipeline["base"], "po_mini", spec)
+
+
+def test_each_restart_parses_the_bd_table_once(mini_pipeline, monkeypatch):
+    base = mini_pipeline["base"]
+    read_bd, calls = store.read_bd, []
+
+    def counting(*args):
+        calls.append(args[1])
+        return read_bd(*args)
+
+    monkeypatch.setattr(store, "read_bd", counting)
+    store.restart_tor2tor(base, "tor_mini", {"type": "EP", "pick": "last"})
+    store.restart_TR2tor(base, "po_mini", None, ["varrho", "rho", "om1", "om2"], N=3)
+    with pytest.raises(ConfigError, match="not BP"):  # tor_mini has no BP: read, then refused
+        store.restart_BP2tor(base, "tor_mini", 1)
+    assert calls == ["tor_mini", "po_mini", "tor_mini"]
 
 
 def test_meta_content(mini_pipeline):
