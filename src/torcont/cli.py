@@ -132,7 +132,7 @@ OPTIONAL_FIELDS = {
                                        '"first", "last" or an index}'),
         "radius": (lambda v: _is_number(v) and v > 0, "a positive number"),
         "transient_loops": (lambda v: _is_int(v, 0), "an integer >= 0"),
-        "samples_per_period": (lambda v: _is_int(v, 2), "an integer >= 2"),
+        "samples_per_period": (lambda v: _is_int(v, 3), "an integer >= 3"),
     },
     "continuation": {"h0": _NUMBER, "h_min": _NUMBER, "h_max": _NUMBER, "pt_max": _POSITIVE_INT,
                      "bi_direct": _BOOL, "detect_tr": _BOOL, "detect_bp": _BOOL},

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve, solve_banded
 
 from .errors import InputError
 from .odesys import (
@@ -306,17 +307,88 @@ def sample_onto_basepoints(mesh: SegmentMesh, t_grid, values, duration, t_offset
     """Cubic-spline resample of (t_grid, values) onto the mesh base points.
 
     Used when a torus segment is seeded from forward-simulation samples.
+    The grid needs at least 3 strictly increasing, finite times and finite
+    values (:class:`InputError` otherwise).
     """
-    from scipy.interpolate import CubicSpline
-
     t_grid = np.asarray(t_grid, dtype=float)
     values = np.asarray(values, dtype=float)
     if t_grid.ndim != 1 or values.shape[0] != t_grid.size:
         raise InputError("samples must be given as (t_grid, values) with matching lengths")
-    spline = CubicSpline(t_grid, values, axis=0)
+    if t_grid.size < 3:
+        raise InputError(f"a sample grid needs at least 3 times, got {t_grid.size}")
+    if not np.all(np.isfinite(t_grid)):
+        raise InputError("sample times must be finite")
+    if not np.all(np.isfinite(values)):
+        raise InputError("sample values must be finite")
+    stalled = np.flatnonzero(np.diff(t_grid) <= 0)
+    if stalled.size:
+        i = stalled[0]
+        raise InputError(f"sample times must be strictly increasing; time {i + 1} is "
+                         f"{t_grid[i + 1]!r} after {t_grid[i]!r}")
     tb = t_offset + duration * mesh.basepoints
-    lo, hi = t_grid.min(), t_grid.max()
+    lo, hi = t_grid[0], t_grid[-1]
     span = max(hi - lo, 1.0)
     if tb.min() < lo - 1e-9 * span or tb.max() > hi + 1e-9 * span:
         raise InputError("sample grid does not cover the segment time span")
-    return spline(np.clip(tb, lo, hi))
+    return _spline_eval(t_grid, _spline_coefficients(t_grid, values), np.clip(tb, lo, hi))
+
+
+def _spline_coefficients(x, y):
+    """Coefficients c (4, n-1, ...) of the not-a-knot cubic spline through (x, y).
+
+    The operations of scipy 1.17.1's ``CubicSpline(x, y, axis=0)``
+    (``scipy/interpolate/_cubic.py``), so the spline is bit-identical to
+    scipy's: the slopes s solve scipy's 3x3 system for n = 3 and its banded
+    system otherwise; then the Hermite form of ``CubicHermiteSpline``.
+    """
+    n = x.size
+    dx = np.diff(x)
+    dxr = dx.reshape([dx.shape[0]] + [1] * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    if n == 3:  # both conditions coincide: the parabola through the points
+        A = np.zeros((3, 3))
+        b = np.empty((3,) + y.shape[1:])
+        A[0, 0] = 1
+        A[0, 1] = 1
+        A[1, 0] = dx[1]
+        A[1, 1] = 2 * (dx[0] + dx[1])
+        A[1, 2] = dx[0]
+        A[2, 1] = 1
+        A[2, 2] = 1
+        b[0] = 2 * slope[0]
+        b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
+        b[2] = 2 * slope[1]
+        s = solve(A, b.reshape(3, -1), overwrite_a=True, overwrite_b=True,
+                  check_finite=False).reshape(b.shape)
+    else:  # tridiagonal in banded storage
+        A = np.zeros((3, n))
+        b = np.empty((n,) + y.shape[1:])
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        A[1, 0] = dx[1]
+        A[0, 1] = x[2] - x[0]
+        d = x[2] - x[0]
+        b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d
+        A[1, -1] = dx[-2]
+        A[-1, -2] = x[-1] - x[-3]
+        d = x[-1] - x[-3]
+        b[-1] = ((dxr[-1]**2*slope[-2] + (2*d + dxr[-1])*dxr[-2]*slope[-1]) / d)
+        s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
+                         check_finite=False).reshape(b.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _spline_eval(x, c, t):
+    """The spline of breakpoints ``x`` and coefficients ``c`` at ``t`` in [x[0], x[-1]].
+
+    In ``PPoly``'s order: the ascending power sum on the interval with
+    x[i] <= t < x[i+1], closed on the right at the last interval.
+    """
+    i = np.minimum(np.searchsorted(x, t, "right") - 1, x.size - 2)
+    s = (t - x[i]).reshape((-1,) + (1,) * (c.ndim - 2))
+    c = c[:, i]
+    # PPoly's sum starts at 0.0, which turns a -0.0 coefficient into +0.0
+    return 0.0 + c[3] + c[2] * s + c[1] * (s * s) + c[0] * (s * s * s)

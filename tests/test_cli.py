@@ -111,9 +111,14 @@ class TestConfigValidation:
         ({"kind": "simulate_circle", "n_seg": 5, "samples_per_period": 1,
           "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
          "stages[1].source.samples_per_period"),
+        # two samples of one period are the same point of the loop twice
+        ({"kind": "simulate_circle", "n_seg": 5, "samples_per_period": 2,
+          "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
+         "stages[1].source.samples_per_period: must be an integer >= 3, got 2"),
     ], ids=["run", "n_seg", "torus-params", "om2", "N-bool", "N-zero", "eps-str", "eps-zero",
             "label-bool", "label-str", "label-no-type", "label-pick-middle", "label-pick-bool",
-            "radius-zero", "transient_loops-negative", "samples_per_period-one"])
+            "radius-zero", "transient_loops-negative", "samples_per_period-one",
+            "samples_per_period-two"])
     def test_source_fields_checked_before_any_run(self, tmp_path, capsys, source, where):
         path = self.make(tmp_path, lambda c: c["stages"][1].__setitem__("source", source))
         rc = cli.main(["run", path])
@@ -410,3 +415,73 @@ def test_circle_samples_integrate_all_seeds_at_once(monkeypatch):
         seed = src["radius"] * np.array([np.cos(angle), np.sin(angle)])
         seed = ivp.integrate(vf, loops * t1, seed, p0).y[-1]
         assert np.abs(ivp.integrate(vf, t1, seed, p0).y - samples[j]).max() < 1e-7
+
+
+VDP_CIRCLE_CONFIG = {
+    "store": None,  # filled per test
+    "system": {"name": "vdp", "params": {"Om2": 1.5111, "c": 0.11, "a": 0.1}},
+    "stages": [{
+        "run_id": "circ_s",
+        "problem": "torus",
+        "source": {"kind": "simulate_circle", "n_seg": 9, "radius": 2.0, "transient_loops": 10,
+                   "params": {"om1": -1.0, "om2": 1.5111, "varrho": -0.661769571835087}},
+        "discretization": {"ntst": 10, "degree": 4},
+        "continuation": {"released": ["a", "Om2", "om2", "om1", "varrho", "c"], "pt_max": 3,
+                         "h0": 0.2, "h_min": 0.001, "h_max": 2.0, "bi_direct": False,
+                         "detect_bp": False},
+    }],
+}
+
+
+@pytest.mark.parametrize("t_grid, bad, message", [
+    ([0.0, 1.0, 1.0, 2.0, 4.0], None, "strictly increasing"),
+    ([0.0, 1.0, 2.0, 4.0], float("nan"), "sample values must be finite"),
+    ([0.0, 4.0], None, "at least 3 times"),
+], ids=["repeated-time", "nan-sample", "two-samples"])
+def test_bad_samples_file_is_an_input_error(tmp_path, capsys, t_grid, bad, message):
+    from torcont import odesys
+
+    vf = odesys.builtin_vdp()
+    samples = np.ones((3, len(t_grid), 2))
+    if bad is not None:
+        samples[1, 2, 0] = bad
+    path = str(tmp_path / "samples.json")
+    store.write_samples_file(path, vf, t_grid, samples, {
+        "Om2": 1.5111, "c": 0.11, "a": 0.1, "om1": -1.0, "om2": 2 * np.pi / 4.0, "varrho": 0.1})
+    cfg = json.loads(json.dumps(VDP_CIRCLE_CONFIG))
+    cfg["store"] = str(tmp_path)
+    cfg["stages"][0]["source"] = {"kind": "samples", "path": path}
+    with open(tmp_path / "c.json", "w") as fh:
+        json.dump(cfg, fh)
+    assert cli.main(["run", str(tmp_path / "c.json"), "--quiet"]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_runs_import_no_scipy_integrate_or_interpolate(tmp_path):
+    # the simulate, tr and simulate_circle sources integrate and resample
+    # without scipy.integrate and scipy.interpolate, which would also load
+    # scipy.optimize and scipy.special at start-up
+    import subprocess
+    import sys
+
+    paths = []
+    for name, doc in (("langford", SMALL_CONFIG), ("vdp", VDP_CIRCLE_CONFIG)):
+        cfg = json.loads(json.dumps(doc))
+        cfg["store"] = str(tmp_path / name)
+        paths.append(str(tmp_path / f"{name}.json"))
+        with open(paths[-1], "w") as fh:
+            json.dump(cfg, fh)
+    script = (
+        "import sys\n"
+        "from torcont import cli\n"
+        f"for path in {paths!r}:\n"
+        "    assert cli.main(['run', path, '--quiet']) == 0\n"
+        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize',"
+        " 'scipy.special') if m in sys.modules))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"

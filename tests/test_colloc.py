@@ -252,3 +252,49 @@ def test_endpoint_superconvergence_degree3():
         errs.append(abs(x[-1] - np.e))
     slope = -np.polyfit(np.log2([2, 4, 8, 16]), np.log2(errs), 1)[0]
     assert abs(slope - 2 * m) < 0.5
+
+
+class TestSampleSpline:
+    """The not-a-knot spline of ``sample_onto_basepoints`` against scipy's CubicSpline."""
+
+    @staticmethod
+    def both(x, y, t):
+        from scipy.interpolate import CubicSpline
+
+        ours = colloc._spline_eval(x, colloc._spline_coefficients(x, y), t)
+        return ours, CubicSpline(x, y, axis=0)(t)
+
+    @pytest.mark.parametrize("x", [
+        [0.0, 0.4, 1.0],
+        [0.0, 0.3, 0.5, 1.0],
+        np.linspace(0.0, 2.0, 12),
+        np.cumsum(np.random.default_rng(3).uniform(0.05, 1.0, 17)),
+    ], ids=["n3", "n4", "uniform", "nonuniform"])
+    def test_equals_scipy_cubic_spline(self, x):
+        x = np.asarray(x)
+        y = np.random.default_rng(4).standard_normal((x.size, 3))
+        t = np.concatenate([x, np.linspace(x[0], x[-1], 101), x[::-1]])
+        ours, ref = self.both(x, y, t)
+        assert np.array_equal(ours, ref)
+
+    def test_resample_equals_scipy(self):
+        from scipy.interpolate import CubicSpline
+
+        mesh = colloc.build_mesh(4, 3)
+        t_grid = np.linspace(0.0, 2.0, 9) ** 1.5
+        values = np.sin(np.outer(t_grid, [1.0, 2.0]))
+        duration = t_grid[-1]
+        ours = colloc.sample_onto_basepoints(mesh, t_grid, values, duration)
+        ref = CubicSpline(t_grid, values, axis=0)(np.clip(duration * mesh.basepoints, 0, duration))
+        assert np.array_equal(ours, ref)
+
+    @pytest.mark.parametrize("t_grid, values, message", [
+        ([0.0, 1.0], [[0.0], [1.0]], "at least 3 times"),
+        ([0.0, 0.5, 0.5, 1.0], [[0.0], [1.0], [2.0], [3.0]], "strictly increasing"),
+        ([0.0, 1.0, 0.5], [[0.0], [1.0], [2.0]], "strictly increasing"),
+        ([0.0, np.nan, 1.0], [[0.0], [1.0], [2.0]], "times must be finite"),
+        ([0.0, 0.5, 1.0], [[0.0], [np.inf], [2.0]], "values must be finite"),
+    ], ids=["two-samples", "repeated-time", "decreasing", "nan-time", "inf-value"])
+    def test_bad_sample_grid_rejected(self, t_grid, values, message):
+        with pytest.raises(InputError, match=message):
+            colloc.sample_onto_basepoints(colloc.build_mesh(2, 2), t_grid, values, 1.0)

@@ -75,18 +75,6 @@ def test_monotonicity_check():
         ivp.integrate(vf, [0.0, 1.0, 0.5], [1.0], [])
 
 
-def test_dense_output_interpolant():
-    vf = linear_field([[-1.0]])
-    res = ivp.integrate(vf, [0.0, 1.0], [1.0], [],
-                        ivp.IvpOptions(dense_output=True))
-    ts = np.linspace(0.1, 0.9, 7)
-    vals = np.array([res(t)[0] for t in ts])
-    assert np.abs(vals - np.exp(-ts)).max() < 1e-7
-    res2 = ivp.integrate(vf, [0.0, 1.0], [1.0], [])
-    with pytest.raises(InputError):
-        res2(0.5)
-
-
 def blowup_field():
     # x' = x^2, x(0) = 1 has the solution 1 / (1 - t), which blows up at t = 1
     return odesys.VectorField(
@@ -174,10 +162,9 @@ def test_block_result_shape():
     vf = odesys.builtin_vdp()
     ts = np.linspace(0.0, VDP_T, 7)
     seeds = circle_seeds(5)
-    res = ivp.integrate(vf, ts, seeds, VDP_P, ivp.IvpOptions(dense_output=True))
+    res = ivp.integrate(vf, ts, seeds, VDP_P)
     assert res.y.shape == (7, 5, 2)
     assert np.array_equal(res.y[0], seeds)
-    assert res(0.5 * VDP_T).shape == (5, 2) and res(ts[1:3]).shape == (5, 2, 2)
     with pytest.raises(InputError):
         ivp.integrate(vf, ts, np.zeros((5, 3)), VDP_P)
 
@@ -204,3 +191,92 @@ def test_block_of_non_vectorized_field_matches_vectorized_twin():
     a = ivp.integrate(vf, ts, seeds, VDP_P).y
     b = ivp.integrate(loop, ts, seeds, VDP_P).y
     assert np.abs(a - b).max() < 1e-12
+
+
+# -- the in-package DOP853 against scipy's solve_ivp -------------------------
+
+
+def counted(rhs):
+    """``rhs`` with a call counter in ``.calls``."""
+    def f(t, y, p):
+        f.calls += 1
+        return rhs(t, y, p)
+    f.calls = 0
+    return f
+
+
+def scipy_reference(fun, ts, z0, rtol, atol):
+    """solve_ivp's DOP853 result and the last time it evaluated ``fun``."""
+    from scipy.integrate import solve_ivp
+
+    last = [ts[0]]
+
+    def field(t, z):
+        last[0] = t
+        return fun(t, z)
+
+    sol = solve_ivp(field, (ts[0], ts[-1]), z0, method="DOP853", t_eval=ts,
+                    rtol=rtol, atol=atol)
+    return sol, float(last[0])
+
+
+@pytest.mark.parametrize("case", ["single", "block", "decreasing"])
+def test_integrate_is_scipy_dop853(case):
+    vf = odesys.builtin_vdp()
+    seeds = circle_seeds() if case == "block" else np.array([2.0, 0.3])
+    ts = np.linspace(0.0, 2 * VDP_T, 30)
+    if case == "decreasing":
+        ts = ts[::-1]
+    rhs = counted(vf.rhs)
+    vf = dataclasses.replace(vf, rhs=rhs)
+    res = ivp.integrate(vf, ts, seeds, VDP_P)
+    ours = rhs.calls
+    k = seeds.size // 2
+    scale = np.sqrt(k) if seeds.ndim == 2 else 1.0
+
+    def fun(t, z):
+        if seeds.ndim == 1:
+            return odesys.eval_rhs(vf, t, z, VDP_P)
+        return odesys.eval_rhs(vf, t, z.reshape(k, 2).T, VDP_P).T.ravel()
+
+    rhs.calls = 0
+    sol, _ = scipy_reference(fun, ts, seeds.ravel(), 1e-8 / scale, 1e-10 / scale)
+    assert sol.success and rhs.calls == ours
+    assert np.array_equal(res.y.reshape(len(ts), -1), sol.y.T)
+    assert np.array_equal(res.t, sol.t)
+
+
+def test_transition_matrix_is_scipy_dop853():
+    vf = odesys.builtin_langford()
+    p = np.array([3.5, 1.0, 0.0])
+    y0 = np.array([0.7, 0.1, 0.6])
+    T = 2 * np.pi / 3.5
+    jac = counted(vf.jac_state)
+    vf = dataclasses.replace(vf, jac_state=jac)
+    res = ivp.transition_matrix(vf, 0.0, T, y0, p, sample_times=[T / 3, T / 2])
+    ours = jac.calls
+
+    def aug(t, z):
+        fy = odesys.eval_jac_state(vf, t, z[:3], p)
+        return np.concatenate([odesys.eval_rhs(vf, t, z[:3], p), (fy @ z[3:].reshape(3, 3)).ravel()])
+
+    jac.calls = 0
+    ts = np.array([0.0, T / 3, T / 2, T])
+    sol, _ = scipy_reference(aug, ts, np.concatenate([y0, np.eye(3).ravel()]), 1e-10, 1e-12)
+    assert sol.success and jac.calls == ours
+    assert np.array_equal(res.Phi, sol.y[3:].T.reshape(-1, 3, 3))
+
+
+def test_blowup_is_reported_as_scipy_reports_it():
+    vf = blowup_field()
+    rhs = counted(vf.rhs)
+    vf = dataclasses.replace(vf, rhs=rhs)
+    with pytest.raises(ivp.IntegrationError) as err:
+        ivp.integrate(vf, [0.0, 2.0], [1.0], [])
+    ours = rhs.calls
+    rhs.calls = 0
+    sol, last = scipy_reference(lambda t, y: vf.rhs(t, y, []), np.array([0.0, 2.0]),
+                                np.array([1.0]), 1e-8, 1e-10)
+    assert not sol.success and rhs.calls == ours
+    assert err.value.last_time == last
+    assert str(err.value) == f"integration failed at t={last}: {sol.message}"
