@@ -29,7 +29,7 @@ from .errors import (
     NotFoundError,
     TorcontError,
 )
-from .fourier import CouplingMatrices, coupling_residual, dft_matrix, phase_derivative_weights, rotation_matrix
+from .fourier import CouplingMatrices, coupling_residual, dft_matrix, rotation_matrix
 from .ivp import IvpOptions, IvpResult, TransitionMatrixResult, integrate, transition_matrix
 from .odesys import VectorField, builtin_langford, builtin_vdp, eval_rhs, get_builtin
 from .po import FloquetData, PeriodicOrbit, floquet, po_residual, solve_po, tr_test_function

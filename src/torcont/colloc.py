@@ -18,13 +18,7 @@ import numpy as np
 from scipy.linalg import solve, solve_banded
 
 from .errors import InputError
-from .odesys import (
-    VectorField,
-    jac_params_batch,
-    jac_state_batch,
-    jac_time_batch,
-    rhs_batch,
-)
+from .odesys import VectorField, eval_jac_params, eval_jac_state, eval_jac_time, eval_rhs
 
 _MAX_DEGREE = 7
 
@@ -184,7 +178,7 @@ def segment_residual(vf: VectorField, mesh: SegmentMesh, x, T: float, T0: float,
     Xc = _at_nodes(mesh.W, mesh, x)
     dXc = _at_nodes(mesh.D / mesh.h, mesh, x)
     tc = np.tile(T0 + T * mesh.collnodes, K)
-    fc = rhs_batch(vf, tc, Xc.reshape(-1, n).T, np.asarray(p, dtype=float)).T
+    fc = eval_rhs(vf, tc, Xc.reshape(-1, n).T, p).T
     res_coll = dXc - T * fc.reshape(K, -1, n)
     Xb = x.reshape(K, mesh.ntst, mesh.degree + 1, n)
     res_cont = Xb[:, :-1, -1, :] - Xb[:, 1:, 0, :]
@@ -211,17 +205,16 @@ def segment_jacobian(vf: VectorField, mesh: SegmentMesh, x, T: float, T0: float,
     x = _segments(vf, mesh, x)
     K, _, n = x.shape
     q = vf.dim_params
-    p = np.asarray(p, dtype=float)
     m, m1 = mesh.degree, mesh.degree + 1
     ntst = mesh.ntst
 
     Yc = np.ascontiguousarray(_at_nodes(mesh.W, mesh, x).reshape(-1, n).T)  # (n, k)
     tau = np.tile(mesh.collnodes, K)
     tc = T0 + T * tau
-    fc = rhs_batch(vf, tc, Yc, p)  # (n, k)
-    A = jac_state_batch(vf, tc, Yc, p)  # (n, n, k)
-    fp = jac_params_batch(vf, tc, Yc, p)  # (n, q, k)
-    ft = jac_time_batch(vf, tc, Yc, p)  # (n, k)
+    fc = eval_rhs(vf, tc, Yc, p)  # (n, k)
+    A = eval_jac_state(vf, tc, Yc, p)  # (n, n, k)
+    fp = eval_jac_params(vf, tc, Yc, p)  # (n, q, k)
+    ft = eval_jac_time(vf, tc, Yc, p)  # (n, k)
 
     # collocation blocks D/h (x) I_n - T * W (x) f_y of every subinterval,
     # stored (node c, base point j, row comp, col comp, subinterval) so each

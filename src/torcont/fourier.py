@@ -35,30 +35,36 @@ class CouplingMatrices:
         return 2 * self.N + 1
 
 
+def _trig_basis(N: int, phi: np.ndarray) -> np.ndarray:
+    """Columns 1, cos(phi), sin(phi), ..., cos(N phi), sin(N phi) at each angle."""
+    basis = np.empty((phi.size, 2 * N + 1))
+    basis[:, 0] = 1.0
+    for k in range(1, N + 1):
+        basis[:, 2 * k - 1] = np.cos(k * phi)
+        basis[:, 2 * k] = np.sin(k * phi)
+    return basis
+
+
 def dft_matrix(N: int) -> CouplingMatrices:
     """Build the real DFT pair (F, Finv) and phase weights for N modes.
 
-    Row 0 of F averages the samples (a0); rows 2k-1 and 2k project onto
-    cos(k*phi) and sin(k*phi) with weight 2/(2N+1).  The columns of Finv
-    evaluate the trigonometric basis on the angle grid, so F @ Finv = I
-    to round-off.
+    The columns of Finv evaluate the trigonometric basis on the angle grid.
+    F = (2/(2N+1)) Finv^T except for row 0, which averages the samples (a0),
+    so F @ Finv = I to round-off.
     """
     if N < 1:
         raise InputError(f"number of Fourier modes must be >= 1, got {N}")
     m = 2 * N + 1
     phi = 2.0 * np.pi * np.arange(m) / m
-    F = np.empty((m, m))
+    Finv = _trig_basis(N, phi)
+    # C-contiguous: the layout of F sets the BLAS summation order of F @ V
+    F = np.ascontiguousarray((2.0 / m) * Finv.T)
     F[0, :] = 1.0 / m
-    Finv = np.empty((m, m))
-    Finv[:, 0] = 1.0
+    # w @ samples = sum_k k b_k = d(chi)/d(phi) at phi = 0
+    w = np.zeros(m)
     for k in range(1, N + 1):
-        F[2 * k - 1, :] = (2.0 / m) * np.cos(k * phi)
-        F[2 * k, :] = (2.0 / m) * np.sin(k * phi)
-        Finv[:, 2 * k - 1] = np.cos(k * phi)
-        Finv[:, 2 * k] = np.sin(k * phi)
-    return CouplingMatrices(
-        N=N, angles=phi, F=F, Finv=Finv, phase_weights=phase_derivative_weights(F, N)
-    )
+        w += k * F[2 * k, :]
+    return CouplingMatrices(N=N, angles=phi, F=F, Finv=Finv, phase_weights=w)
 
 
 def rotation_matrix(N: int, varrho: float) -> np.ndarray:
@@ -121,14 +127,6 @@ def coupling_residual(
     return (F @ VT - (R @ F) @ V0).ravel()
 
 
-def phase_derivative_weights(F: np.ndarray, N: int) -> np.ndarray:
-    """Row vector w with w @ samples = sum_k k*b_k = d(chi)/d(phi) at phi=0."""
-    w = np.zeros(F.shape[1])
-    for k in range(1, N + 1):
-        w += k * F[2 * k, :]
-    return w
-
-
 def trig_interpolate(coupling: CouplingMatrices, samples: np.ndarray, phi) -> np.ndarray:
     """Evaluate the trigonometric interpolant of per-segment data at angle phi.
 
@@ -138,12 +136,7 @@ def trig_interpolate(coupling: CouplingMatrices, samples: np.ndarray, phi) -> np
     """
     samples = np.asarray(samples, dtype=float)
     coef = np.tensordot(coupling.F, samples, axes=(1, 0))  # (2N+1, ...)
-    phi_arr = np.atleast_1d(np.asarray(phi, dtype=float))
-    basis = np.empty((phi_arr.size, 2 * coupling.N + 1))
-    basis[:, 0] = 1.0
-    for k in range(1, coupling.N + 1):
-        basis[:, 2 * k - 1] = np.cos(k * phi_arr)
-        basis[:, 2 * k] = np.sin(k * phi_arr)
+    basis = _trig_basis(coupling.N, np.atleast_1d(np.asarray(phi, dtype=float)))
     out = np.tensordot(basis, coef, axes=(1, 0))
     if np.isscalar(phi) or np.asarray(phi).ndim == 0:
         return out[0]

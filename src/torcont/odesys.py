@@ -3,8 +3,11 @@
 A :class:`VectorField` bundles the right-hand side of an autonomous or
 periodically forced ODE with its analytic Jacobians.  Parameters travel as a
 flat vector alongside a parallel name list; names are resolved to indices
-once per run.  Fields without analytic Jacobians fall back to central finite
-differences.  Evaluation is pure, instances are immutable and safe to share.
+once per run.  Four evaluators, :func:`eval_rhs`, :func:`eval_jac_state`,
+:func:`eval_jac_params` and :func:`eval_jac_time`, take one state or an
+(n, k) block of states; a missing Jacobian falls back to one central
+finite-difference helper, which perturbs a whole block at once.  Evaluation
+is pure, instances are immutable and safe to share.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, NotFoundError
 
-# step used by the finite-difference fallbacks: max(1e-7, 1e-7*|value|)
+# step of the finite-difference fallback: max(1e-7, 1e-7*|value|)
 _FD_EPS = 1.0e-7
 
 
@@ -26,11 +29,12 @@ class VectorField:
 
     ``rhs`` maps (t, y, p) to an array of length ``dim_state``. ``jac_state``,
     ``jac_params`` and ``jac_time`` return df/dy (n, n), df/dp (n, q) and
-    df/dt (n,).  For autonomous systems the t argument is ignored and
-    jac_time is identically zero.  Vectorized fields additionally accept a
-    (n, k) state block with t scalar or (k,), returning (n, k) values and
-    (n, n, k) / (n, q, k) Jacobian stacks; the engine batches collocation
-    evaluations through that path.
+    df/dt (n,); a missing one is taken by central differences of ``rhs``.
+    For autonomous systems the t argument is ignored and jac_time is
+    identically zero.  The evaluators also take an (n, k) block of states
+    with t scalar or (k,) and append the k axis to each result.  A
+    vectorized field receives the block whole; any other field is called
+    column by column.
 
     Non-autonomous fields must name the parameter that carries the forcing
     frequency (``forcing_param``) so the torus problem can impose the
@@ -84,110 +88,63 @@ def _check_args(vf: VectorField, y, p):
     return y, p
 
 
-def eval_rhs(vf: VectorField, t: float, y, p) -> np.ndarray:
-    """Evaluate f(t, y, p); t is ignored for autonomous systems.
+def _call(vf: VectorField, fun: Callable, t, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """fun(t, y, p) as a float array; column by column on a block unless vectorized."""
+    if y.ndim == 1 or vf.vectorized:
+        return np.asarray(fun(t, y, p), dtype=float)
+    ts = np.broadcast_to(np.asarray(t, dtype=float), y.shape[1:])
+    return np.stack([np.asarray(fun(ts[i], y[:, i], p), dtype=float)
+                     for i in range(y.shape[1])], axis=-1)
 
-    A (n, k) block of states gives the (n, k) values (:func:`rhs_batch`).
+
+def _central_difference(g: Callable, x: np.ndarray, shape: tuple) -> np.ndarray:
+    """Central differences of g, whose values have ``shape``, in each x[j].
+
+    Returns (n, len(x)) or, on a block, (n, len(x), k).  Row x[j] moves by
+    max(_FD_EPS, _FD_EPS |x[j]|), per column when x[j] is (k,), so a block
+    takes 2 len(x) calls of g and each column equals its single-state result.
     """
+    out = np.empty((shape[0], x.shape[0]) + shape[1:])
+    for j in range(x.shape[0]):
+        h = np.maximum(_FD_EPS, _FD_EPS * np.abs(x[j]))
+        xp, xm = x.copy(), x.copy()
+        xp[j] += h
+        xm[j] -= h
+        out[:, j] = (g(xp) - g(xm)) / (2.0 * h)
+    return out
+
+
+def eval_rhs(vf: VectorField, t, y, p) -> np.ndarray:
+    """f(t, y, p): (n,) at a state, (n, k) on a block; t is ignored if autonomous."""
     y, p = _check_args(vf, y, p)
-    if y.ndim == 2:
-        return rhs_batch(vf, t, y, p)
-    return np.asarray(vf.rhs(t, y, p), dtype=float)
+    return _call(vf, vf.rhs, t, y, p)
 
 
-def eval_jac_state(vf: VectorField, t: float, y, p) -> np.ndarray:
+def eval_jac_state(vf: VectorField, t, y, p) -> np.ndarray:
+    """df/dy: (n, n) at a state, (n, n, k) on a block."""
     y, p = _check_args(vf, y, p)
     if vf.jac_state is not None:
-        return np.asarray(vf.jac_state(t, y, p), dtype=float)
-    n = vf.dim_state
-    J = np.empty((n, n))
-    for j in range(n):
-        h = max(_FD_EPS, _FD_EPS * abs(y[j]))
-        yp = y.copy()
-        ym = y.copy()
-        yp[j] += h
-        ym[j] -= h
-        J[:, j] = (vf.rhs(t, yp, p) - vf.rhs(t, ym, p)) / (2.0 * h)
-    return J
+        return _call(vf, vf.jac_state, t, y, p)
+    return _central_difference(lambda yy: _call(vf, vf.rhs, t, yy, p), y, y.shape)
 
 
-def eval_jac_params(vf: VectorField, t: float, y, p) -> np.ndarray:
+def eval_jac_params(vf: VectorField, t, y, p) -> np.ndarray:
+    """df/dp: (n, q) at a state, (n, q, k) on a block."""
     y, p = _check_args(vf, y, p)
     if vf.jac_params is not None:
-        return np.asarray(vf.jac_params(t, y, p), dtype=float)
-    n, q = vf.dim_state, vf.dim_params
-    J = np.empty((n, q))
-    for j in range(q):
-        h = max(_FD_EPS, _FD_EPS * abs(p[j]))
-        pp = p.copy()
-        pm = p.copy()
-        pp[j] += h
-        pm[j] -= h
-        J[:, j] = (vf.rhs(t, y, pp) - vf.rhs(t, y, pm)) / (2.0 * h)
-    return J
+        return _call(vf, vf.jac_params, t, y, p)
+    return _central_difference(lambda pp: _call(vf, vf.rhs, t, y, pp), p, y.shape)
 
 
-def eval_jac_time(vf: VectorField, t: float, y, p) -> np.ndarray:
+def eval_jac_time(vf: VectorField, t, y, p) -> np.ndarray:
+    """df/dt: (n,) at a state, (n, k) on a block; zero if autonomous."""
     y, p = _check_args(vf, y, p)
     if vf.autonomous:
-        return np.zeros(vf.dim_state)
+        return np.zeros(y.shape)
     if vf.jac_time is not None:
-        return np.asarray(vf.jac_time(t, y, p), dtype=float)
-    h = max(_FD_EPS, _FD_EPS * abs(t))
-    return (vf.rhs(t + h, y, p) - vf.rhs(t - h, y, p)) / (2.0 * h)
-
-
-# -- batched evaluation helpers (collocation assembly hot path) --------------
-
-
-def rhs_batch(vf: VectorField, ts: np.ndarray, Y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """f at k points; Y is (n, k), ts scalar or (k,); returns (n, k)."""
-    if vf.vectorized:
-        return np.asarray(vf.rhs(ts, Y, p), dtype=float)
-    k = Y.shape[1]
-    ts = np.broadcast_to(np.asarray(ts, dtype=float), (k,))
-    out = np.empty_like(Y)
-    for i in range(k):
-        out[:, i] = vf.rhs(ts[i], Y[:, i], p)
-    return out
-
-
-def jac_state_batch(vf: VectorField, ts, Y, p) -> np.ndarray:
-    """df/dy at k points; returns (n, n, k)."""
-    if vf.vectorized and vf.jac_state is not None:
-        return np.asarray(vf.jac_state(ts, Y, p), dtype=float)
-    n, k = Y.shape
-    ts = np.broadcast_to(np.asarray(ts, dtype=float), (k,))
-    out = np.empty((n, n, k))
-    for i in range(k):
-        out[:, :, i] = eval_jac_state(vf, ts[i], Y[:, i], p)
-    return out
-
-
-def jac_params_batch(vf: VectorField, ts, Y, p) -> np.ndarray:
-    """df/dp at k points; returns (n, q, k)."""
-    if vf.vectorized and vf.jac_params is not None:
-        return np.asarray(vf.jac_params(ts, Y, p), dtype=float)
-    n, k = Y.shape
-    ts = np.broadcast_to(np.asarray(ts, dtype=float), (k,))
-    out = np.empty((n, vf.dim_params, k))
-    for i in range(k):
-        out[:, :, i] = eval_jac_params(vf, ts[i], Y[:, i], p)
-    return out
-
-
-def jac_time_batch(vf: VectorField, ts, Y, p) -> np.ndarray:
-    """df/dt at k points; returns (n, k)."""
-    n, k = Y.shape
-    if vf.autonomous:
-        return np.zeros((n, k))
-    if vf.vectorized and vf.jac_time is not None:
-        return np.asarray(vf.jac_time(ts, Y, p), dtype=float)
-    ts = np.broadcast_to(np.asarray(ts, dtype=float), (k,))
-    out = np.empty((n, k))
-    for i in range(k):
-        out[:, i] = eval_jac_time(vf, ts[i], Y[:, i], p)
-    return out
+        return _call(vf, vf.jac_time, t, y, p)
+    ts = np.asarray(t, dtype=float)[None]
+    return _central_difference(lambda s: _call(vf, vf.rhs, s[0], y, p), ts, y.shape)[:, 0]
 
 
 # -- built-in systems ---------------------------------------------------------

@@ -432,6 +432,8 @@ def invariance_deviation(
     Each figure includes the integration's own error at ``opts`` besides
     the discretization and correction error of the torus.
     """
+    if n_returns < 1:
+        raise InputError(f"n_returns must be >= 1, got {n_returns}")
     opts = opts or IvpOptions(rel_tol=1.0e-10, abs_tol=1.0e-12)
     y0 = sol.x_seg[0, 0]
     times = sol.T0 + sol.T * np.arange(n_returns + 1)

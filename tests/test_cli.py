@@ -280,6 +280,14 @@ class TestValidate:
         good = float([l for l in out_good.splitlines() if l.startswith("max deviation")][0].split()[-1])
         assert bad > 100 * good
 
+    @pytest.mark.parametrize("returns", ["0", "-3"])
+    def test_validate_needs_one_return(self, cli_run, capsys, returns):
+        bd = store.read_bd(cli_run["store"], "tor_s")
+        rc = cli.main(["validate", "tor_s", str(bd.labels_of_type("EP")[-1]),
+                       "--returns", returns, "--store", cli_run["store"]])
+        assert rc == 2
+        assert f"n_returns must be >= 1, got {returns}" in capsys.readouterr().err
+
     def test_validate_missing_label_not_found(self, cli_run):
         rc = cli.main(["validate", "tor_s", "999", "--store", cli_run["store"]])
         assert rc == 4

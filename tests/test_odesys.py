@@ -164,6 +164,9 @@ def test_builtin_lookup():
         odesys.get_builtin("lorenz")
 
 
+EVALUATORS = (odesys.eval_rhs, odesys.eval_jac_state, odesys.eval_jac_params, odesys.eval_jac_time)
+
+
 def test_batched_evaluation_matches_pointwise():
     for vf in (odesys.builtin_langford(), odesys.builtin_vdp()):
         rng = np.random.default_rng(3)
@@ -171,11 +174,52 @@ def test_batched_evaluation_matches_pointwise():
         Y = rng.standard_normal((vf.dim_state, k))
         ts = rng.uniform(0, 5, k)
         p = rng.uniform(0.5, 1.5, vf.dim_params)
-        fb = odesys.rhs_batch(vf, ts, Y, p)
-        Ab = odesys.jac_state_batch(vf, ts, Y, p)
+        for evaluate in EVALUATORS:
+            block = evaluate(vf, ts, Y, p)
+            for i in range(k):
+                assert np.allclose(block[..., i], evaluate(vf, ts[i], Y[:, i], p), atol=1e-14)
+
+
+def forced_user_field(vectorized, q):
+    """User field without Jacobians: x' = v, v' = w t^2 x - c x^3, with w
+    declared the forcing parameter.  For q = 0 it is the autonomous
+    v' = -x^3, since a non-autonomous field needs a forcing parameter."""
+    if q == 0:
+        return odesys.VectorField(
+            dim_state=2, dim_params=0, param_names=(), autonomous=True,
+            rhs=lambda t, y, p: np.array([y[1], -y[0] * y[0] * y[0]]), vectorized=vectorized,
+        )
+    return odesys.VectorField(
+        dim_state=2, dim_params=2, param_names=("w", "c"), autonomous=False,
+        forcing_param="w", vectorized=vectorized,
+        rhs=lambda t, y, p: np.array([y[1], p[0] * t * t * y[0] - p[1] * y[0] * y[0] * y[0]]),
+    )
+
+
+@pytest.mark.parametrize("q", [0, 2])
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_fd_fallback_on_a_block_equals_per_column(vectorized, q):
+    vf = forced_user_field(vectorized, q)
+    rng = np.random.default_rng(11)
+    k = 6
+    Y = rng.uniform(-1.5, 1.5, (2, k))
+    ts = rng.uniform(0.5, 4.0, k)
+    p = rng.uniform(0.5, 1.5, q)
+    shapes = ((2,), (2, 2), (2, q), (2,))
+    for evaluate, shape in zip(EVALUATORS, shapes):
+        block = evaluate(vf, ts, Y, p)
+        assert block.shape == shape + (k,)
         for i in range(k):
-            assert np.allclose(fb[:, i], odesys.eval_rhs(vf, ts[i], Y[:, i], p), atol=1e-14)
-            assert np.allclose(Ab[:, :, i], odesys.eval_jac_state(vf, ts[i], Y[:, i], p), atol=1e-14)
+            assert np.array_equal(block[..., i], evaluate(vf, ts[i], Y[:, i], p))
+    # central differences against the analytic derivatives
+    x, z = Y[0], np.zeros(k)
+    w, c = p if q else (0.0, 1.0)
+    assert np.allclose(odesys.eval_jac_time(vf, ts, Y, p), [z, 2.0 * w * ts * x], rtol=0, atol=1e-6)
+    assert np.allclose(odesys.eval_jac_state(vf, ts, Y, p),
+                       [[z, z + 1.0], [w * ts * ts - 3.0 * c * x * x, z]], atol=1e-6)
+    if q:
+        assert np.allclose(odesys.eval_jac_params(vf, ts, Y, p),
+                           [[z, z], [ts * ts * x, -x * x * x]], atol=1e-6)
 
 
 @pytest.mark.parametrize("make", [odesys.builtin_langford, odesys.builtin_vdp])
