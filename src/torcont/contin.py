@@ -22,8 +22,8 @@ ends, so most of them need at most one Newton update.
 Every bordered system is factored by condensation (:mod:`linsys`): the
 collocation interiors are eliminated subinterval by subinterval, the
 continuity rows chain the segments, and a small dense system in the
-segment starts, T0, T and the active parameters remains; a plain sparse
-Jacobian (K = 0 segments) is factored as that dense system directly.
+segment starts, T0, T and the active parameters remains; the dense
+Jacobian of an algebraic problem (K = 0 segments) is that system itself.
 Branch points are flagged by sign changes of the bordered determinant,
 taken from the accepted corrector factorization as the product of the
 local block determinants, the reduced determinant and a fixed structural
@@ -76,7 +76,7 @@ class ContinuationProblem:
     default it holds the first active unknown, column ``n_unknowns - len(active)``.
     With a ``start_tangent`` the start is not corrected and the run leaves along it.
     ``jacobian`` returns a :class:`linsys.CollocationJacobian` for orbit and
-    torus problems and a sparse matrix for algebraic ones; ``vf`` is the
+    torus problems and a dense array for algebraic ones; ``vf`` is the
     vector field of orbit and torus problems.
     Orbit and torus problems come from :func:`collocation_problem`: their
     full unknowns are the segment states, the scalars (T, or T0 and T) and
@@ -380,8 +380,7 @@ def switch_branch(problem, u_bp: np.ndarray, incoming_tangent: np.ndarray):
             break
     if psi is None:
         raise BranchPointError("no independent null direction at the branch point")
-    J = J.tocsc()
-    scale = max(1.0, np.abs(J).max())
+    scale = max(1.0, linsys.max_abs(J))
     defect = np.abs(J @ psi).max() / scale
     if defect > NULL_TOL:
         raise BranchPointError(
@@ -531,10 +530,10 @@ def _walk(problem, branch, state, u_start, t0, emit):
         try:
             u_new, iters, lu = _correct(problem, u_first, t_prev, u_pred,
                                         need_lu=problem.detect_bp)
-        except ConvergenceError:
+        except ConvergenceError as exc:
             if h <= state.h_min * (1 + 1e-12):
                 flush("EP")
-                branch.termination = "corrector failure at h_min"
+                branch.termination = f"corrector failure at h_min: {exc}"
                 return
             h = max(0.5 * h, state.h_min)
             retry = True

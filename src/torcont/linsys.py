@@ -4,9 +4,10 @@ The Jacobian of an orbit (K = 1 segment) or a torus (K = 2N+1 segments) is a
 :class:`CollocationJacobian`: the values of the collocation kernel per
 segment, the dense columns of the extra unknowns (T0, T and the active
 parameters) on the collocation rows, and a few *tail* rows (periodicity or
-Fourier coupling, phase and frequency conditions) that touch the states only
-at a handful of base points.  :func:`bordered_matrix` appends the dense
-border row of pseudo-arclength continuation.
+Fourier coupling, phase and frequency conditions) that, as in COCO's
+collocation toolbox, touch the states only at the segment ends x(0) and
+x(T).  :func:`bordered_matrix` appends the dense border row of
+pseudo-arclength continuation; ``J @ v`` multiplies from the blocks.
 
 :func:`lu_factor` factors a square system by condensation of parameters
 (block elimination as in AUTO, with the border carried along as in Keller's
@@ -21,20 +22,20 @@ bordering algorithm):
    point becomes an affine map of (v0 of its segment, extra unknowns).
    For an orbit the map to the last point is the monodromy matrix
    (:func:`monodromy`).
-3. *Reduced system.*  The tail rows and the border, contracted with these
-   maps, form a dense system in (v0 of every segment, extra unknowns) of
-   size K n + n_extra (309 on the N = 50 Langford torus), factored by
-   LAPACK.  A solve replays the three steps on the right-hand side and
-   substitutes back.
+3. *Reduced system.*  The tail rows, contracted with the maps of x(0) (v0
+   itself) and x(T) (the chain's last map), and the border form a dense
+   system in (v0 of every segment, extra unknowns) of size K n + n_extra
+   (309 on the N = 50 Langford torus), factored by LAPACK.  A solve
+   replays the three steps on the right-hand side and substitutes back.
 
 The determinant obeys det B = s * prod det(local blocks) * (-1)^(continuity
 rows) * det(reduced), where s is the sign of the row and column
 permutations that put B into this block order; s depends only on the mesh
-and K.  The factor exposes the identity as ``U.diagonal()``, one pivot per
+and K.  The factor exposes the identity as ``U``, an array of one pivot per
 row of B, which :func:`det_sign_log` turns into (sign, log|det|).
 
-A plain sparse matrix is the case K = 0: the whole matrix is the reduced
-system.  Only small algebraic problems take that path.
+A dense matrix is the case K = 0: the whole matrix is the reduced system.
+Only small algebraic problems take that path.
 
 :func:`newton_square` is the package's one Newton iteration, for the
 bordered continuation corrector (``contin._correct``) and the square orbit
@@ -50,10 +51,12 @@ and a solution comes with the factor made before its last update.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
+from .colloc import n_residual_rows
 from .errors import ConvergenceError
 
 # OpenBLAS factors the 309x309 reduced system of the N = 50 Langford torus
@@ -113,12 +116,11 @@ class CollocationPattern:
     its kernel column on the collocation rows: 0 for T, 1 for T0, 2 + i for
     parameter i, -1 for none.  The tail values come in the order of
     (``tail_rows``, ``tail_cols``), full column numbers; entries in columns
-    that are not kept are dropped.
+    that are not kept are dropped.  A tail entry off the segment ends raises
+    ValueError; the tail block's columns are x(0), x(T) of every segment.
     """
 
     def __init__(self, mesh, n, K, extra_src, tail_rows, tail_cols, n_tail, keep=None):
-        from .colloc import collocation_rows, n_residual_rows, segment_pattern
-
         self.mesh, self.n, self.K = mesh, n, K
         self.ntst, self.m = mesh.ntst, mesh.degree
         self.rows_seg = n_residual_rows(mesh, n)
@@ -141,30 +143,17 @@ class CollocationPattern:
         self.tail_keep = np.flatnonzero(tail_cols >= 0)
         t_rows, t_cols = np.asarray(tail_rows)[self.tail_keep], tail_cols[self.tail_keep]
 
-        # base points the tail touches; the dense tail block holds their
-        # columns, then the extra columns
+        # tail block columns: (segment, end, component), then the extras
         on_x = t_cols < n_x
-        self.touched = np.unique(t_cols[on_x] // n)
-        n_t = self.touched.size
-        slot = np.where(on_x, np.searchsorted(self.touched, t_cols // n) * n + t_cols % n,
-                        n_t * n + t_cols - n_x)
-        self.tail_slot = t_rows * (n_t * n + self.n_extra) + slot
-        # columns of the sparse map [Phi | Psi] of every touched state component
-        seg = self.touched // mesh.n_base
-        v_cols = (seg[:, None] * n + np.arange(n)).repeat(n, axis=0)
-        e_cols = np.broadcast_to(K * n + np.arange(self.n_extra), (n_t * n, self.n_extra))
-        width = n + self.n_extra
-        self.map_indices = np.hstack([v_cols, e_cols]).ravel().astype(np.int32)
-        self.map_indptr = np.arange(0, (n_t * n + 1) * width, width, dtype=np.int32)
-
-        rows_x, cols_x = segment_pattern(mesh, n, K)
-        coll = collocation_rows(mesh, n, K)
-        # (rows, cols) of the values CollocationJacobian.tocsc lists
-        self.entries = (
-            np.concatenate([rows_x, np.tile(coll, self.coll_extra.size),
-                            K * self.rows_seg + t_rows]),
-            np.concatenate([cols_x, np.repeat(n_x + self.coll_extra, coll.size), t_cols]),
-        )
+        seg, j = np.divmod(t_cols // n, mesh.n_base)
+        inner = on_x & (j > 0) & (j < mesh.n_base - 1)
+        if inner.any():
+            raise ValueError(
+                f"tail column {t_cols[inner][0]} is on interior base point {j[inner][0]} of "
+                f"segment {seg[inner][0]}; tail rows may touch only x(0) and x(T)")
+        self.n_ends = 2 * K * n
+        slot = np.where(on_x, (2 * seg + (j > 0)) * n + t_cols % n, self.n_ends + t_cols - n_x)
+        self.tail_slot = t_rows * (self.n_ends + self.n_extra) + slot
         self.parity = self._parity()
 
     def _parity(self) -> int:
@@ -194,8 +183,7 @@ class CollocationJacobian:
 
     def __init__(self, pattern: CollocationPattern, seg, tail, border=None):
         self.pattern, self.seg, self.tail, self.border = pattern, seg, tail, border
-        rows, cols = pattern.shape
-        self.shape = (rows + (border is not None), cols)
+        self.shape = (pattern.shape[0] + (border is not None), pattern.shape[1])
 
     @property
     def nnz(self) -> int:
@@ -213,33 +201,62 @@ class CollocationJacobian:
             G[:, col] = kernel[src]
         return G
 
-    def tocsc(self) -> sp.csc_matrix:
+    def blocks(self) -> np.ndarray:
+        """Collocation blocks of every subinterval, (K ntst, m n, (m+1) n):
+        rows (node, component), columns (base point, component)."""
         p = self.pattern
-        G = self.extra_block()[:, p.coll_extra]
-        values = np.concatenate([self.seg.J_x, G.T.ravel(), self.tail[p.tail_keep]])
-        # COO -> CSC keeps exact zeros as entries, so the pattern does not
-        # depend on values
-        J = sp.coo_matrix((values, p.entries), shape=p.shape).tocsc()
-        if self.border is None:
-            return J
-        return sp.vstack([J, self.border[None, :]], format="csc")
+        subs, m, n = p.K * p.ntst, p.m, p.n
+        blk = self.seg.J_x[: subs * m * (m + 1) * n * n].reshape(m, m + 1, n, n, subs)
+        return blk.transpose(4, 0, 2, 1, 3).reshape(subs, m * n, (m + 1) * n)
 
-    def toarray(self) -> np.ndarray:
-        return self.tocsc().toarray()
+    def tail_block(self) -> np.ndarray:
+        """The tail rows on (x(0), x(T) of every segment, extras), dense."""
+        p = self.pattern
+        block = np.zeros((p.n_tail, p.n_ends + p.n_extra))
+        block.flat[p.tail_slot] = self.tail[p.tail_keep]
+        return block
+
+    def __matmul__(self, v) -> np.ndarray:
+        """J v for a vector or a matrix of columns v, from the blocks."""
+        p, seg = self.pattern, self.seg
+        K, ntst, m, n = p.K, p.ntst, p.m, p.n
+        V = np.asarray(v, dtype=float).reshape(len(v), -1)
+        k = V.shape[1]
+        x, e = V[: p.n_x].reshape(K, ntst, m + 1, n, k), V[p.n_x:]
+        blocks = self.blocks()
+        coll = (blocks @ x.reshape(K * ntst, -1, k)).reshape(K, -1, k)
+        coll += (self.extra_block() @ e).reshape(K, -1, k)
+        # continuity rows: +1 on a subinterval's last point, -1 on the next one's first
+        pm = seg.J_x[blocks.size:].reshape(K, 2, ntst - 1, n, 1)
+        cont = (pm[:, 0] * x[:, :-1, -1] + pm[:, 1] * x[:, 1:, 0]).reshape(K, -1, k)
+        ends = x.reshape(K, -1, n, k)[:, [0, -1]].reshape(p.n_ends, k)
+        out = [np.concatenate([coll, cont], axis=1).reshape(K * p.rows_seg, k),
+               self.tail_block() @ np.concatenate([ends, e])]
+        if self.border is not None:
+            out.append((self.border @ V)[None])
+        return np.concatenate(out).reshape(self.shape[:1] + np.shape(v)[1:])
 
 
 def bordered_matrix(J, border: np.ndarray):
     """Square system [[J], [border^T]] for a (rows, rows+1) Jacobian J.
 
     A :class:`CollocationJacobian` keeps its blocks and carries the border
-    as a dense last row; any other J becomes a sparse matrix.
+    as a dense last row; any other J is a dense matrix and stays one.
     """
     border = np.asarray(border, dtype=float)
     if isinstance(J, CollocationJacobian):
         if J.border is not None:
             raise ValueError("Jacobian is bordered already")
         return CollocationJacobian(J.pattern, J.seg, J.tail, border)
-    return sp.vstack([sp.csc_matrix(J), border[None, :]], format="csc")
+    return np.vstack([np.asarray(J, dtype=float), border[None, :]])
+
+
+def max_abs(J) -> float:
+    """Largest |entry| of a dense matrix or of a :class:`CollocationJacobian`."""
+    if not isinstance(J, CollocationJacobian):
+        return np.abs(J).max()
+    values = [J.seg.J_x, J.extra_block(), J.tail_block(), [] if J.border is None else J.border]
+    return max(np.abs(v).max(initial=0.0) for v in values)
 
 
 def _condense(B):
@@ -254,11 +271,10 @@ def _condense(B):
     p = B.pattern
     K, ntst, m, n, ne = p.K, p.ntst, p.m, p.n, p.n_extra
     subs, mn = K * ntst, m * n
-    blk = B.seg.J_x[: subs * mn * (m + 1) * n].reshape(m, m + 1, n, n, subs)
-    # (subinterval, node c, row comp, base point j, col comp)
-    A = blk[:, 1:].transpose(4, 0, 2, 1, 3).reshape(subs, mn, mn)
+    blocks = B.blocks()
+    A = blocks[:, :, n:]
     CG = np.empty((subs, mn, n + ne))
-    CG[:, :, :n] = blk[:, 0].transpose(3, 0, 1, 2).reshape(subs, mn, n)
+    CG[:, :, :n] = blocks[:, :, :n]
     CG[:, :, n:] = B.extra_block().reshape(subs, mn, ne)
     try:
         inv = np.linalg.inv(A)
@@ -295,10 +311,10 @@ def monodromy(J: CollocationJacobian) -> np.ndarray:
 class CondensedFactor:
     """Factorization of a square system by condensation (module docstring).
 
-    ``solve(rhs)`` returns B^{-1} rhs; ``U.diagonal()`` lists one pivot per
-    row whose product is det B (local blocks as their geometric-mean pivot
-    with the block's sign on the first, -1 per continuity row, the reduced
-    LU diagonal with the permutation signs on its last entry).
+    ``solve(rhs)`` returns B^{-1} rhs; ``U`` lists one pivot per row whose
+    product is det B (local blocks as their geometric-mean pivot with the
+    block's sign on the first, -1 per continuity row, the reduced LU
+    diagonal with the permutation signs on its last entry).
     """
 
     def __init__(self, B, shift: float = 0.0):
@@ -311,7 +327,7 @@ class CondensedFactor:
             R = self._reduced(B)
         else:
             self.p = None
-            R = B.toarray() if sp.issparse(B) else np.array(B, dtype=float)
+            R = np.array(B, dtype=float)
         if not np.all(np.isfinite(R)):
             raise ConvergenceError("linear solve failed: non-finite reduced system")
         if shift:
@@ -322,39 +338,20 @@ class CondensedFactor:
                 f"linear solve failed: the reduced {R.shape[0]}x{R.shape[0]} system is "
                 f"exactly singular (zero pivot {info})")
         self.nnz = self._lu.size + (0 if self.p is None else self._inv.size + self._LM.size)
-        self._pivots = None
-
-    @property
-    def U(self) -> sp.dia_matrix:
-        """Diagonal matrix of the pivots, computed on first use."""
-        if self._pivots is None:
-            self._pivots = self._pivot_values()
-        return sp.diags(self._pivots)
-
-    def _maps(self, bp):
-        """[Phi | Psi] of the base points ``bp`` (flat indices), (len, n, n+ne)."""
-        p = self.p
-        s, k, j = np.unravel_index(bp, (p.K, p.ntst, p.m + 1))
-        out = self._chain[s, k].copy()
-        inner = j > 0
-        LM = self._LM.reshape(p.K, p.ntst, p.m, p.n, -1)[s[inner], k[inner], j[inner] - 1]
-        out[inner] = LM[:, :, :p.n] @ out[inner]
-        out[inner, :, p.n:] += LM[:, :, p.n:]
-        return out
 
     # -- step 3: the reduced system --------------------------------------
 
     def _reduced(self, B):
         p = self.p
-        n, ne, n_t = p.n, p.n_extra, p.touched.size
-        tail = np.zeros((p.n_tail, n_t * n + ne))
-        tail.flat[p.tail_slot] = B.tail[p.tail_keep]
-        self._tail_x = tail_x = tail[:, : n_t * n]
-        maps = sp.csr_matrix((self._maps(p.touched).ravel(), p.map_indices, p.map_indptr),
-                             shape=(n_t * n, p.K * n + ne))
+        n, ne = p.n, p.n_extra
+        tail = B.tail_block()
+        self._tail_x = tail[:, : p.n_ends]
+        ends = self._tail_x.reshape(p.n_tail, p.K, 2, n)
+        # x(0) of a segment is its v0, x(T) maps by the chain's last [Phi | Psi]
+        to_end = (ends[:, :, 1].transpose(1, 0, 2) @ self._chain[:, -1]).transpose(1, 0, 2)
         R = np.empty((p.K * n + ne,) * 2)
-        R[: p.n_tail] = tail_x @ maps
-        R[: p.n_tail, p.K * n:] += tail[:, n_t * n:]
+        R[: p.n_tail, : p.K * n] = (ends[:, :, 0] + to_end[..., :n]).reshape(p.n_tail, -1)
+        R[: p.n_tail, p.K * n:] = to_end[..., n:].sum(axis=1) + tail[:, p.n_ends:]
         if B.border is not None:
             # border . x = sum_k beta_k . x_k0 + (sum_k b_int,k LM_k^e) . e
             b = B.border
@@ -399,7 +396,7 @@ class CondensedFactor:
                                + w_last[:, k] - r_cont[:, k])
         x_part = self._states(sigma, np.zeros(ne), w).reshape(-1, n)
         g = rhs[K * p.rows_seg:].copy()
-        g[: p.n_tail] -= self._tail_x @ x_part[p.touched].ravel()
+        g[: p.n_tail] -= self._tail_x @ x_part.reshape(K, -1, n)[:, [0, -1]].ravel()
         if self._border is not None:
             g[-1] -= self._border[: p.n_x] @ x_part.ravel()
         z = lapack.dgetrs(self._lu, self._piv, g)[0]
@@ -410,7 +407,9 @@ class CondensedFactor:
 
     # -- determinant -------------------------------------------------------
 
-    def _pivot_values(self) -> np.ndarray:
+    @cached_property
+    def U(self) -> np.ndarray:
+        """The pivots of the class docstring, one per row of B."""
         d = np.diagonal(self._lu).copy()
         sign = -1 if np.count_nonzero(self._piv != np.arange(self._piv.size)) % 2 else 1
         if self.p is None:
@@ -439,7 +438,7 @@ def lu_factor(A, shift: float = 0.0) -> CondensedFactor:
 
 def det_sign_log(lu):
     """(sign, log|det|) of the factored matrix; sign 0 for exact singularity."""
-    d = lu.U.diagonal()
+    d = lu.U
     if np.any(d == 0.0):
         return 0, -np.inf
     return int(np.prod(np.sign(d))), float(np.sum(np.log(np.abs(d))))

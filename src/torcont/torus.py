@@ -314,8 +314,8 @@ def init_from_TR(
     where om1 = alpha/T, om2 = 2*pi/T and varrho = alpha/(2*pi).
     Continuing this guess needs the problem's ``start_border`` set to the
     amplitude direction (:func:`tr_perturbation_direction`, padded with
-    zeros), as ``store.restart_TR2tor`` does: at N = 50 the default border
-    stalls the start correction at a residual of 1.096e-8.
+    zeros), as ``store.restart_TR2tor`` does: the default border stalls the
+    start correction at a residual of 1.096e-8 at every N tried (5 to 50).
     """
     if floq.tr_eigvec is None or floq.tr_angle is None:
         raise InputError("Floquet data carries no TR pair (complex multiplier + eigenvector)")
@@ -372,7 +372,7 @@ def tr_perturbation_direction(sol: TorusSolution) -> np.ndarray:
     the deviation from the mean is the d/d(eps) direction used to seed the
     first continuation tangent.  Padded with zeros to ``n_unknowns`` it is
     the ``start_border`` of a TR-seeded torus problem; the default border
-    (the first active name) stalls at N = 50 at a residual of 1.096e-8.
+    (the first active name) stalls at 1.096e-8 at every N tried (5 to 50).
     """
     mean = sol.x_seg.mean(axis=0, keepdims=True)
     return (sol.x_seg - mean).ravel()

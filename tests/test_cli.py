@@ -465,10 +465,11 @@ def test_bad_samples_file_is_an_input_error(tmp_path, capsys, t_grid, bad, messa
     assert message in capsys.readouterr().err
 
 
-def test_runs_import_no_scipy_integrate_or_interpolate(tmp_path):
+def test_runs_import_no_scipy_integrate_interpolate_or_sparse(tmp_path):
     # the simulate, tr and simulate_circle sources integrate and resample
     # without scipy.integrate and scipy.interpolate, which would also load
-    # scipy.optimize and scipy.special at start-up
+    # scipy.optimize and scipy.special at start-up, and every linear system
+    # is assembled and factored without scipy.sparse
     import subprocess
     import sys
 
@@ -485,7 +486,7 @@ def test_runs_import_no_scipy_integrate_or_interpolate(tmp_path):
         f"for path in {paths!r}:\n"
         "    assert cli.main(['run', path, '--quiet']) == 0\n"
         "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize',"
-        " 'scipy.special') if m in sys.modules))\n"
+        " 'scipy.special', 'scipy.sparse') if m in sys.modules))\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

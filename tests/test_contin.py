@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from torcont import contin, linsys
@@ -16,7 +15,7 @@ def algebraic_problem(residual, jac, names, released=None, **kw):
     return contin.ContinuationProblem(
         n_unknowns=len(names),
         residual=lambda u: np.atleast_1d(residual(u)),
-        jacobian=lambda u: sp.csr_matrix(np.atleast_2d(jac(u))),
+        jacobian=lambda u: np.atleast_2d(jac(u)),
         monitors=lambda u: dict(zip(names, (float(v) for v in u))),
         monitor_names=names,
         released=released,
@@ -250,7 +249,7 @@ def bordered_arctan_correction():
 
 
 def square_arctan_newton():
-    linsys.newton_square(np.arctan, lambda x: sp.csr_matrix([[1 / (1 + x[0] ** 2)]]),
+    linsys.newton_square(np.arctan, lambda x: np.array([[1 / (1 + x[0] ** 2)]]),
                          np.array([1.5]), contin.CORRECTOR_TOL, contin.CORRECTOR_MAX_ITER)
 
 
@@ -383,6 +382,21 @@ class TestStepControl:
         gaps = [np.linalg.norm(b.u - a.u) for a, b in zip(pts, pts[1:])]
         assert max(gaps) > 0.2  # grew well beyond the initial h
         assert all(g <= 2 * 0.5 + 1e-9 for g in gaps)
+
+    def test_failure_at_h_min_keeps_the_corrector_message(self):
+        # y = x up to x = 1; beyond it F = 1 has no zeros and a zero Jacobian row
+        problem = algebraic_problem(
+            lambda u: u[1] - u[0] if u[0] < 1.0 else 1.0,
+            lambda u: [[-1.0, 1.0]] if u[0] < 1.0 else [[0.0, 0.0]],
+            names=["x", "y"],
+        )
+        state = contin.ContinuationState(h=0.1, h_min=1e-3, h_max=0.5, pt_max=200,
+                                         bi_direct=False)
+        branch = contin.run(problem, np.array([0.0, 0.0]), state)
+        assert branch.termination == ("corrector failure at h_min: linear solve failed: the "
+                                      "reduced 2x2 system is exactly singular (zero pivot 2)")
+        last = branch.points[-1]
+        assert last.ptype == "EP" and 1.0 - 1e-3 < last.u[0] < 1.0
 
     def test_consecutive_points_bounded_by_h_max(self):
         problem = circle_problem()

@@ -8,7 +8,7 @@ from scipy.linalg import block_diag
 
 from torcont import colloc, linsys, odesys, po, torus
 from torcont.errors import ConvergenceError
-from util_systems import OM, decoupled_torus, langford_circle_traj
+from util_systems import OM, decoupled_torus, dense, langford_circle_traj
 
 
 def test_k_segment_kernel_matches_single_segments():
@@ -21,8 +21,10 @@ def test_k_segment_kernel_matches_single_segments():
     def dense_x(xs):
         K = len(xs)
         shape = (K * colloc.n_residual_rows(mesh, 2), K * mesh.n_base * 2)
+        out = np.zeros(shape)
         vals = colloc.segment_jacobian(vf, mesh, xs, *args).J_x
-        return sp.coo_matrix((vals, colloc.segment_pattern(mesh, 2, K)), shape=shape).toarray()
+        np.add.at(out, colloc.segment_pattern(mesh, 2, K), vals)
+        return out
 
     res = colloc.segment_residual(vf, mesh, x, *args)
     jac = colloc.segment_jacobian(vf, mesh, x, *args)
@@ -61,7 +63,7 @@ def _po_fresh(vf, problem, active_idx):
     def fresh(u):
         orbit = problem.embed(u)
         full = po.po_jacobian_pattern(vf, orbit.traj.mesh)
-        J = po.po_jacobian(vf, orbit.traj, orbit.p, orbit.reference, full).tocsc()
+        J = dense(po.po_jacobian(vf, orbit.traj, orbit.p, orbit.reference, full))
         X = orbit.traj.x_bp.size
         return J[:, list(range(X + 1)) + [X + 1 + i for i in active_idx]]
     return fresh
@@ -103,37 +105,44 @@ def _torus_case(vf, sol, released):
     keep = list(range(X + 2)) + [X + 2 + names.index(name) for name in released]
 
     def fresh(u):
-        return torus.torus_jacobian(vf, problem.embed(u)).tocsc()[:, keep]
+        return dense(torus.torus_jacobian(vf, problem.embed(u)))[:, keep]
     return problem, u0, fresh
-
-
-def is_canonical(M):
-    """Sorted, duplicate-free row indices, judged from the arrays alone."""
-    return sp.csc_matrix((M.data, M.indices, M.indptr), shape=M.shape).has_canonical_format
 
 
 @pytest.mark.parametrize("case", [autonomous_orbit, forced_orbit, autonomous_torus,
                                   forced_torus])
 def test_cached_pattern_matches_fresh_coo_assembly(case):
+    """The active-column Jacobian, as the product J @ v, equals the full
+    Jacobian's columns, for a vector, a block of columns and the border."""
     problem, u0, fresh = case()
     rng = np.random.default_rng(12)
     u1 = u0 + 1e-2 * rng.standard_normal(u0.size)  # moves states and parameters
-    patterns = []
     for u in (u0, u1):
         J = problem.jacobian(u)
         assert isinstance(J, linsys.CollocationJacobian)
         assert J.shape == (u0.size - 1, u0.size)
-        Jc = J.tocsc()
-        assert is_canonical(Jc) and J.nnz == Jc.nnz
-        assert np.array_equal(Jc.toarray(), fresh(u).toarray())
+        ref = fresh(u)
+        assert np.array_equal(dense(J), ref)
+        assert J.nnz >= np.count_nonzero(ref)
+        assert linsys.max_abs(J) == np.abs(ref).max()
+        v = rng.standard_normal(u0.size)
+        assert np.abs(J @ v - ref @ v).max() <= 1e-13 * np.abs(ref).max() * np.abs(v).sum()
         border = rng.standard_normal(u0.size)
         border[::3] = 0.0  # zeros stay explicit entries of the border row
         B = linsys.bordered_matrix(J, border)
         assert B.nnz == J.nnz + u0.size and B.shape == (u0.size, u0.size)
-        assert np.array_equal(B.toarray(), np.vstack([fresh(u).toarray(), border]))
-        patterns.append((Jc.indices, Jc.indptr))
+        assert np.array_equal(dense(B), np.vstack([ref, border]))
         problem.on_accept(u1)  # re-anchor the sections at the moved point
-    assert all(np.array_equal(a, b) for a, b in zip(*patterns))
+
+
+def test_tail_column_on_an_interior_base_point_is_refused():
+    mesh = colloc.build_mesh(3, 2)
+    n, K = 2, 2
+    end = mesh.n_base - 1
+    # x(T) of segment 0 and x(0) of segment 1 are segment ends
+    linsys.CollocationPattern(mesh, n, K, [0], [0, 0], [end * n, (end + 1) * n], 1)
+    with pytest.raises(ValueError, match=r"tail column 7 .* base point 3 of segment 0"):
+        linsys.CollocationPattern(mesh, n, K, [0], [0, 0], [0, 3 * n + 1], 1)
 
 
 # -- condensed factorization against a sparse LU reference --------------------
@@ -161,7 +170,7 @@ def reference_factor(B):
 
 
 def assert_matches_reference(B, seed=0):
-    ref_solve, ref_sign, ref_logdet = reference_factor(B.tocsc() if hasattr(B, "tocsc") else B)
+    ref_solve, ref_sign, ref_logdet = reference_factor(dense(B))
     lu = linsys.lu_factor(B)
     rhs = np.random.default_rng(seed).standard_normal(B.shape[0])
     x, x_ref = lu.solve(rhs), ref_solve(rhs)
@@ -169,7 +178,7 @@ def assert_matches_reference(B, seed=0):
     sign, logdet = linsys.det_sign_log(lu)
     assert sign == ref_sign
     assert abs(logdet - ref_logdet) <= 1e-9 * abs(ref_logdet)
-    assert lu.U.diagonal().size == B.shape[0]
+    assert lu.U.shape == (B.shape[0],)
 
 
 def linear_forced_orbit(multiplier=1.0e3):
@@ -222,7 +231,7 @@ def test_determinant_sign_over_mesh_shapes(ntst, degree, N):
     rng = np.random.default_rng(ntst * 10 + degree)
     B = linsys.bordered_matrix(problem.jacobian(u0 + 1e-2 * rng.standard_normal(u0.size)),
                                rng.standard_normal(u0.size))
-    sign, logdet = np.linalg.slogdet(B.toarray())
+    sign, logdet = np.linalg.slogdet(dense(B))
     assert linsys.det_sign_log(linsys.lu_factor(B)) == pytest.approx((sign, logdet), rel=1e-9)
     assert_matches_reference(B)
 
@@ -254,10 +263,12 @@ def test_square_system_without_border():
 
 
 def test_plain_sparse_matrix_is_the_k0_case():
+    """A plain matrix, half of it zeros, is factored as its own reduced system."""
     rng = np.random.default_rng(6)
-    J = sp.random(6, 7, density=0.5, random_state=7, format="csr") + sp.eye(6, 7)
-    B = linsys.bordered_matrix(J, rng.standard_normal(7))
-    assert sp.issparse(B) and B.shape == (7, 7)
+    J = rng.standard_normal((6, 7)) * (rng.random((6, 7)) < 0.5) + np.eye(6, 7)
+    border = rng.standard_normal(7)
+    B = linsys.bordered_matrix(J, border)
+    assert isinstance(B, np.ndarray) and np.array_equal(B, np.vstack([J, border]))
     assert_matches_reference(B)
 
 

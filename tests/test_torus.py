@@ -13,6 +13,7 @@ from util_systems import (
     decoupled_exact_samples,
     decoupled_field,
     decoupled_torus,
+    dense,
     langford_circle_traj,
 )
 
@@ -102,7 +103,7 @@ class TestJacobian:
                 reference=None,
             ),
         )
-        J = torus.torus_jacobian(vf, sol).toarray()
+        J = dense(torus.torus_jacobian(vf, sol))
         X = sol.x_seg.size
 
         def res_of(vec):
@@ -128,7 +129,7 @@ class TestJacobian:
 
     def test_dT_dom2_entry(self):
         vf, sol = decoupled_torus(ntst=4, degree=3, N=1)
-        J = torus.torus_jacobian(vf, sol).tocsc()
+        J = dense(torus.torus_jacobian(vf, sol))
         X = sol.x_seg.size
         n_a = sol.n_seg * (sol.mesh.n_coll * 4 + (sol.mesh.ntst - 1) * 4)
         row_d = n_a + sol.n_seg * 4 + 1
@@ -139,7 +140,7 @@ class TestJacobian:
     def test_coupling_block_is_minus_RF_kron_eye(self):
         vf, sol = decoupled_torus(ntst=3, degree=2, N=2)
         n, n_seg = 4, sol.n_seg
-        J = torus.torus_jacobian(vf, sol).toarray()
+        J = dense(torus.torus_jacobian(vf, sol))
         n_a = n_seg * (sol.mesh.n_coll * n + (sol.mesh.ntst - 1) * n)
         RF = fourier.rotation_matrix(sol.N, sol.varrho) @ sol.coupling.F
         X_seg = sol.mesh.n_base * n

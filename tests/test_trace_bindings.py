@@ -3,25 +3,60 @@
 ``perfbench/tracing.py`` installs its spans by replacing module attributes;
 a traced run fails when a torcont module binds a traced function by a name
 the tracer does not list (``Tracer.uncovered``).  This check runs the same
-installation in-process, so such a binding fails here in seconds.
+installation in-process, so such a binding fails here in seconds.  The
+traced ``lu_factor`` returns a proxy of the factor; a factor attribute the
+proxy does not forward fails here too.
 """
 
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import torcont
+from torcont import colloc, linsys, odesys, po
+from util_systems import OM, langford_circle_traj
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def make_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing").Tracer()
 
 
 def test_tracer_covers_every_binding(monkeypatch):
     for mod in pkgutil.iter_modules(torcont.__path__):
         importlib.import_module(f"torcont.{mod.name}")
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracer = importlib.import_module("tracing").Tracer()
+    tracer = make_tracer(monkeypatch)
     try:
         tracer.install()
         assert tracer.uncovered() == []
     finally:
         tracer.uninstall()
+
+
+def test_traced_factor_reads_as_the_plain_one(monkeypatch):
+    vf = odesys.builtin_langford()
+    orbit = po.solve_po(vf, langford_circle_traj(colloc.build_mesh(5, 3), 0.6),
+                        np.array([OM, 0.6, 0.0]))
+    problem, u0 = po.continuation_problem(vf, orbit, ["rho"])
+    rng = np.random.default_rng(4)
+    B = linsys.bordered_matrix(problem.jacobian(u0), rng.standard_normal(u0.size))
+    rhs = rng.standard_normal(u0.size)
+    plain = linsys.lu_factor(B)
+    tracer = make_tracer(monkeypatch)
+    try:
+        tracer.install()
+        traced = linsys.lu_factor(B)
+        sign_log = linsys.det_sign_log(traced)
+        x = traced.solve(rhs)
+        nnz = traced.nnz
+    finally:
+        tracer.uninstall()
+    assert type(traced).__name__ == "_TimedFactor"
+    assert sign_log == linsys.det_sign_log(plain)
+    assert np.array_equal(x, plain.solve(rhs))
+    assert nnz == plain.nnz
+    assert tracer.span_table()["linsys.lu_solve"][0] == 1

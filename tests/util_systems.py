@@ -12,6 +12,8 @@ T, whose monodromy is expm(A T).
 Decoupled product system: two independent Hopf normal forms carry an exact
 torus u(th1, th2) = (cos th2, sin th2, cos th1, sin th1) with frequencies
 (om1, om2), giving exact sample data for the torus residual blocks.
+
+``dense(J)`` is the dense reference of a Jacobian: the product J @ I.
 """
 
 import numpy as np
@@ -24,6 +26,11 @@ T_LANG = 2 * np.pi / OM
 RHO_STAR = 0.51 / (K_LANG - 0.357)
 ALPHA_STAR = np.sqrt(2 * K_LANG) * T_LANG
 VARRHO_STAR = ALPHA_STAR / (2 * np.pi)
+
+
+def dense(J):
+    """Dense copy of a Jacobian, as the product J @ I."""
+    return J @ np.eye(J.shape[1])
 
 
 def langford_circle_radius(rho):
