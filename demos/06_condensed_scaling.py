@@ -3,11 +3,24 @@
 Seeds Langford tori at the TR point of the circular orbit family (eps = 0,
 rho = 0.6154, 20 x 4 mesh) with N = 10, 25, 50 and 100 Fourier modes,
 borders each Jacobian with the torus perturbation direction and times one
-factorization plus one solve by condensation (``linsys.lu_factor``).  Each
-solve is checked by its relative residual max|B x - rhs| / max|rhs|, with
-B x taken from the Jacobian's blocks (``B @ x``); the demo exits with
-status 1 when one is above 1e-8.  Then it runs three continuation steps of
-the N = 100 family, 60,306 unknowns.
+factorization plus one solve by condensation (``linsys.lu_factor``).  The
+factorization time is split into the batched local inverse
+(``np.linalg.inv`` of the collocation blocks, read in place from the
+kernel's values) and the rest: the segment chain, the reduced system and
+its LU.  Each solve is checked by its relative residual
+max|B x - rhs| / max|rhs|, with B x taken from the Jacobian's blocks
+(``B @ x``); the demo exits with status 1 when one is above 1e-8.  Then it
+runs three continuation steps of the N = 100 family, 60,306 unknowns.
+
+One run on a shared 2-vCPU host (Python 3.11.7, numpy 2.4.6, scipy
+1.17.1), best of 5, in ms; other runs on that host read higher, one of
+three at N = 50 by a factor of 7:
+
+   N  unknowns  reduced  condensed  local inv  rest  solve  residual
+  10      6306       69        2.2        1.4   0.8   0.25   2.2e-12
+  25     15306      159        5.4        3.4   1.9   0.52   8.6e-12
+  50     30306      309       11.9        7.1   4.8   1.08   1.4e-11
+ 100     60306      609       42.5       16.2  26.3   2.86   2.9e-11
 
 Expect a few seconds.
 """
@@ -20,7 +33,7 @@ import numpy as np
 from torcont import colloc, contin, linsys, odesys, po, torus
 
 OM, RHO = 3.5, 0.6154
-REPEATS = 3
+REPEATS = 5
 #: largest relative residual of a solve
 MAX_RESIDUAL = 1e-8
 
@@ -58,20 +71,21 @@ vf = odesys.builtin_langford()
 orbit = tr_orbit(vf, colloc.build_mesh(20, 4))
 floq = po.floquet(vf, orbit)
 
-print(f"{'N':>4} {'unknowns':>9} {'reduced':>8} {'condensed ms':>13} {'solve ms':>9} "
-      f"{'residual':>9}")
+print(f"{'N':>4} {'unknowns':>9} {'reduced':>8} {'condensed ms':>13} {'local inv':>10} "
+      f"{'rest':>6} {'solve ms':>9} {'residual':>9}")
 worst = 0.0
 for N in (10, 25, 50, 100):
     problem, u0, seed = problem_at(vf, orbit, floq, N)
     B = linsys.bordered_matrix(problem.jacobian(u0), seed)
     rhs = np.random.default_rng(N).standard_normal(B.shape[0])
     t_fac, lu = best_of(lambda: linsys.lu_factor(B))
-    t_sol, x = best_of(lambda: lu.solve(rhs))
     p = B.pattern
+    t_inv, _ = best_of(lambda: np.linalg.inv(B.blocks()[:, :, p.n:]))
+    t_sol, x = best_of(lambda: lu.solve(rhs))
     residual = np.abs(B @ x - rhs).max() / np.abs(rhs).max()
     worst = max(worst, residual)
-    print(f"{N:4d} {B.shape[0]:9d} {p.K * p.n + p.n_extra:8d} {t_fac:13.1f} {t_sol:9.2f} "
-          f"{residual:9.1e}")
+    print(f"{N:4d} {B.shape[0]:9d} {p.K * p.n + p.n_extra:8d} {t_fac:13.1f} {t_inv:10.1f} "
+          f"{t_fac - t_inv:6.1f} {t_sol:9.2f} {residual:9.1e}")
 
 print("\nthree continuation steps of the N = 100 family:")
 t0 = perf_counter()

@@ -201,7 +201,8 @@ class SegmentJacobian:
 
 def segment_jacobian(vf: VectorField, mesh: SegmentMesh, x, T: float, T0: float,
                      p) -> SegmentJacobian:
-    """Jacobian values of :func:`segment_residual` (same arguments)."""
+    """Jacobian values of :func:`segment_residual` (same arguments); ``J_x``
+    runs along the subintervals fastest, as :func:`segment_pattern` lists."""
     x = _segments(vf, mesh, x)
     K, _, n = x.shape
     q = vf.dim_params
@@ -216,15 +217,15 @@ def segment_jacobian(vf: VectorField, mesh: SegmentMesh, x, T: float, T0: float,
     fp = eval_jac_params(vf, tc, Yc, p)  # (n, q, k)
     ft = eval_jac_time(vf, tc, Yc, p)  # (n, k)
 
-    # collocation blocks D/h (x) I_n - T * W (x) f_y of every subinterval,
-    # stored (node c, base point j, row comp, col comp, subinterval) so each
-    # pass runs along the K*ntst subintervals; the continuity entries follow
+    # collocation blocks D/h (x) I_n - T * W (x) f_y of every subinterval, stored
+    # (node c, row comp i, base point j, col comp l, subinterval) so each pass runs
+    # along the K*ntst subintervals; the continuity entries follow
     subs = K * ntst
     Ac = np.ascontiguousarray(A.reshape(n, n, subs, m).transpose(3, 0, 1, 2))
-    DI = (mesh.D / mesh.h)[:, :, None, None] * np.eye(n)
+    DI = (mesh.D / mesh.h)[:, None, :, None] * np.eye(n)[None, :, None, :]
     J_x = np.empty(m * m1 * n * n * subs + K * 2 * (ntst - 1) * n)
-    blocks = J_x[: m * m1 * n * n * subs].reshape(m, m1, n, n, subs)
-    np.multiply((T * mesh.W)[:, :, None, None, None], Ac[:, None], out=blocks)
+    blocks = J_x[: m * m1 * n * n * subs].reshape(m, n, m1, n, subs)
+    np.multiply((T * mesh.W)[:, None, :, None, None], Ac[:, :, None], out=blocks)
     np.subtract(DI[..., None], blocks, out=blocks)
     J_x[blocks.size:] = np.tile(np.repeat([1.0, -1.0], (ntst - 1) * n), K)
     # d/dT = -f - T tau f_t ; d/dT0 = -T f_t ; d/dp = -T f_p
@@ -238,16 +239,17 @@ def segment_pattern(mesh: SegmentMesh, n: int, K: int = 1):
     """(rows, cols) of the ``J_x`` values of :func:`segment_jacobian`.
 
     Segment s owns rows s*rows_seg... and base-point columns s*n_base*n....
-    The dense subinterval blocks come first, indexed (collocation node,
-    base point, row component, column component, subinterval of all
-    segments); then per segment the +1 and the -1 entries of its continuity
-    rows.
+    The dense subinterval blocks come first, indexed (collocation node, row
+    component, base point, column component, subinterval of all segments),
+    so one subinterval's block, rows (node, row component) by columns (base
+    point, column component), is a strided view; then per segment the +1
+    and the -1 entries of its continuity rows.
     """
     ntst, m, m1 = mesh.ntst, mesh.degree, mesh.degree + 1
     rows_seg, X_seg = n_residual_rows(mesh, n), mesh.n_base * n
     seg, sub = np.divmod(np.arange(K * ntst), ntst)
-    c, j, i, l = np.ix_(range(m), range(m1), range(n), range(n))
-    shape = (m, m1, n, n, K * ntst)
+    c, i, j, l = np.ix_(range(m), range(n), range(m1), range(n))
+    shape = (m, n, m1, n, K * ntst)
     rows_b = np.broadcast_to((c * n + i)[..., None] + seg * rows_seg + sub * m * n, shape)
     cols_b = np.broadcast_to((j * n + l)[..., None] + seg * X_seg + sub * m1 * n, shape)
     k = np.arange(ntst - 1)[:, None]

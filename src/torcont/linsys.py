@@ -15,18 +15,21 @@ bordering algorithm):
 
 1. *Local elimination.*  Each of the K*ntst subintervals has an (m n)x(m n)
    block on the m base points after its first; all of them are inverted in
-   one batched call, which writes the subinterval's interior base points as
-   an affine map of its initial point and the extra unknowns.
+   one batched call that reads them in place from the kernel's values; the
+   inverses times the initial-point and extra columns, written into one
+   array, map each subinterval's interior base points affinely from its
+   initial point and the extra unknowns.
 2. *Segment chain.*  The continuity rows carry these maps from subinterval
    to subinterval, ntst batched steps across all segments, so every base
    point becomes an affine map of (v0 of its segment, extra unknowns).
    For an orbit the map to the last point is the monodromy matrix
    (:func:`monodromy`).
-3. *Reduced system.*  The tail rows, contracted with the maps of x(0) (v0
-   itself) and x(T) (the chain's last map), and the border form a dense
-   system in (v0 of every segment, extra unknowns) of size K n + n_extra
-   (309 on the N = 50 Langford torus), factored by LAPACK.  A solve
-   replays the three steps on the right-hand side and substitutes back.
+3. *Reduced system.*  The tail rows and the border form a dense system in
+   (v0 of every segment, extra unknowns) of size K n + n_extra (309 on the
+   N = 50 Langford torus), factored by LAPACK.  Tail values on x(0) (v0
+   itself) and on the extras go straight into it; those on x(T) meet the
+   chain's last maps in one batched and one plain product.  A solve
+   replays the steps on the right-hand side and substitutes back.
 
 The determinant obeys det B = s * prod det(local blocks) * (-1)^(continuity
 rows) * det(reduced), where s is the sign of the row and column
@@ -90,11 +93,10 @@ def _getrf(R):
         if inf > 0 and not info:
             info = j + inf
         piv[j:e] = p + j
-        order = np.arange(n - j)
-        for i, k in enumerate(p):  # the panel's row interchanges, in turn
-            order[i], order[k] = order[k], order[i]
-        a[j:, :j] = a[j:, :j][order]
-        a[j:, e:] = a[j:, e:][order]
+        # the panel's row interchanges, applied in turn to the row numbers
+        order = lapack.dlaswp(np.arange(j, n, dtype=float)[:, None], p)[:, 0].astype(np.intp)
+        moved = np.flatnonzero(order != np.arange(j, n))
+        a[j + moved] = a[order[moved]]
         a[j:, j:e] = lu
         if e < n:
             # dtrtri writes the strictly lower part only
@@ -117,7 +119,9 @@ class CollocationPattern:
     parameter i, -1 for none.  The tail values come in the order of
     (``tail_rows``, ``tail_cols``), full column numbers; entries in columns
     that are not kept are dropped.  A tail entry off the segment ends raises
-    ValueError; the tail block's columns are x(0), x(T) of every segment.
+    ValueError.  The values on x(0) and the extras (``start_src``) land at
+    ``start_slot`` of the reduced system's flat tail rows, those on x(T)
+    (``end_src``) at ``end_slot`` of an (n_tail, K n) block.
     """
 
     def __init__(self, mesh, n, K, extra_src, tail_rows, tail_cols, n_tail, keep=None):
@@ -143,7 +147,6 @@ class CollocationPattern:
         self.tail_keep = np.flatnonzero(tail_cols >= 0)
         t_rows, t_cols = np.asarray(tail_rows)[self.tail_keep], tail_cols[self.tail_keep]
 
-        # tail block columns: (segment, end, component), then the extras
         on_x = t_cols < n_x
         seg, j = np.divmod(t_cols // n, mesh.n_base)
         inner = on_x & (j > 0) & (j < mesh.n_base - 1)
@@ -151,9 +154,11 @@ class CollocationPattern:
             raise ValueError(
                 f"tail column {t_cols[inner][0]} is on interior base point {j[inner][0]} of "
                 f"segment {seg[inner][0]}; tail rows may touch only x(0) and x(T)")
-        self.n_ends = 2 * K * n
-        slot = np.where(on_x, (2 * seg + (j > 0)) * n + t_cols % n, self.n_ends + t_cols - n_x)
-        self.tail_slot = t_rows * (self.n_ends + self.n_extra) + slot
+        at_end = on_x & (j > 0)
+        col = np.where(on_x, seg * n + t_cols % n, K * n + t_cols - n_x)
+        self.start_src, self.end_src = self.tail_keep[~at_end], self.tail_keep[at_end]
+        self.start_slot = (t_rows * (K * n + self.n_extra) + col)[~at_end]
+        self.end_slot = (t_rows * K * n + col)[at_end]
         self.parity = self._parity()
 
     def _parity(self) -> int:
@@ -203,18 +208,19 @@ class CollocationJacobian:
 
     def blocks(self) -> np.ndarray:
         """Collocation blocks of every subinterval, (K ntst, m n, (m+1) n):
-        rows (node, component), columns (base point, component)."""
+        rows (node, component), columns (base point, component); a strided
+        view of ``seg.J_x``."""
         p = self.pattern
-        subs, m, n = p.K * p.ntst, p.m, p.n
-        blk = self.seg.J_x[: subs * m * (m + 1) * n * n].reshape(m, m + 1, n, n, subs)
-        return blk.transpose(4, 0, 2, 1, 3).reshape(subs, m * n, (m + 1) * n)
+        subs, mn = p.K * p.ntst, p.m * p.n
+        blk = self.seg.J_x[: subs * mn * (mn + p.n)].reshape(mn, mn + p.n, subs)
+        return blk.transpose(2, 0, 1)
 
-    def tail_block(self) -> np.ndarray:
-        """The tail rows on (x(0), x(T) of every segment, extras), dense."""
+    def tail_ends(self) -> np.ndarray:
+        """The tail values on x(T) of every segment, (n_tail, K n)."""
         p = self.pattern
-        block = np.zeros((p.n_tail, p.n_ends + p.n_extra))
-        block.flat[p.tail_slot] = self.tail[p.tail_keep]
-        return block
+        ends = np.zeros(p.n_tail * p.K * p.n)
+        ends[p.end_slot] = self.tail[p.end_src]
+        return ends.reshape(p.n_tail, -1)
 
     def __matmul__(self, v) -> np.ndarray:
         """J v for a vector or a matrix of columns v, from the blocks."""
@@ -229,9 +235,12 @@ class CollocationJacobian:
         # continuity rows: +1 on a subinterval's last point, -1 on the next one's first
         pm = seg.J_x[blocks.size:].reshape(K, 2, ntst - 1, n, 1)
         cont = (pm[:, 0] * x[:, :-1, -1] + pm[:, 1] * x[:, 1:, 0]).reshape(K, -1, k)
-        ends = x.reshape(K, -1, n, k)[:, [0, -1]].reshape(p.n_ends, k)
-        out = [np.concatenate([coll, cont], axis=1).reshape(K * p.rows_seg, k),
-               self.tail_block() @ np.concatenate([ends, e])]
+        x = x.reshape(K, -1, n, k)
+        starts = np.zeros((p.n_tail, K * n + p.n_extra))
+        starts.flat[p.start_slot] = self.tail[p.start_src]
+        tail = (starts @ np.concatenate([x[:, 0].reshape(K * n, k), e])
+                + self.tail_ends() @ x[:, -1].reshape(K * n, k))
+        out = [np.concatenate([coll, cont], axis=1).reshape(K * p.rows_seg, k), tail]
         if self.border is not None:
             out.append((self.border @ V)[None])
         return np.concatenate(out).reshape(self.shape[:1] + np.shape(v)[1:])
@@ -255,7 +264,8 @@ def max_abs(J) -> float:
     """Largest |entry| of a dense matrix or of a :class:`CollocationJacobian`."""
     if not isinstance(J, CollocationJacobian):
         return np.abs(J).max()
-    values = [J.seg.J_x, J.extra_block(), J.tail_block(), [] if J.border is None else J.border]
+    values = [J.seg.J_x, J.extra_block(), J.tail[J.pattern.tail_keep],
+              [] if J.border is None else J.border]
     return max(np.abs(v).max(initial=0.0) for v in values)
 
 
@@ -273,9 +283,6 @@ def _condense(B):
     subs, mn = K * ntst, m * n
     blocks = B.blocks()
     A = blocks[:, :, n:]
-    CG = np.empty((subs, mn, n + ne))
-    CG[:, :, :n] = blocks[:, :, :n]
-    CG[:, :, n:] = B.extra_block().reshape(subs, mn, ne)
     try:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError:
@@ -286,11 +293,13 @@ def _condense(B):
             f"linear solve failed: collocation block of {where} is exactly singular"
         ) from None
     # interior base points = LM @ [initial point; extras] + inv @ rhs
-    LM = -(inv @ CG)
+    LM = np.empty((subs, mn, n + ne))
+    np.matmul(inv, blocks[:, :, :n], out=LM[:, :, :n])
+    np.matmul(inv, B.extra_block().reshape(subs, mn, ne), out=LM[:, :, n:])
+    np.negative(LM, out=LM)
     last = LM.reshape(K, ntst, m, n, n + ne)[:, :, -1]
-    chain = np.empty((K, ntst + 1, n, n + ne))
+    chain = np.zeros((K, ntst + 1, n, n + ne))
     chain[:, 0, :, :n] = np.eye(n)
-    chain[:, 0, :, n:] = 0.0
     for k in range(ntst):
         chain[:, k + 1] = last[:, k, :, :n] @ chain[:, k]
         chain[:, k + 1, :, n:] += last[:, k, :, n:]
@@ -311,10 +320,11 @@ def monodromy(J: CollocationJacobian) -> np.ndarray:
 class CondensedFactor:
     """Factorization of a square system by condensation (module docstring).
 
-    ``solve(rhs)`` returns B^{-1} rhs; ``U`` lists one pivot per row whose
-    product is det B (local blocks as their geometric-mean pivot with the
-    block's sign on the first, -1 per continuity row, the reduced LU
-    diagonal with the permutation signs on its last entry).
+    It keeps the local inverses, ``LM``, the chain and the tail's x(T)
+    block.  ``solve(rhs)`` returns B^{-1} rhs; ``U`` lists one pivot per
+    row whose product is det B (local blocks as their geometric-mean pivot
+    with the block's sign on the first, -1 per continuity row, the reduced
+    LU diagonal with the permutation signs on its last entry).
     """
 
     def __init__(self, B, shift: float = 0.0):
@@ -343,37 +353,27 @@ class CondensedFactor:
 
     def _reduced(self, B):
         p = self.p
-        n, ne = p.n, p.n_extra
-        tail = B.tail_block()
-        self._tail_x = tail[:, : p.n_ends]
-        ends = self._tail_x.reshape(p.n_tail, p.K, 2, n)
-        # x(0) of a segment is its v0, x(T) maps by the chain's last [Phi | Psi]
-        to_end = (ends[:, :, 1].transpose(1, 0, 2) @ self._chain[:, -1]).transpose(1, 0, 2)
-        R = np.empty((p.K * n + ne,) * 2)
-        R[: p.n_tail, : p.K * n] = (ends[:, :, 0] + to_end[..., :n]).reshape(p.n_tail, -1)
-        R[: p.n_tail, p.K * n:] = to_end[..., n:].sum(axis=1) + tail[:, p.n_ends:]
-        if B.border is not None:
-            # border . x = sum_k beta_k . x_k0 + (sum_k b_int,k LM_k^e) . e
-            b = B.border
-            bx = b[: p.n_x].reshape(p.K * p.ntst, p.m + 1, n)
-            bLM = np.einsum("sr,src->sc", bx[:, 1:].reshape(p.K * p.ntst, -1), self._LM)
-            beta = bx[:, 0] + bLM[:, :n]
-            red = np.einsum("ski,skic->sc", beta.reshape(p.K, p.ntst, n), self._chain[:, :-1])
-            R[-1, : p.K * n] = red[:, :n].ravel()
-            R[-1, p.K * n:] = b[p.n_x:] + red[:, n:].sum(axis=0) + bLM[:, n:].sum(axis=0)
+        K, n, ne = p.K, p.n, p.n_extra
+        R = np.empty((K * n + ne,) * 2)
+        # x(T) of a segment maps by the chain's last [Phi | Psi], x(0) is its v0
+        self._ends = B.tail_ends()
+        last = self._chain[:, -1]
+        np.matmul(self._ends.reshape(p.n_tail, K, n).transpose(1, 0, 2), last[..., :n],
+                  out=R[: p.n_tail, : K * n].reshape(p.n_tail, K, n).transpose(1, 0, 2))
+        R[: p.n_tail, K * n:] = self._ends @ last[..., n:].reshape(K * n, ne)
+        R.reshape(-1)[p.start_slot] += B.tail[p.start_src]
         self._border = B.border
+        if B.border is not None:
+            # border . x = sum_k beta_k . x_k0 + b_int,k . (LM_k^e e + w_k)
+            b = B.border
+            bx = b[: p.n_x].reshape(K * p.ntst, p.m + 1, n)
+            self._b_int = bx[:, 1:].reshape(K * p.ntst, -1)
+            bLM = np.einsum("sr,src->sc", self._b_int, self._LM)
+            self._beta = bx[:, 0] + bLM[:, :n]
+            red = np.einsum("ski,skic->sc", self._beta.reshape(K, p.ntst, n), self._chain[:, :-1])
+            R[-1, : K * n] = red[:, :n].ravel()
+            R[-1, K * n:] = b[p.n_x:] + red[:, n:].sum(axis=0) + bLM[:, n:].sum(axis=0)
         return R
-
-    def _states(self, x0, e, w):
-        """All base points from the subinterval initial points ``x0`` (K,
-        ntst, n), the extras ``e`` and the local solutions ``w``."""
-        p = self.p
-        subs = p.K * p.ntst
-        xe = np.concatenate([x0.reshape(subs, p.n), np.broadcast_to(e, (subs, p.n_extra))],
-                            axis=1)
-        inner = np.einsum("src,sc->sr", self._LM, xe) + w
-        return np.concatenate([x0.reshape(subs, 1, p.n), inner.reshape(subs, p.m, p.n)],
-                              axis=1)
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         if trans != "N":
@@ -383,27 +383,30 @@ class CondensedFactor:
             return lapack.dgetrs(self._lu, self._piv, rhs)[0]
         p = self.p
         K, ntst, m, n, ne = p.K, p.ntst, p.m, p.n, p.n_extra
+        subs = K * ntst
         seg_rows = rhs[: K * p.rows_seg].reshape(K, p.rows_seg)
-        r_coll = seg_rows[:, : ntst * m * n].reshape(K * ntst, m * n)
-        r_cont = seg_rows[:, ntst * m * n:].reshape(K, ntst - 1, n)
-        w = np.einsum("src,sc->sr", self._inv, r_coll)
-        w_last = w.reshape(K, ntst, m, n)[:, :, -1]
+        w = np.einsum("src,sc->sr", self._inv, seg_rows[:, : ntst * m * n].reshape(subs, m * n))
+        # the particular solution: zero at x(0) and on the extras, the
+        # continuity rows after every subinterval but a segment's last
+        step = w.reshape(K, ntst, m, n)[:, :, -1].copy()
+        step[:, :-1] -= seg_rows[:, ntst * m * n:].reshape(K, ntst - 1, n)
         last = self._LM.reshape(K, ntst, m, n, n + ne)[:, :, -1, :, :n]
-        sigma = np.empty((K, ntst, n))  # particular initial points
-        sigma[:, 0] = 0.0
-        for k in range(ntst - 1):
-            sigma[:, k + 1] = (np.einsum("sij,sj->si", last[:, k], sigma[:, k])
-                               + w_last[:, k] - r_cont[:, k])
-        x_part = self._states(sigma, np.zeros(ne), w).reshape(-1, n)
+        sigma = np.zeros((K, ntst + 1, n))  # its subinterval initial points, then x(T)
+        for k in range(ntst):
+            sigma[:, k + 1] = np.einsum("sij,sj->si", last[:, k], sigma[:, k]) + step[:, k]
         g = rhs[K * p.rows_seg:].copy()
-        g[: p.n_tail] -= self._tail_x @ x_part.reshape(K, -1, n)[:, [0, -1]].ravel()
+        g[: p.n_tail] -= self._ends @ sigma[:, -1].ravel()
         if self._border is not None:
-            g[-1] -= self._border[: p.n_x] @ x_part.ravel()
+            g[-1] -= (np.einsum("si,si->", self._beta, sigma[:, :-1].reshape(subs, n))
+                      + np.einsum("sr,sr->", self._b_int, w))
         z = lapack.dgetrs(self._lu, self._piv, g)[0]
         v0, e = z[: K * n].reshape(K, n), z[K * n:]
         chain = self._chain[:, :-1]
-        x0 = sigma + np.einsum("skic,sc->ski", chain[..., :n], v0) + chain[..., n:] @ e
-        return np.concatenate([self._states(x0, e, w).ravel(), e])
+        x0 = (sigma[:, :-1] + np.einsum("skic,sc->ski", chain[..., :n], v0)
+              + chain[..., n:] @ e).reshape(subs, n)
+        inner = np.einsum("src,sc->sr", self._LM,
+                          np.concatenate([x0, np.broadcast_to(e, (subs, ne))], axis=1)) + w
+        return np.concatenate([np.concatenate([x0, inner], axis=1).ravel(), e])
 
     # -- determinant -------------------------------------------------------
 

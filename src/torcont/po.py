@@ -152,7 +152,8 @@ class FloquetData:
     warning: Optional[str] = None
 
 
-def floquet(vf: VectorField, po: PeriodicOrbit) -> FloquetData:
+def floquet(vf: VectorField, po: PeriodicOrbit,
+            pattern: Optional[CollocationPattern] = None) -> FloquetData:
     """Multipliers of the monodromy matrix of a converged orbit.
 
     M comes from the orbit's own collocation Jacobian: the product of the
@@ -162,9 +163,10 @@ def floquet(vf: VectorField, po: PeriodicOrbit) -> FloquetData:
     unstable orbit to rounding (Fairgrieve & Jepson 1991); ``warning`` says
     so when that error's bound eps*max|mu|/min|mu| exceeds ``ROUNDING_TOL``.
     The trivial multiplier (autonomous systems) is the one closest to 1 and
-    is excluded from TR candidacy.
+    is excluded from TR candidacy.  ``pattern`` is the orbit's
+    :func:`po_jacobian_pattern` with ``keep=[]``, built here when not given.
     """
-    pattern = po_jacobian_pattern(vf, po.traj.mesh, keep=[])
+    pattern = pattern or po_jacobian_pattern(vf, po.traj.mesh, keep=[])
     M = monodromy(po_jacobian(vf, po.traj, po.p, po.reference, pattern))
     warnings = []
     try:
@@ -247,8 +249,9 @@ def continuation_problem(
         reference=lambda orbit: make_reference(vf, orbit.traj, orbit.p),
     )
     if detect_tr:
+        tr_pattern = po_jacobian_pattern(vf, traj.mesh, keep=[])
         problem.events.append(contin.EventSpec(
-            "TR", lambda u: tr_test_function(floquet(vf, problem.embed(u)))))
+            "TR", lambda u: tr_test_function(floquet(vf, problem.embed(u), tr_pattern))))
     return problem, u0
 
 

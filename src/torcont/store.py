@@ -58,8 +58,9 @@ def _encode_array(a) -> dict:
             "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode_array(obj, path: str, name: str) -> np.ndarray:
-    """Inverse of ``_encode_array``; errors name the file and the field."""
+def _decode_array(obj, path: str, name: str, size: Optional[int] = None) -> np.ndarray:
+    """Inverse of ``_encode_array``, optionally of a vector of ``size``
+    entries; errors name the file and the field."""
     if not isinstance(obj, dict) or obj.get("dtype") != "<f8":
         raise FormatError(f"{path}: field {name!r} is not an encoded <f8 array")
     try:
@@ -70,6 +71,8 @@ def _decode_array(obj, path: str, name: str) -> np.ndarray:
     if min(shape, default=0) < 0 or len(raw) != 8 * math.prod(shape):
         raise FormatError(f"{path}: field {name!r} has {len(raw)} data bytes, "
                           f"not 8 per entry of shape {list(shape)}")
+    if size is not None and shape != (size,):
+        raise FormatError(f"{path}: field {name!r} has shape {list(shape)}, not [{size}]")
     return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)  # a writable copy
 
 
@@ -456,11 +459,15 @@ def restart_tor2tor(
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, released, bounds=bounds, detect_bp=detect_bp)
     if not refined:
+        path = snapshot_path(store, run_id, doc["label"])
         params, scalars = torus_mod.names(vf)
+        for name in doc["active"]:
+            if name not in params:
+                raise FormatError(f"{path}: field 'active' names unknown parameter {name!r}")
         S = sol.x_seg.size + len(scalars)
+        cols = contin.active_columns(S, params, doc["active"])
         t_full = np.zeros(S + len(params))
-        t_full[contin.active_columns(S, params, doc["active"])] = _decode_array(
-            doc["tangent"], snapshot_path(store, run_id, doc["label"]), "tangent")
+        t_full[cols] = _decode_array(doc["tangent"], path, "tangent", cols.size)
         problem.start_border = t_full[contin.active_columns(S, params, problem.active)]
     return problem, u0
 
@@ -541,9 +548,7 @@ def restart_BP2tor(
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, released, bounds=bounds, detect_bp=detect_bp)
     incoming = _decode_array(doc["tangent"], snapshot_path(store, run_id, doc["label"]),
-                             "tangent")
-    if incoming.size != problem.n_unknowns:
-        raise FormatError("stored tangent does not match the rebuilt problem layout")
+                             "tangent", problem.n_unknowns)
     problem.start_tangent = contin.switch_branch(problem, u0, incoming)
     return problem, u0
 

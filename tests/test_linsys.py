@@ -135,6 +135,40 @@ def test_cached_pattern_matches_fresh_coo_assembly(case):
         problem.on_accept(u1)  # re-anchor the sections at the moved point
 
 
+@pytest.mark.parametrize("case", [autonomous_orbit, autonomous_torus])
+def test_blocks_are_a_view_of_the_kernel_values(case):
+    problem, u0 = case()[:2]
+    J = problem.jacobian(u0)
+    assert np.shares_memory(J.blocks(), J.seg.J_x)
+
+
+def test_tail_reaches_the_reduced_system_without_a_dense_block(monkeypatch):
+    """Factor, solve, J @ v and max_abs read the tail values where the
+    pattern places them; a dense tail block is never formed."""
+    problem, u0 = autonomous_torus_n3()[:2]
+    rng = np.random.default_rng(4)
+    J = problem.jacobian(u0 + 1e-3 * rng.standard_normal(u0.size))
+    p = J.pattern
+    width = p.K * p.n + p.n_extra
+    # the tail touches x(0) and x(T) of several segments and the extras
+    assert np.unique(p.end_slot // p.n % p.K).size == p.K > 1
+    start_cols = p.start_slot % width
+    assert np.unique(start_cols[start_cols < p.K * p.n] // p.n).size == p.K
+    assert np.any(start_cols >= p.K * p.n)
+    B = linsys.bordered_matrix(J, rng.standard_normal(u0.size))
+    ref_B, ref_J = dense(B), dense(J)
+    v, rhs = rng.standard_normal(u0.size), rng.standard_normal(u0.size)
+
+    def no_dense_tail(self):
+        raise AssertionError("dense tail block formed")
+
+    monkeypatch.setattr(linsys.CollocationJacobian, "tail_block", no_dense_tail, raising=False)
+    x = linsys.lu_factor(B).solve(rhs)
+    assert np.abs(ref_B @ x - rhs).max() <= 1e-10 * np.abs(rhs).max()
+    assert np.abs(J @ v - ref_J @ v).max() <= 1e-13 * np.abs(ref_J).max() * np.abs(v).sum()
+    assert linsys.max_abs(B) == np.abs(ref_B).max()
+
+
 def test_tail_column_on_an_interior_base_point_is_refused():
     mesh = colloc.build_mesh(3, 2)
     n, K = 2, 2
@@ -276,10 +310,8 @@ def test_exactly_singular_local_block_is_named():
     problem, u0 = autonomous_torus()[:2]
     J = problem.jacobian(u0)
     p = J.pattern
-    # zero the interior columns of segment 1, subinterval 2
-    blocks = J.seg.J_x[: p.K * p.ntst * p.m * (p.m + 1) * p.n * p.n]
-    blocks = blocks.reshape(p.m, p.m + 1, p.n, p.n, p.K * p.ntst)
-    blocks[:, 1:, :, :, 1 * p.ntst + 2] = 0.0
+    # zero the interior columns of segment 1, subinterval 2, through the view
+    J.blocks()[1 * p.ntst + 2, :, p.n:] = 0.0
     B = linsys.bordered_matrix(J, np.ones(u0.size))
     with pytest.raises(ConvergenceError, match="segment 1, subinterval 2"):
         linsys.lu_factor(B)

@@ -232,6 +232,24 @@ class TestRoundTrip:
             store.restart_tor2tor(str(tmp_path), "tor_mini", lab)
         assert path in str(info.value)
 
+    @pytest.mark.parametrize("field, corrupt, message", [
+        ("tangent", lambda doc, t: store._encode_array(t[:-1]), "'tangent' has shape"),
+        ("active", lambda doc, t: doc["active"][:-1] + ["nope"],
+         "'active' names unknown parameter 'nope'"),
+    ], ids=["short", "unknown-name"])
+    def test_tangent_not_matching_active_rejected_on_restart(self, mini_pipeline, tmp_path,
+                                                             field, corrupt, message):
+        base = mini_pipeline["base"]
+        lab = store.read_bd(base, "tor_mini").labels[-1]
+        with open(store.snapshot_path(base, "tor_mini", lab)) as fh:
+            doc = json.load(fh)
+        tangent = store._decode_array(doc["tangent"], "", "tangent")
+        doc[field] = corrupt(doc, tangent)
+        path = copy_run_with_snapshot(base, "tor_mini", lab, doc, tmp_path)
+        with pytest.raises(FormatError, match=message) as info:
+            store.restart_tor2tor(str(tmp_path), "tor_mini", lab)
+        assert path in str(info.value)
+
 
 class TestBdTable:
     def test_tr_row_carries_type_and_monitor(self, mini_pipeline):
