@@ -3,34 +3,43 @@
 Seeds Langford tori at the TR point of the circular orbit family (eps = 0,
 rho = 0.6154, 20 x 4 mesh) with N = 10, 25, 50 and 100 Fourier modes,
 borders each Jacobian with the torus perturbation direction and times one
-factorization plus one solve by condensation (``linsys.lu_factor``).  The
-factorization time is split into the batched local inverse
-(``np.linalg.inv`` of the collocation blocks, read in place from the
-kernel's values) and the rest: the segment chain, the reduced system and
-its LU.  Each solve is checked by its relative residual
-max|B x - rhs| / max|rhs|, with B x taken from the Jacobian's blocks
-(``B @ x``); the demo exits with status 1 when one is above 1e-8.  Then it
-runs three continuation steps of the N = 100 family, 60,306 unknowns.
+factorization and one solve by condensation (``linsys.lu_factor``).  Their
+sum is split into the batched local inverse (``np.linalg.inv`` of the
+collocation blocks, read in place from the kernel's values), the reduced
+system R (``np.linalg.slogdet`` in the factorization, ``np.linalg.solve``
+in the solve) and the rest: the segment chain, the assembly of R and the
+replay of the solve.  BLAS and OpenMP threads are capped at the usable CPUs
+before numpy loads, as in ``perfbench/run.py``.  Each solve is checked by
+its relative residual max|B x - rhs| / max|rhs|, with B x taken from the
+Jacobian's blocks (``B @ x``); the demo exits with status 1 when one is
+above 1e-8.  Then it runs three continuation steps of the N = 100 family,
+60,306 unknowns.
 
 One run on a shared 2-vCPU host (Python 3.11.7, numpy 2.4.6, scipy
-1.17.1), best of 5, in ms; other runs on that host read higher, one of
-three at N = 50 by a factor of 7:
+1.17.1, two BLAS threads), best of 5, in ms; local inv + reduced + rest =
+factor + solve.  Other runs on that host read higher: of three runs, one
+read N = 25 at 105 ms (rest 97.5 ms).
 
-   N  unknowns  reduced  condensed  local inv  rest  solve  residual
-  10      6306       69        2.2        1.4   0.8   0.25   2.2e-12
-  25     15306      159        5.4        3.4   1.9   0.52   8.6e-12
-  50     30306      309       11.9        7.1   4.8   1.08   1.4e-11
- 100     60306      609       42.5       16.2  26.3   2.86   2.9e-11
+   N  unknowns    R  factor ms  solve  local inv  reduced   rest  residual
+  10      6306   69        3.5   0.54        2.4      0.1    1.5   1.7e-12
+  25     15306  159        8.6   1.35        6.0      0.7    3.2   1.0e-11
+  50     30306  309       18.8   3.43       11.7      3.1    7.4   1.1e-11
+ 100     60306  609       45.1  12.47       23.6     15.3   18.7   3.2e-11
 
 Expect a few seconds.
 """
 
+import os
 import sys
 from time import perf_counter
 
-import numpy as np
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[var] = str(CPUS)
 
-from torcont import colloc, contin, linsys, odesys, po, torus
+import numpy as np  # noqa: E402
+
+from torcont import colloc, contin, linsys, odesys, po, torus  # noqa: E402
 
 OM, RHO = 3.5, 0.6154
 REPEATS = 5
@@ -71,8 +80,8 @@ vf = odesys.builtin_langford()
 orbit = tr_orbit(vf, colloc.build_mesh(20, 4))
 floq = po.floquet(vf, orbit)
 
-print(f"{'N':>4} {'unknowns':>9} {'reduced':>8} {'condensed ms':>13} {'local inv':>10} "
-      f"{'rest':>6} {'solve ms':>9} {'residual':>9}")
+print(f"{'N':>4} {'unknowns':>9} {'R':>4} {'factor ms':>10} {'solve':>6} {'local inv':>10} "
+      f"{'reduced':>8} {'rest':>6} {'residual':>9}")
 worst = 0.0
 for N in (10, 25, 50, 100):
     problem, u0, seed = problem_at(vf, orbit, floq, N)
@@ -81,11 +90,13 @@ for N in (10, 25, 50, 100):
     t_fac, lu = best_of(lambda: linsys.lu_factor(B))
     p = B.pattern
     t_inv, _ = best_of(lambda: np.linalg.inv(B.blocks()[:, :, p.n:]))
+    R, g = lu._R, rhs[-lu._R.shape[0]:]
+    t_red, _ = best_of(lambda: (np.linalg.slogdet(R), np.linalg.solve(R, g)))
     t_sol, x = best_of(lambda: lu.solve(rhs))
     residual = np.abs(B @ x - rhs).max() / np.abs(rhs).max()
     worst = max(worst, residual)
-    print(f"{N:4d} {B.shape[0]:9d} {p.K * p.n + p.n_extra:8d} {t_fac:13.1f} {t_inv:10.1f} "
-          f"{t_fac - t_inv:6.1f} {t_sol:9.2f} {residual:9.1e}")
+    print(f"{N:4d} {B.shape[0]:9d} {R.shape[0]:4d} {t_fac:10.1f} {t_sol:6.2f} {t_inv:10.1f} "
+          f"{t_red:8.1f} {t_fac + t_sol - t_inv - t_red:6.1f} {residual:9.1e}")
 
 print("\nthree continuation steps of the N = 100 family:")
 t0 = perf_counter()

@@ -8,18 +8,20 @@ Verbs:
     torcont bd RUN_ID --columns NAME [NAME ...] [-o FILE] [--store DIR]
     torcont list [RUN_ID] [--store DIR]
 
-Exit codes: 0 success, 2 configuration error, 3 convergence failure,
-4 not found.  A config file is JSON with a ``system`` header and a list of
-``stages``; each stage declares its initial data source (simulated orbit,
-samples file, circle-seeded simulation, or a prior run's labeled solution),
-discretization, and continuation options.  Stages chain through run ids, so
-one file reproduces a whole workflow.
+Exit codes: 0 success, 2 configuration error or an output path that cannot
+be written, 3 convergence failure, 4 not found.  A config file is JSON with
+a ``system`` header and a list of ``stages``; each stage declares its
+initial data source (simulated orbit, samples file, circle-seeded
+simulation, or a prior run's labeled solution), discretization, and
+continuation options.  Stages chain through run ids, so one file reproduces
+a whole workflow.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -318,6 +320,12 @@ def cmd_run(config_path: str, stage: str = None, store_dir: str = None,
     selected = [st for st in stages if stage is None or st["run_id"] == stage]
     if stage is not None and not selected:
         raise NotFoundError(f"config has no stage {stage!r}")
+    try:
+        os.makedirs(base, exist_ok=True)
+    except FileExistsError:
+        raise InputError(f"store {base!r} is not a directory") from None
+    except OSError as exc:
+        raise InputError(f"cannot make store directory {base!r}: {exc.strerror}") from None
     for st in selected:
         print(f"== run {st['run_id']} ({st['problem']}, source {st['source']['kind']}) ==")
         cont, path = st["continuation"], f"stage {st['run_id']}"
@@ -340,6 +348,14 @@ def cmd_run(config_path: str, stage: str = None, store_dir: str = None,
 
 
 # -- validate / export / bd / list ----------------------------------------------
+
+
+def _open_output(path: str):
+    """``path`` opened for writing; a path that cannot be written is an InputError."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def cmd_validate(store_dir: str, run_id: str, label: int, n_returns: int = 20,
@@ -367,7 +383,7 @@ def cmd_export(store_dir: str, run_id: str, label: int, theta2_count: int = 65,
     store.expect_point(doc, run_id, "torus")
     grid = torus.export_torus_mesh(sol, theta2_count)
     out_path = out_path or f"{run_id}_label{label}_torus.tsv"
-    with open(out_path, "w") as fh:
+    with _open_output(out_path) as fh:
         fh.write("# torcont torus grid v1\n")
         fh.write(f"# n_theta1 {grid.theta1.size} n_theta2 {grid.theta2.size} "
                  f"n_state {grid.values.shape[2]}\n")
@@ -396,7 +412,7 @@ def cmd_bd(store_dir: str, run_id: str, columns, out_path: str = None,
         lines.append("\t".join(repr(bd.columns[name][i]) for name in columns))
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
+        with _open_output(out_path) as fh:
             fh.write(text)
         print(f"wrote {out_path}", file=out)
     else:

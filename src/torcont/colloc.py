@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
 
 from .errors import InputError
 from .odesys import VectorField, eval_jac_params, eval_jac_state, eval_jac_time, eval_rhs
@@ -336,6 +335,9 @@ def _spline_coefficients(x, y):
     scipy's: the slopes s solve scipy's 3x3 system for n = 3 and its banded
     system otherwise; then the Hermite form of ``CubicHermiteSpline``.
     """
+    # imported here, so that only a run that resamples loads scipy.linalg
+    from scipy.linalg import solve, solve_banded
+
     n = x.size
     dx = np.diff(x)
     dxr = dx.reshape([dx.shape[0]] + [1] * (y.ndim - 1))

@@ -26,10 +26,14 @@ bordering algorithm):
    (:func:`monodromy`).
 3. *Reduced system.*  The tail rows and the border form a dense system in
    (v0 of every segment, extra unknowns) of size K n + n_extra (309 on the
-   N = 50 Langford torus), factored by LAPACK.  Tail values on x(0) (v0
-   itself) and on the extras go straight into it; those on x(T) meet the
-   chain's last maps in one batched and one plain product.  A solve
-   replays the steps on the right-hand side and substitutes back.
+   N = 50 Langford torus).  Tail values on x(0) (v0 itself) and on the
+   extras go straight into it; those on x(T) meet the chain's last maps in
+   one batched and one plain product.  numpy gives its determinant
+   (``slogdet``) and, in a solve, its solution (``np.linalg.solve``), each
+   by its own LAPACK LU of R.  A Newton update solves once per
+   factorization, so an LU kept for later solves would save only that
+   second LU, and numpy exposes none to keep.  A solve replays the steps on
+   the right-hand side and substitutes back.
 
 The determinant obeys det B = s * prod det(local blocks) * (-1)^(continuity
 rows) * det(reduced), where s is the sign of the row and column
@@ -54,56 +58,16 @@ and a solution comes with the factor made before its last update.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .colloc import n_residual_rows
 from .errors import ConvergenceError
 
-# OpenBLAS factors the 309x309 reduced system of the N = 50 Langford torus
-# on its thread pool, whose idle threads then spin.  On a 2-vCPU host (two
-# hyperthreads of one core) that slowed every later numpy call: the torus
-# family took 7.9-8.7 s instead of 4.5-5.7 s.  The reduced LU therefore runs
-# in column panels of fewer than 10,000 entries.  OpenBLAS 0.3.31 kept
-# panels up to 309x64 and square LUs up to 140x140 on the calling thread,
-# but not 309x100 or 160x160.  The trailing updates are plain products:
-# OpenBLAS threads the larger ones, but that did not slow the run.
-_LU_ENTRIES = 9_999
-
 #: residual ratio a Newton update must reach from the second update on
 CONTRACTION = 0.5
-
-
-def _getrf(R):
-    """LU with partial pivoting of R as LAPACK getrf returns it (lu, piv,
-    info), factored in column panels of fewer than ``_LU_ENTRIES`` entries
-    with right-looking block updates."""
-    n = R.shape[0]
-    b = max(1, _LU_ENTRIES // max(1, n))
-    if b >= n:
-        return lapack.dgetrf(R)
-    a = np.array(R, dtype=float)
-    piv = np.empty(n, dtype=np.int32)
-    info = 0
-    for j in range(0, n, b):
-        e = min(j + b, n)
-        lu, p, inf = lapack.dgetrf(a[j:, j:e])
-        if inf > 0 and not info:
-            info = j + inf
-        piv[j:e] = p + j
-        # the panel's row interchanges, applied in turn to the row numbers
-        order = lapack.dlaswp(np.arange(j, n, dtype=float)[:, None], p)[:, 0].astype(np.intp)
-        moved = np.flatnonzero(order != np.arange(j, n))
-        a[j + moved] = a[order[moved]]
-        a[j:, j:e] = lu
-        if e < n:
-            # dtrtri writes the strictly lower part only
-            L11_inv = np.tril(lapack.dtrtri(lu[: e - j], lower=1, unitdiag=1)[0], -1)
-            a[j:e, e:] += L11_inv @ a[j:e, e:]
-            a[e:, e:] -= a[e:, j:e] @ a[j:e, e:]
-    return a, piv, info
 
 
 class CollocationPattern:
@@ -320,11 +284,14 @@ def monodromy(J: CollocationJacobian) -> np.ndarray:
 class CondensedFactor:
     """Factorization of a square system by condensation (module docstring).
 
-    It keeps the local inverses, ``LM``, the chain and the tail's x(T)
-    block.  ``solve(rhs)`` returns B^{-1} rhs; ``U`` lists one pivot per
-    row whose product is det B (local blocks as their geometric-mean pivot
-    with the block's sign on the first, -1 per continuity row, the reduced
-    LU diagonal with the permutation signs on its last entry).
+    It keeps the local inverses, ``LM``, the chain, the tail's x(T) block
+    and the reduced system R with (sign, log|det R|) from numpy's slogdet,
+    whose LU also finds an exactly singular R.  ``solve(rhs)`` returns
+    B^{-1} rhs and solves R by ``np.linalg.solve``: a Newton update solves
+    once per factorization, so a stored LU of R would be read only once.
+    ``U`` lists one pivot per row whose product is det B (local blocks and
+    R as their geometric-mean pivot with the determinant's sign on the
+    first, R's also with the permutation signs; -1 per continuity row).
     """
 
     def __init__(self, B, shift: float = 0.0):
@@ -342,12 +309,17 @@ class CondensedFactor:
             raise ConvergenceError("linear solve failed: non-finite reduced system")
         if shift:
             R[np.diag_indices_from(R)] += shift * max(1.0, np.abs(R).max())
-        self._lu, self._piv, info = _getrf(R)
-        if info > 0:
+        self._R = R
+        self._sign, self._logdet = np.linalg.slogdet(R)
+        if self._sign == 0:
+            # the zero pivot of getrf: the first column the columns before it span
+            n = R.shape[0]
+            k = 1 + bisect_left(range(1, n), True,
+                                key=lambda k: np.linalg.matrix_rank(R[:, :k]) < k)
             raise ConvergenceError(
-                f"linear solve failed: the reduced {R.shape[0]}x{R.shape[0]} system is "
-                f"exactly singular (zero pivot {info})")
-        self.nnz = self._lu.size + (0 if self.p is None else self._inv.size + self._LM.size)
+                f"linear solve failed: the reduced {n}x{n} system is "
+                f"exactly singular (zero pivot {k})")
+        self.nnz = R.size + (0 if self.p is None else self._inv.size + self._LM.size)
 
     # -- step 3: the reduced system --------------------------------------
 
@@ -380,7 +352,7 @@ class CondensedFactor:
             raise ValueError("only B x = rhs is supported")
         rhs = np.asarray(rhs, dtype=float)
         if self.p is None:
-            return lapack.dgetrs(self._lu, self._piv, rhs)[0]
+            return np.linalg.solve(self._R, rhs)
         p = self.p
         K, ntst, m, n, ne = p.K, p.ntst, p.m, p.n, p.n_extra
         subs = K * ntst
@@ -399,7 +371,7 @@ class CondensedFactor:
         if self._border is not None:
             g[-1] -= (np.einsum("si,si->", self._beta, sigma[:, :-1].reshape(subs, n))
                       + np.einsum("sr,sr->", self._b_int, w))
-        z = lapack.dgetrs(self._lu, self._piv, g)[0]
+        z = np.linalg.solve(self._R, g)
         v0, e = z[: K * n].reshape(K, n), z[K * n:]
         chain = self._chain[:, :-1]
         x0 = (sigma[:, :-1] + np.einsum("skic,sc->ski", chain[..., :n], v0)
@@ -413,19 +385,21 @@ class CondensedFactor:
     @cached_property
     def U(self) -> np.ndarray:
         """The pivots of the class docstring, one per row of B."""
-        d = np.diagonal(self._lu).copy()
-        sign = -1 if np.count_nonzero(self._piv != np.arange(self._piv.size)) % 2 else 1
         if self.p is None:
-            d[-1] *= sign
-            return d
+            return _pivots(self._sign, self._logdet, self._R.shape[0])
         p = self.p
-        d[-1] *= sign * p.parity
-        s, logabs = np.linalg.slogdet(self._A)
         mn = p.m * p.n
-        local = np.repeat(np.exp(logabs / mn), mn).reshape(-1, mn)
-        local[:, 0] *= s
         cont = np.full(p.K * (p.ntst - 1) * p.n, -1.0)
-        return np.concatenate([local.ravel(), cont, d])
+        return np.concatenate([_pivots(*np.linalg.slogdet(self._A), mn), cont,
+                               _pivots(self._sign * p.parity, self._logdet, self._R.shape[0])])
+
+
+def _pivots(sign, logabs, size) -> np.ndarray:
+    """``size`` equal pivots per determinant (sign, log|det|), the sign on
+    the first; one determinant or an array of them."""
+    d = np.repeat(np.exp(np.asarray(logabs) / size), size).reshape(-1, size)
+    d[:, 0] *= sign
+    return d.ravel()
 
 
 def lu_factor(A, shift: float = 0.0) -> CondensedFactor:

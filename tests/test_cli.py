@@ -231,6 +231,15 @@ class TestEndToEnd:
         rc = cli.main(["run", cli_run["config"], "--stage", "nope"])
         assert rc == 4
 
+    def test_store_that_is_a_file_exits_2_before_any_stage(self, cli_run, tmp_path, capsys):
+        path = tmp_path / "store"
+        path.write_text("")
+        rc = cli.main(["run", cli_run["config"], "--store", str(path), "--quiet"])
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert "== run" not in out
+        assert err.count("\n") == 1 and repr(str(path)) in err
+
     def test_start_failure_exits_3(self, tmp_path, capsys):
         # a wildly wrong period makes the initial orbit correction diverge
         cfg = json.loads(json.dumps(SMALL_CONFIG))
@@ -340,6 +349,15 @@ class TestExportBd:
     def test_export_missing_run_not_found(self, cli_run):
         rc = cli.main(["export", "ghost", "1", "--store", cli_run["store"]])
         assert rc == 4
+
+    @pytest.mark.parametrize("verb", [["bd", "tor_s", "--columns", "rho"],
+                                      ["export", "tor_s", "1"]], ids=["bd", "export"])
+    def test_unwritable_output_path_exits_2(self, cli_run, tmp_path, capsys, verb):
+        out = str(tmp_path / "missing" / "x.tsv")
+        rc = cli.main(verb + ["-o", out, "--store", cli_run["store"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and repr(out) in err
 
     def test_list_runs_and_labels(self, cli_run, capsys):
         rc = cli.main(["list", "--store", cli_run["store"]])
@@ -465,16 +483,14 @@ def test_bad_samples_file_is_an_input_error(tmp_path, capsys, t_grid, bad, messa
     assert message in capsys.readouterr().err
 
 
-def test_runs_import_no_scipy_integrate_interpolate_or_sparse(tmp_path):
-    # the simulate, tr and simulate_circle sources integrate and resample
-    # without scipy.integrate and scipy.interpolate, which would also load
-    # scipy.optimize and scipy.special at start-up, and every linear system
-    # is assembled and factored without scipy.sparse
+def loaded_after_runs(tmp_path, configs, modules):
+    """Which of ``modules`` a fresh interpreter has loaded after running
+    the configs {name: doc} through ``cli.main``."""
     import subprocess
     import sys
 
     paths = []
-    for name, doc in (("langford", SMALL_CONFIG), ("vdp", VDP_CIRCLE_CONFIG)):
+    for name, doc in configs.items():
         cfg = json.loads(json.dumps(doc))
         cfg["store"] = str(tmp_path / name)
         paths.append(str(tmp_path / f"{name}.json"))
@@ -485,12 +501,29 @@ def test_runs_import_no_scipy_integrate_interpolate_or_sparse(tmp_path):
         "from torcont import cli\n"
         f"for path in {paths!r}:\n"
         "    assert cli.main(['run', path, '--quiet']) == 0\n"
-        "print(sorted(m for m in ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize',"
-        " 'scipy.special', 'scipy.sparse') if m in sys.modules))\n"
+        f"print(sorted(m for m in {tuple(modules)!r} if m in sys.modules))\n"
     )
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.splitlines()[-1] == "[]"
+    return out.splitlines()[-1]
+
+
+def test_runs_import_no_scipy_integrate_interpolate_or_sparse(tmp_path):
+    # the simulate, tr and simulate_circle sources integrate and resample
+    # without scipy.integrate and scipy.interpolate, which would also load
+    # scipy.optimize and scipy.special at start-up, and every linear system
+    # is assembled and factored without scipy.sparse
+    assert loaded_after_runs(
+        tmp_path, {"langford": SMALL_CONFIG, "vdp": VDP_CIRCLE_CONFIG},
+        ("scipy.integrate", "scipy.interpolate", "scipy.optimize", "scipy.special",
+         "scipy.sparse")) == "[]"
+
+
+def test_orbit_and_tr_seeded_torus_runs_import_no_scipy_linalg(tmp_path):
+    # numpy factors and solves the continuation's systems; only resampling through
+    # the spline (samples and simulate_circle sources) loads scipy.linalg
+    assert loaded_after_runs(tmp_path, {"langford": SMALL_CONFIG},
+                             ("scipy", "scipy.linalg")) == "[]"

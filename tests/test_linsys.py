@@ -270,20 +270,6 @@ def test_determinant_sign_over_mesh_shapes(ntst, degree, N):
     assert_matches_reference(B)
 
 
-@pytest.mark.parametrize("n", [40, 150, 333])
-def test_panel_lu_matches_lapack(n):
-    from scipy.linalg import lapack
-
-    rng = np.random.default_rng(n)
-    R = rng.standard_normal((n, n))
-    lu, piv, info = linsys._getrf(R)
-    lu_ref, piv_ref, _ = lapack.dgetrf(R)
-    assert info == 0 and np.array_equal(piv, piv_ref)
-    assert np.abs(lu - lu_ref).max() <= 1e-10 * np.abs(lu_ref).max()
-    R[:, n // 2] = 0.0
-    assert linsys._getrf(R)[2] == lapack.dgetrf(R)[2] > 0
-
-
 def test_square_system_without_border():
     vf = odesys.builtin_langford()
     mesh = colloc.build_mesh(5, 3)
@@ -299,11 +285,21 @@ def test_square_system_without_border():
 def test_plain_sparse_matrix_is_the_k0_case():
     """A plain matrix, half of it zeros, is factored as its own reduced system."""
     rng = np.random.default_rng(6)
-    J = rng.standard_normal((6, 7)) * (rng.random((6, 7)) < 0.5) + np.eye(6, 7)
-    border = rng.standard_normal(7)
-    B = linsys.bordered_matrix(J, border)
-    assert isinstance(B, np.ndarray) and np.array_equal(B, np.vstack([J, border]))
-    assert_matches_reference(B)
+    for n in (7, 150, 333):
+        J = rng.standard_normal((n - 1, n)) * (rng.random((n - 1, n)) < 0.5) + np.eye(n - 1, n)
+        border = rng.standard_normal(n)
+        B = linsys.bordered_matrix(J, border)
+        assert isinstance(B, np.ndarray) and np.array_equal(B, np.vstack([J, border]))
+        assert_matches_reference(B)
+
+
+def test_exactly_singular_dense_system_names_its_zero_pivot():
+    # LAPACK's getrf stops at the first column the columns before it span
+    B = np.random.default_rng(7).standard_normal((333, 333))
+    B[:, 200] = 0.0
+    with pytest.raises(ConvergenceError, match=r"reduced 333x333 system is exactly "
+                                               r"singular \(zero pivot 201\)"):
+        linsys.lu_factor(B)
 
 
 def test_exactly_singular_local_block_is_named():
