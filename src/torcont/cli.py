@@ -134,7 +134,6 @@ OPTIONAL_FIELDS = {
                                        '"first", "last" or an index}'),
         "radius": (lambda v: _is_number(v) and v > 0, "a positive number"),
         "transient_loops": (lambda v: _is_int(v, 0), "an integer >= 0"),
-        "samples_per_period": (lambda v: _is_int(v, 3), "an integer >= 3"),
     },
     "continuation": {"h0": _NUMBER, "h_min": _NUMBER, "h_max": _NUMBER, "pt_max": _POSITIVE_INT,
                      "bi_direct": _BOOL, "detect_tr": _BOOL, "detect_bp": _BOOL},
@@ -197,6 +196,9 @@ def validate_config(doc: dict):
         for key, types in SOURCES[kind][skind].items():
             _need(source, key, types, f"{path}.source")
         if skind == "simulate_circle":
+            n_seg = source["n_seg"]
+            if not (_is_int(n_seg, 3) and n_seg % 2):
+                _cfg_error(f"{path}.source.n_seg", f"must be an odd integer >= 3, got {n_seg!r}")
             for key in torus.EXTRA_PARAMS:
                 _need(source["params"], key, (int, float), f"{path}.source.params")
             if source["params"]["om2"] <= 0:
@@ -255,22 +257,24 @@ def _po_stage(vf, p0, st, store_dir, bounds):
     return problem, u0
 
 
-def _make_circle_samples(vf, p0, src):
+def _make_circle_samples(vf, p0, src, mesh):
+    """(samples, params) of a ``simulate_circle`` source: the circle seeds after
+    the transient, integrated onto the distinct base-point times of one return."""
     n_seg, params = src["n_seg"], src["params"]
     radius = float(src.get("radius", 2.0))
     t_ret = 2 * np.pi / float(params["om2"])
     loops = int(src.get("transient_loops", 10))
-    t1 = t_ret * np.linspace(0.0, 1.0, int(src.get("samples_per_period", 10 * n_seg)))
     angles = 2 * np.pi * np.arange(n_seg) / n_seg
     seeds = np.zeros((n_seg, vf.dim_state))
     seeds[:, 0] = radius * np.cos(angles)
     seeds[:, 1] = radius * np.sin(angles)
     if loops > 0:
         seeds = ivp.integrate(vf, [0.0, loops * t_ret], seeds, p0).y[-1]
-    samples = ivp.integrate(vf, t1, seeds, p0).y.swapaxes(0, 1)
+    tau = colloc.distinct_basepoints(mesh)[0]
+    samples = ivp.integrate(vf, t_ret * tau, seeds, p0).y.swapaxes(0, 1)
     full = {name: float(val) for name, val in zip(vf.param_names, p0)}
     full.update({k: float(params[k]) for k in torus.EXTRA_PARAMS})
-    return t1, samples, full
+    return samples, full
 
 
 def _torus_stage(vf, p0, st, store_dir, bounds):
@@ -287,9 +291,9 @@ def _torus_stage(vf, p0, st, store_dir, bounds):
             bounds=bounds, detect_bp=detect_bp,
         )
     elif kind == "simulate_circle":
-        t1, samples, full = _make_circle_samples(vf, p0, src)
         mesh = colloc.build_mesh(int(disc.get("ntst", 20)), int(disc.get("degree", 4)))
-        sol = torus.init_from_samples(vf, t1, samples, full, mesh=mesh)
+        samples, full = _make_circle_samples(vf, p0, src, mesh)
+        sol = torus.init_from_samples(vf, samples, full, mesh)
         problem, u0 = torus.continuation_problem(
             vf, sol, cont["released"], bounds=bounds, detect_bp=detect_bp)
     elif kind == "tr":  # the restarts hold the defaults of unstated fields

@@ -8,6 +8,8 @@ included); the ODE is enforced at the m Gauss-Legendre nodes of every
 subinterval and continuity is imposed as explicit equations between the
 duplicated endpoint unknowns, which keeps the Jacobian block structure
 uniform across segments: an orbit is K = 1, a torus K = 2N+1.
+A samples file's torus seed reaches the base points through the not-a-knot
+cubic spline of :func:`sample_onto_basepoints`.
 """
 
 from __future__ import annotations
@@ -297,10 +299,22 @@ def interpolate(traj: Trajectory, t):
     return out[0] if scalar else out
 
 
-def sample_onto_basepoints(mesh: SegmentMesh, t_grid, values, duration, t_offset=0.0):
-    """Cubic-spline resample of (t_grid, values) onto the mesh base points.
+def distinct_basepoints(mesh: SegmentMesh):
+    """(tau, index): the ntst*degree + 1 increasing distinct base-point times
+    in [0, 1] and, for every base point, the position of its time in ``tau``.
 
-    Used when a torus segment is seeded from forward-simulation samples.
+    A subinterval's last base point takes the next one's first time, which
+    ``np.unique(mesh.basepoints)`` can keep twice, an ulp apart."""
+    m = mesh.degree
+    index = (m * np.arange(mesh.ntst)[:, None] + np.arange(m + 1)).ravel()
+    tau = np.append(mesh.basepoints.reshape(mesh.ntst, m + 1)[:, :-1], mesh.basepoints[-1])
+    return tau, index
+
+
+def sample_onto_basepoints(mesh: SegmentMesh, t_grid, values, duration):
+    """Cubic-spline resample of (t_grid, values) at the distinct base-point
+    times ``duration * tau`` (:func:`distinct_basepoints`) of a samples file.
+
     The grid needs at least 3 strictly increasing, finite times and finite
     values (:class:`InputError` otherwise).
     """
@@ -319,7 +333,7 @@ def sample_onto_basepoints(mesh: SegmentMesh, t_grid, values, duration, t_offset
         i = stalled[0]
         raise InputError(f"sample times must be strictly increasing; time {i + 1} is "
                          f"{t_grid[i + 1]!r} after {t_grid[i]!r}")
-    tb = t_offset + duration * mesh.basepoints
+    tb = duration * distinct_basepoints(mesh)[0]
     lo, hi = t_grid[0], t_grid[-1]
     span = max(hi - lo, 1.0)
     if tb.min() < lo - 1e-9 * span or tb.max() > hi + 1e-9 * span:
@@ -330,50 +344,33 @@ def sample_onto_basepoints(mesh: SegmentMesh, t_grid, values, duration, t_offset
 def _spline_coefficients(x, y):
     """Coefficients c (4, n-1, ...) of the not-a-knot cubic spline through (x, y).
 
-    The operations of scipy 1.17.1's ``CubicSpline(x, y, axis=0)``
-    (``scipy/interpolate/_cubic.py``), so the spline is bit-identical to
-    scipy's: the slopes s solve scipy's 3x3 system for n = 3 and its banded
-    system otherwise; then the Hermite form of ``CubicHermiteSpline``.
+    scipy's ``CubicSpline(x, y, axis=0)`` construction: the slopes s solve its
+    3x3 system for n = 3 and its tridiagonal system otherwise, then the
+    Hermite form.  ``np.linalg.solve`` takes the system as a dense n x n
+    matrix (8 MB at n = 1,000), so the spline agrees with scipy's banded
+    solve to rounding, not bit for bit.
     """
-    # imported here, so that only a run that resamples loads scipy.linalg
-    from scipy.linalg import solve, solve_banded
-
     n = x.size
     dx = np.diff(x)
     dxr = dx.reshape([dx.shape[0]] + [1] * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
-    if n == 3:  # both conditions coincide: the parabola through the points
-        A = np.zeros((3, 3))
-        b = np.empty((3,) + y.shape[1:])
-        A[0, 0] = 1
-        A[0, 1] = 1
-        A[1, 0] = dx[1]
-        A[1, 1] = 2 * (dx[0] + dx[1])
-        A[1, 2] = dx[0]
-        A[2, 1] = 1
-        A[2, 2] = 1
-        b[0] = 2 * slope[0]
-        b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
-        b[2] = 2 * slope[1]
-        s = solve(A, b.reshape(3, -1), overwrite_a=True, overwrite_b=True,
-                  check_finite=False).reshape(b.shape)
-    else:  # tridiagonal in banded storage
-        A = np.zeros((3, n))
-        b = np.empty((n,) + y.shape[1:])
-        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        A[0, 2:] = dx[:-1]
-        A[-1, :-2] = dx[1:]
-        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        A[1, 0] = dx[1]
-        A[0, 1] = x[2] - x[0]
-        d = x[2] - x[0]
-        b[0] = ((dxr[0] + 2*d) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d
-        A[1, -1] = dx[-2]
-        A[-1, -2] = x[-1] - x[-3]
-        d = x[-1] - x[-3]
-        b[-1] = ((dxr[-1]**2*slope[-2] + (2*d + dxr[-1])*dxr[-2]*slope[-1]) / d)
-        s = solve_banded((1, 1), A, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
-                         check_finite=False).reshape(b.shape)
+    A = np.zeros((n, n))
+    b = np.empty((n,) + y.shape[1:])
+    i = np.arange(1, n - 1)
+    A[i, i - 1] = dx[1:]
+    A[i, i] = 2 * (dx[:-1] + dx[1:])
+    A[i, i + 1] = dx[:-1]
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    if n == 3:  # the parabola through the points
+        A[0, :2] = A[2, 1:] = 1
+        b[0], b[2] = 2 * slope[0], 2 * slope[1]
+    else:
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        A[0, :2] = dx[1], d0
+        A[-1, -2:] = d1, dx[-2]
+        b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d0
+        b[-1] = (dxr[-1]**2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
+    s = np.linalg.solve(A, b.reshape(n, -1)).reshape(b.shape)
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
 

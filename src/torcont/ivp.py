@@ -103,8 +103,8 @@ def integrate(vf: VectorField, t_span, y0, p, opts: Optional[IvpOptions] = None)
         raise InputError("t_span must be strictly monotone")
     n = vf.dim_state
     y0 = np.asarray(y0, dtype=float)
-    if y0.ndim not in (1, 2) or y0.shape[-1] != n:
-        raise InputError(f"y0 has shape {y0.shape}, expected ({n},) or (k, {n})")
+    if y0.ndim not in (1, 2) or y0.shape[-1] != n or y0.size == 0:
+        raise InputError(f"y0 has shape {y0.shape}, expected ({n},) or (k, {n}) with k >= 1")
     p = np.asarray(p, dtype=float)
 
     if y0.ndim == 1:

@@ -562,12 +562,12 @@ def restart_isol2tor(
     bounds: Optional[dict] = None,
     detect_bp: bool = False,
 ):
-    """File-backed twin of ``torus.init_from_samples``; returns (problem, u0).
+    """Torus family seeded from a samples file; returns (problem, u0).
 
     The samples file is JSON: {"format": "torcont-samples", "version": 1,
     "system": <name or header>, "t_grid": [...], "samples": [[[...]]] with
-    shape (segments, times, states), "params": {name: value, ...}}.
-    """
+    shape (segments, times, states), "params": {name: value, ...}}, resampled
+    onto the base points for ``torus.init_from_samples``."""
     if not os.path.exists(samples_path):
         raise NotFoundError(f"samples file {samples_path!r} does not exist")
     doc = _read_json(samples_path)
@@ -579,13 +579,23 @@ def restart_isol2tor(
         if name is None:
             raise ConfigError("samples file names no builtin system; pass a VectorField")
         vf = get_builtin(name)
-    sol = torus_mod.init_from_samples(
-        vf,
-        np.asarray(doc["t_grid"], dtype=float),
-        np.asarray(doc["samples"], dtype=float),
-        doc["params"],
-        mesh=colloc.build_mesh(ntst, degree),
-    )
+    for key, ndim in (("t_grid", 1), ("samples", 3)):
+        try:
+            doc[key] = np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError):  # a ragged or non-numeric list
+            doc[key] = None
+        if doc[key] is None or doc[key].ndim != ndim:
+            raise FormatError(f"{samples_path}: field {key!r} is not a {ndim}-dimensional "
+                              "array of numbers")
+    params = doc["params"]
+    if not (isinstance(params, dict) and all(type(v) in (int, float) for v in params.values())
+            and params.get("om2", 0) > 0):
+        raise FormatError(f"{samples_path}: field 'params' must map names to numbers, "
+                          "om2 among them and positive")
+    mesh = colloc.build_mesh(ntst, degree)
+    on_mesh = colloc.sample_onto_basepoints(mesh, doc["t_grid"], doc["samples"].swapaxes(0, 1),
+                                            2.0 * np.pi / params["om2"])
+    sol = torus_mod.init_from_samples(vf, on_mesh.swapaxes(0, 1), params, mesh)
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, list(released), bounds=bounds, detect_bp=detect_bp)
     return problem, u0

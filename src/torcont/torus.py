@@ -222,32 +222,25 @@ def torus_jacobian(vf: VectorField, sol: TorusSolution,
 # -- initial solutions --------------------------------------------------------
 
 
-def init_from_samples(
-    vf: VectorField,
-    t_grid,
-    samples,
-    params: dict,
-    mesh: Optional[colloc.SegmentMesh] = None,
-) -> TorusSolution:
-    """Torus guess from forward-simulation samples of every segment.
+def init_from_samples(vf: VectorField, samples, params: dict,
+                      mesh: colloc.SegmentMesh) -> TorusSolution:
+    """Torus guess from the states of every segment at the mesh's base points.
 
-    ``samples`` has shape (2N+1, len(t_grid), n): one state history per
-    segment over a common time grid covering one return period
-    [0, 2*pi/om2].  ``params`` maps every system parameter name plus
+    ``samples`` has shape (2N+1, ntst*degree + 1, n): segment j's states at
+    the times T * :func:`colloc.distinct_basepoints` of one return period
+    T = 2*pi/om2.  ``params`` maps every system parameter name plus
     om1/om2/varrho to its value; negative om1 and varrho are preserved
     (opposite rotation direction).  The reference section is frozen from
     the samples themselves.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 3:
-        raise InputError("samples must have shape (segments, times, states)")
+    tau, index = colloc.distinct_basepoints(mesh)
+    if samples.ndim != 3 or samples.shape[1:] != (tau.size, vf.dim_state):
+        raise InputError(f"samples have shape {samples.shape}, expected (segments, "
+                         f"{tau.size} base-point times, {vf.dim_state} states)")
     n_seg = samples.shape[0]
     if n_seg < 3 or n_seg % 2 == 0:
         raise InputError(f"segment count must be odd and >= 3 (2N+1), got {n_seg}")
-    if samples.shape[2] != vf.dim_state:
-        raise InputError(
-            f"samples carry {samples.shape[2]}-dim states, field expects {vf.dim_state}"
-        )
     missing = [k for k in list(vf.param_names) + list(EXTRA_PARAMS) if k not in params]
     if missing:
         raise InputError(f"params missing entries for: {', '.join(missing)}")
@@ -255,18 +248,13 @@ def init_from_samples(
     if om2 <= 0:
         raise InputError("om2 must be positive (it sets the return period T = 2*pi/om2)")
     p = np.array([float(params[name]) for name in vf.param_names])
-    mesh = mesh or colloc.build_mesh(20, 4)
-    T = 2.0 * np.pi / om2
-    x_seg = np.stack(
-        [colloc.sample_onto_basepoints(mesh, t_grid, samples[j], T) for j in range(n_seg)]
-    )
     N = (n_seg - 1) // 2
     sol = TorusSolution(
         mesh=mesh,
         coupling=dft_matrix(N),
-        x_seg=x_seg,
+        x_seg=samples[:, index],
         T0=0.0,
-        T=T,
+        T=2.0 * np.pi / om2,
         p=p,
         om1=om1,
         om2=om2,

@@ -108,17 +108,16 @@ class TestConfigValidation:
         ({"kind": "simulate_circle", "n_seg": 5, "transient_loops": -1,
           "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
          "stages[1].source.transient_loops"),
-        ({"kind": "simulate_circle", "n_seg": 5, "samples_per_period": 1,
-          "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
-         "stages[1].source.samples_per_period"),
-        # two samples of one period are the same point of the loop twice
-        ({"kind": "simulate_circle", "n_seg": 5, "samples_per_period": 2,
-          "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
-         "stages[1].source.samples_per_period: must be an integer >= 3, got 2"),
+        # unchecked, 0 hangs the seed integration, -1 and true end in tracebacks,
+        # and 1 and 4 fail only after the earlier stages and the transient
+        *[({"kind": "simulate_circle", "n_seg": n_seg,
+            "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
+           f"stages[1].source.n_seg: must be an odd integer >= 3, got {n_seg!r}")
+          for n_seg in (0, -1, True, 1, 4)],
     ], ids=["run", "n_seg", "torus-params", "om2", "N-bool", "N-zero", "eps-str", "eps-zero",
             "label-bool", "label-str", "label-no-type", "label-pick-middle", "label-pick-bool",
-            "radius-zero", "transient_loops-negative", "samples_per_period-one",
-            "samples_per_period-two"])
+            "radius-zero", "transient_loops-negative", "n_seg-zero", "n_seg-negative",
+            "n_seg-bool", "n_seg-one", "n_seg-even"])
     def test_source_fields_checked_before_any_run(self, tmp_path, capsys, source, where):
         path = self.make(tmp_path, lambda c: c["stages"][1].__setitem__("source", source))
         rc = cli.main(["run", path])
@@ -415,12 +414,14 @@ def test_rerun_into_used_directory_drops_stale_labels(cli_run, tmp_path, capsys)
 
 def test_circle_samples_integrate_all_seeds_at_once(monkeypatch):
     # the simulate_circle source of configs/vdp.json: one integration for the
-    # transient and one for the sampled loop, as close to the seeds
-    # integrated one by one as their own integration error
-    from torcont import ivp, odesys
+    # transient and one onto the base points of one return, as close to the
+    # seeds integrated one by one as their own integration error
+    from torcont import colloc, ivp, odesys
 
     with open(os.path.join(os.path.dirname(__file__), "..", "configs", "vdp.json")) as fh:
-        src = json.load(fh)["stages"][0]["source"]
+        stage = json.load(fh)["stages"][0]
+    src, disc = stage["source"], stage["discretization"]
+    mesh = colloc.build_mesh(disc["ntst"], disc["degree"])
     vf = odesys.builtin_vdp()
     p0 = np.array([1.5111, 0.11, 0.1])
     calls = []
@@ -431,16 +432,18 @@ def test_circle_samples_integrate_all_seeds_at_once(monkeypatch):
         return integrate(*args, **kwargs)
 
     monkeypatch.setattr(ivp, "integrate", counted)
-    t1, samples, _ = cli._make_circle_samples(vf, p0, src)
+    samples, _ = cli._make_circle_samples(vf, p0, src, mesh)
     monkeypatch.undo()
     assert len(calls) == 2
     n_seg, loops = src["n_seg"], src["transient_loops"]
-    assert samples.shape == (n_seg, 10 * n_seg, 2)
+    t_ret = 2 * np.pi / src["params"]["om2"]
+    tb = t_ret * colloc.distinct_basepoints(mesh)[0]
+    assert samples.shape == (n_seg, disc["ntst"] * disc["degree"] + 1, 2)
     for j in range(n_seg):
         angle = 2 * np.pi * j / n_seg
         seed = src["radius"] * np.array([np.cos(angle), np.sin(angle)])
-        seed = ivp.integrate(vf, loops * t1, seed, p0).y[-1]
-        assert np.abs(ivp.integrate(vf, t1, seed, p0).y - samples[j]).max() < 1e-7
+        seed = ivp.integrate(vf, [0.0, loops * t_ret], seed, p0).y[-1]
+        assert np.abs(ivp.integrate(vf, tb, seed, p0).y - samples[j]).max() < 1e-7
 
 
 VDP_CIRCLE_CONFIG = {
@@ -459,21 +462,37 @@ VDP_CIRCLE_CONFIG = {
 }
 
 
-@pytest.mark.parametrize("t_grid, bad, message", [
-    ([0.0, 1.0, 1.0, 2.0, 4.0], None, "strictly increasing"),
-    ([0.0, 1.0, 2.0, 4.0], float("nan"), "sample values must be finite"),
-    ([0.0, 4.0], None, "at least 3 times"),
-], ids=["repeated-time", "nan-sample", "two-samples"])
-def test_bad_samples_file_is_an_input_error(tmp_path, capsys, t_grid, bad, message):
+def write_samples(path, t_grid, edit=None):
+    """A samples file of 3 constant vdp segments on ``t_grid`` covering one
+    return; ``edit`` changes its JSON document before it is written."""
     from torcont import odesys
 
-    vf = odesys.builtin_vdp()
-    samples = np.ones((3, len(t_grid), 2))
-    if bad is not None:
-        samples[1, 2, 0] = bad
-    path = str(tmp_path / "samples.json")
-    store.write_samples_file(path, vf, t_grid, samples, {
+    store.write_samples_file(path, odesys.builtin_vdp(), t_grid, np.ones((3, len(t_grid), 2)), {
         "Om2": 1.5111, "c": 0.11, "a": 0.1, "om1": -1.0, "om2": 2 * np.pi / 4.0, "varrho": 0.1})
+    if edit is not None:
+        with open(path) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+
+
+@pytest.mark.parametrize("t_grid, edit, message", [
+    ([0.0, 1.0, 1.0, 2.0, 4.0], None, "strictly increasing"),
+    ([0.0, 1.0, 2.0, 4.0], lambda d: d["samples"][1][2].__setitem__(0, float("nan")),
+     "sample values must be finite"),
+    ([0.0, 4.0], None, "at least 3 times"),
+    ([0.0, 1.0, 2.0, 4.0], lambda d: d["samples"][1].__setitem__(2, [1.0]),
+     "samples.json: field 'samples' is not a 3-dimensional array of numbers"),
+    ([0.0, 1.0, 2.0, 4.0], lambda d: d["t_grid"].__setitem__(1, "one"),
+     "samples.json: field 't_grid' is not a 1-dimensional array of numbers"),
+    ([0.0, 1.0, 2.0, 4.0], lambda d: d["params"].__setitem__("om2", "fast"),
+     "samples.json: field 'params' must map names to numbers"),
+], ids=["repeated-time", "nan-sample", "two-samples", "ragged-samples", "text-time",
+        "text-param"])
+def test_bad_samples_file_is_an_input_error(tmp_path, capsys, t_grid, edit, message):
+    path = str(tmp_path / "samples.json")
+    write_samples(path, t_grid, edit)
     cfg = json.loads(json.dumps(VDP_CIRCLE_CONFIG))
     cfg["store"] = str(tmp_path)
     cfg["stages"][0]["source"] = {"kind": "samples", "path": path}
@@ -523,7 +542,24 @@ def test_runs_import_no_scipy_integrate_interpolate_or_sparse(tmp_path):
 
 
 def test_orbit_and_tr_seeded_torus_runs_import_no_scipy_linalg(tmp_path):
-    # numpy factors and solves the continuation's systems; only resampling through
-    # the spline (samples and simulate_circle sources) loads scipy.linalg
+    # numpy factors and solves the continuation's systems
     assert loaded_after_runs(tmp_path, {"langford": SMALL_CONFIG},
                              ("scipy", "scipy.linalg")) == "[]"
+
+
+def test_circle_and_samples_runs_import_no_scipy(tmp_path):
+    # circle seeds are integrated onto the base points, and a samples file's
+    # spline is solved by numpy
+    from torcont import colloc, ivp, odesys
+
+    src = VDP_CIRCLE_CONFIG["stages"][0]["source"]
+    vf, p0 = odesys.builtin_vdp(), np.array([1.5111, 0.11, 0.1])
+    mesh = colloc.build_mesh(10, 4)
+    samples, params = cli._make_circle_samples(vf, p0, src, mesh)
+    t_grid = 2 * np.pi / params["om2"] * colloc.distinct_basepoints(mesh)[0]
+    path = str(tmp_path / "samples.json")
+    store.write_samples_file(path, vf, t_grid[::2], samples[:, ::2], params)
+    from_file = json.loads(json.dumps(VDP_CIRCLE_CONFIG))
+    from_file["stages"][0].update(run_id="file_s", source={"kind": "samples", "path": path})
+    assert loaded_after_runs(tmp_path, {"vdp": VDP_CIRCLE_CONFIG, "file": from_file},
+                             ("scipy",)) == "[]"

@@ -169,6 +169,13 @@ def test_block_result_shape():
         ivp.integrate(vf, ts, np.zeros((5, 3)), VDP_P)
 
 
+def test_empty_block_rejected():
+    # the tolerances of a (0, n) block would be divided by sqrt(0): a
+    # RuntimeWarning, then an integration that never ends
+    with pytest.raises(InputError, match=r"\(0, 2\), expected \(2,\) or \(k, 2\) with k >= 1"):
+        ivp.integrate(odesys.builtin_vdp(), [0.0, VDP_T], np.zeros((0, 2)), VDP_P)
+
+
 def test_block_members_meet_their_own_tolerance():
     # each of the 21 circle seeds of configs/vdp.json stays as close to a
     # rel_tol 1e-12 reference as when it is integrated alone

@@ -85,15 +85,16 @@ def autonomous_torus_n12():
 
 def forced_torus():
     vf = odesys.builtin_vdp()
-    tg = np.linspace(0.0, 2 * np.pi / 1.5111, 40)
-    samples = np.zeros((5, 40, 2))
-    samples[:, :, 0] = np.cos(tg)[None, :]
-    samples[:, :, 1] = np.sin(tg)[None, :]
+    mesh = colloc.build_mesh(5, 3)
+    tb = 2 * np.pi / 1.5111 * colloc.distinct_basepoints(mesh)[0]
+    samples = np.zeros((5, tb.size, 2))
+    samples[:, :, 0] = np.cos(tb)[None, :]
+    samples[:, :, 1] = np.sin(tb)[None, :]
     sol = torus.init_from_samples(
-        vf, tg, samples,
+        vf, samples,
         params={"Om2": 1.5111, "c": 0.11, "a": 0.1, "om1": -1.0, "om2": 1.5111,
                 "varrho": -1 / 1.5111},
-        mesh=colloc.build_mesh(5, 3),
+        mesh=mesh,
     )
     return _torus_case(vf, sol, ["a", "Om2", "om2", "varrho"])
 

@@ -160,15 +160,16 @@ class TestJacobian:
         assert (sol.x_seg.size + 2) - rows == -3
         # non-autonomous: forced Van der Pol seeded from a crude sample set
         vdp = odesys.builtin_vdp()
-        tg = np.linspace(0.0, 2 * np.pi / 1.5111, 40)
-        samples = np.zeros((5, 40, 2))
-        samples[:, :, 0] = np.cos(tg)[None, :]
-        samples[:, :, 1] = np.sin(tg)[None, :]
+        mesh = colloc.build_mesh(6, 3)
+        tb = 2 * np.pi / 1.5111 * colloc.distinct_basepoints(mesh)[0]
+        samples = np.zeros((5, tb.size, 2))
+        samples[:, :, 0] = np.cos(tb)[None, :]
+        samples[:, :, 1] = np.sin(tb)[None, :]
         sol2 = torus.init_from_samples(
-            vdp, tg, samples,
+            vdp, samples,
             params={"Om2": 1.5111, "c": 0.11, "a": 0.1, "om1": -1.0, "om2": 1.5111,
                     "varrho": -1 / 1.5111},
-            mesh=colloc.build_mesh(6, 3),
+            mesh=mesh,
         )
         assert torus.dimension_deficit(vdp, sol2) == -3
 
@@ -185,11 +186,11 @@ class TestInitFromSamples:
         vf, sol = decoupled_torus(ntst=8, degree=4, N=2)
         # converge tightly so duplicated base points agree to round-off
         sol = torus.solve_fixed(vf, sol, tol=1e-12)
-        tb_unique, idx = np.unique(np.round(sol.T * sol.mesh.basepoints, 14),
-                                   return_index=True)
-        samples = sol.x_seg[:, idx, :]
+        _, index = colloc.distinct_basepoints(sol.mesh)
+        first = np.unique(index, return_index=True)[1]
+        samples = sol.x_seg[:, first, :]
         sol2 = torus.init_from_samples(
-            vf, tb_unique, samples,
+            vf, samples,
             params={"gam": sol.p[0], "w1": sol.p[1], "w2": sol.p[2], "om1": sol.om1,
                     "om2": sol.om2, "varrho": sol.varrho},
             mesh=sol.mesh,
@@ -200,25 +201,33 @@ class TestInitFromSamples:
 
     def test_segment_count_validation(self):
         vf = decoupled_field()
-        tg = np.linspace(0, 2 * np.pi, 10)
+        mesh = colloc.build_mesh(3, 3)  # 10 distinct base-point times
         with pytest.raises(InputError, match="odd"):
             torus.init_from_samples(
-                vf, tg, np.zeros((4, 10, 4)),
-                params={"gam": 1, "w1": 1, "w2": 1, "om1": 1, "om2": 1, "varrho": 1})
+                vf, np.zeros((4, 10, 4)),
+                params={"gam": 1, "w1": 1, "w2": 1, "om1": 1, "om2": 1, "varrho": 1}, mesh=mesh)
         with pytest.raises(InputError, match="odd"):
             torus.init_from_samples(
-                vf, tg, np.zeros((1, 10, 4)),
-                params={"gam": 1, "w1": 1, "w2": 1, "om1": 1, "om2": 1, "varrho": 1})
+                vf, np.zeros((1, 10, 4)),
+                params={"gam": 1, "w1": 1, "w2": 1, "om1": 1, "om2": 1, "varrho": 1}, mesh=mesh)
+
+    @pytest.mark.parametrize("shape", [(5, 12, 4), (5, 10, 2), (5, 10)])
+    def test_samples_off_the_base_points_rejected(self, shape):
+        with pytest.raises(InputError, match="10 base-point times, 4 states"):
+            torus.init_from_samples(
+                decoupled_field(), np.zeros(shape),
+                params={"gam": 1, "w1": 1, "w2": 1, "om1": 1, "om2": 1, "varrho": 1},
+                mesh=colloc.build_mesh(3, 3))
 
     def test_negative_rotation_preserved(self):
         vf = decoupled_field()
         om1, om2 = -0.7, 1.3
         mesh = colloc.build_mesh(5, 3)
         cm = fourier.dft_matrix(2)
-        tg = np.linspace(0, 2 * np.pi / om2, 60)
-        samples = decoupled_exact_samples(cm.angles, tg, om1, om2)
+        tb = 2 * np.pi / om2 * colloc.distinct_basepoints(mesh)[0]
+        samples = decoupled_exact_samples(cm.angles, tb, om1, om2)
         sol = torus.init_from_samples(
-            vf, tg, samples,
+            vf, samples,
             params={"gam": 1.0, "w1": om1, "w2": om2, "om1": om1, "om2": om2,
                     "varrho": om1 / om2},
             mesh=mesh,
@@ -229,8 +238,9 @@ class TestInitFromSamples:
         vf = decoupled_field()
         with pytest.raises(InputError, match="varrho"):
             torus.init_from_samples(
-                vf, np.linspace(0, 6, 10), np.zeros((5, 10, 4)),
-                params={"gam": 1, "w1": 1, "w2": 1, "om1": 1, "om2": 1})
+                vf, np.zeros((5, 10, 4)),
+                params={"gam": 1, "w1": 1, "w2": 1, "om1": 1, "om2": 1},
+                mesh=colloc.build_mesh(3, 3))
 
 
 class TestInitFromTR:
