@@ -40,11 +40,18 @@ from .errors import (
 DEFAULT_STORE = "runs"
 #: problem kind -> adapter module, whose ``names(vf)`` lists its parameters and scalars
 KINDS = {"po": po, "torus": torus}
-#: problem kind -> source kind -> required source fields and their types
+_MESH = ("ntst", "degree")
+#: problem kind -> source kind -> (required source fields and their types,
+#: optional source fields, discretization fields); no other field is read
 SOURCES = {
-    "po": {"simulate": {"y0": list, "period": (int, float)}},
-    "torus": {"samples": {"path": str}, "simulate_circle": {"n_seg": int, "params": dict},
-              "tr": {"run": str}, "torus": {"run": str}, "bp": {"run": str}},
+    "po": {"simulate": ({"y0": list, "period": (int, float)}, ("transient_periods",), _MESH)},
+    "torus": {
+        "samples": ({"path": str}, (), _MESH),
+        "simulate_circle": ({"n_seg": int, "params": dict}, ("radius", "transient_loops"), _MESH),
+        "tr": ({"run": str}, ("label", "N", "eps"), ()),
+        "torus": ({"run": str}, ("label",), _MESH + ("N",)),
+        "bp": ({"run": str}, ("label",), ()),
+    },
 }
 
 
@@ -111,6 +118,14 @@ def _check_released(released, vf, problem_kind, path):
         contin.check_released(released, KINDS[problem_kind].names(vf)[0])
     except ConfigError as exc:
         _cfg_error(path, str(exc))
+
+
+def _only(doc, fields, path, reader):
+    """Refuse a field of ``doc`` outside ``fields``, the ones ``reader`` reads."""
+    for key in doc:
+        if key not in fields:
+            _cfg_error(f"{path}.{key}", f"is not read by {reader}; it reads "
+                                        f"{', '.join(fields) or 'no field'}")
 
 
 def _is_number(val) -> bool:
@@ -193,21 +208,38 @@ def validate_config(doc: dict):
         skind = _need(source, "kind", str, f"{path}.source")
         if skind not in SOURCES[kind]:
             _cfg_error(f"{path}.source.kind", f"{kind} stages accept {', '.join(SOURCES[kind])}")
-        for key, types in SOURCES[kind][skind].items():
+        required, optional, mesh_fields = SOURCES[kind][skind]
+        for key, types in required.items():
             _need(source, key, types, f"{path}.source")
         if skind == "simulate_circle":
-            n_seg = source["n_seg"]
+            n_seg, params = source["n_seg"], source["params"]
             if not (_is_int(n_seg, 3) and n_seg % 2):
                 _cfg_error(f"{path}.source.n_seg", f"must be an odd integer >= 3, got {n_seg!r}")
+            _only(params, torus.EXTRA_PARAMS, f"{path}.source.params", "a simulate_circle source")
             for key in torus.EXTRA_PARAMS:
-                _need(source["params"], key, (int, float), f"{path}.source.params")
-            if source["params"]["om2"] <= 0:
+                val = _need(params, key, None, f"{path}.source.params")
+                if not _is_number(val):
+                    _cfg_error(f"{path}.source.params.{key}", f"must be a number, got {val!r}")
+            if params["om2"] <= 0:
                 _cfg_error(f"{path}.source.params.om2", "must be positive")
         cont = _need(st, "continuation", dict, path)
+        _only(st, ("run_id", "problem", "source", "discretization", "continuation"), path,
+              "a stage")
+        if "discretization" in st and not mesh_fields:
+            _cfg_error(f"{path}.discretization", f"a {skind} source takes no discretization")
+        cont_fields = ["released", "bounds", *OPTIONAL_FIELDS["continuation"]]
+        if kind == "torus":
+            cont_fields.remove("detect_tr")
+        if skind == "bp":
+            cont_fields.remove("released")
+        read = {"source": ("kind", *required, *optional), "discretization": mesh_fields,
+                "continuation": cont_fields}
         for section, fields in OPTIONAL_FIELDS.items():
             values = st.get(section, {})
             if not isinstance(values, dict):
                 _cfg_error(f"{path}.{section}", f"must be an object, got {values!r}")
+            _only(values, read[section], f"{path}.{section}",
+                  f"a {kind} stage from a {skind} source")
             for key, (valid, need) in fields.items():
                 if key in values and not valid(values[key]):
                     _cfg_error(f"{path}.{section}.{key}", f"must be {need}, got {values[key]!r}")

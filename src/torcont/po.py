@@ -259,15 +259,15 @@ def sample_orbit(vf: VectorField, y0, p, mesh: colloc.SegmentMesh, duration: flo
                  t_offset: float = 0.0, rel_tol: float = 1.0e-10) -> colloc.Trajectory:
     """Integrate from ``y0`` and sample the flow at the mesh base points.
 
-    Base points duplicate interior subinterval endpoints, so integration
-    runs over the unique times and the states are scattered back.
+    The integration runs over the distinct base-point times
+    ``t_offset + duration * tau`` of :func:`colloc.distinct_basepoints`, and
+    its ``index`` scatters the states back, so each subinterval's last base
+    point equals the next one's first.
     """
     from .ivp import integrate
 
-    tb = t_offset + duration * mesh.basepoints
-    uniq, inverse = np.unique(tb, return_inverse=True)
-    sol = integrate(vf, uniq, np.asarray(y0, dtype=float), p,
+    tau, index = colloc.distinct_basepoints(mesh)
+    sol = integrate(vf, t_offset + duration * tau, np.asarray(y0, dtype=float), p,
                     IvpOptions(rel_tol=rel_tol, abs_tol=rel_tol * 1e-2))
-    return colloc.Trajectory(mesh=mesh, x_bp=sol.y[inverse], duration=duration,
+    return colloc.Trajectory(mesh=mesh, x_bp=sol.y[index], duration=duration,
                              t_offset=t_offset)
-

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import colloc, contin, po as po_mod, torus as torus_mod
 from .errors import ConfigError, FormatError, InputError, NotFoundError
-from .fourier import dft_matrix
+from .fourier import dft_matrix, trig_interpolate
 from .odesys import VectorField, get_builtin
 
 FORMAT_VERSION = 1  # meta.json, events.json, samples files
@@ -473,24 +473,18 @@ def restart_tor2tor(
 
 
 def refine_torus(vf, sol, N=None, ntst=None, degree=None):
-    """Interpolate a torus onto a finer discretization and re-converge it."""
-    from .fourier import trig_interpolate
+    """Interpolate a torus onto a finer discretization and re-converge it.
 
-    N_new = N or sol.N
-    mesh_new = colloc.build_mesh(ntst or sol.mesh.ntst, degree or sol.mesh.degree)
-    cm_new = dft_matrix(N_new)
-    tb = sol.T0 + sol.T * mesh_new.basepoints
-    n = sol.dim_state
-    x_new = np.empty((cm_new.n_seg, mesh_new.n_base, n))
-    for i, t in enumerate(tb):
-        circle = torus_mod.eval_circle(sol, t)  # (old n_seg, n)
-        x_new[:, i, :] = trig_interpolate(sol.coupling, circle, cm_new.angles)
-    guess = torus_mod.TorusSolution(
-        mesh=mesh_new, coupling=cm_new, x_seg=x_new, T0=sol.T0, T=sol.T,
-        p=sol.p.copy(), om1=sol.om1, om2=sol.om2, varrho=sol.varrho, reference=None,
-    )
-    guess = torus_mod.update_reference(vf, guess)
-    return torus_mod.solve_fixed(vf, guess)
+    The old torus is evaluated once at the new mesh's distinct base-point
+    times (Lagrange in time) and the new segment angles (trigonometric);
+    ``torus.init_from_samples`` builds the guess, and ``torus.solve_fixed``
+    converges it with om1, om2 and varrho released.
+    """
+    mesh = colloc.build_mesh(ntst or sol.mesh.ntst, degree or sol.mesh.degree)
+    circles = torus_mod.eval_circle(sol, sol.T0 + sol.T * colloc.distinct_basepoints(mesh)[0])
+    samples = trig_interpolate(sol.coupling, circles.swapaxes(0, 1), dft_matrix(N or sol.N).angles)
+    params = dict(zip(vf.param_names, sol.p), om1=sol.om1, om2=sol.om2, varrho=sol.varrho)
+    return torus_mod.solve_fixed(vf, torus_mod.init_from_samples(vf, samples, params, mesh))
 
 
 def restart_TR2tor(
@@ -602,12 +596,20 @@ def restart_isol2tor(
 
 
 def write_samples_file(path: str, vf: VectorField, t_grid, samples, params: dict):
+    """Write the samples file that :func:`restart_isol2tor` reads; a time,
+    sample or parameter that is not finite is an :class:`InputError`."""
+    t_grid, samples = np.asarray(t_grid, dtype=float), np.asarray(samples, dtype=float)
+    params = {k: float(v) for k, v in params.items()}
+    for name, values in (("t_grid", t_grid), ("samples", samples),
+                         ("params", list(params.values()))):
+        if not np.all(np.isfinite(values)):
+            raise InputError(f"cannot write {path!r}: {name} holds a value that is not finite")
     doc = {
         "format": "torcont-samples",
         "version": FORMAT_VERSION,
         "system": _system_header(vf),
-        "t_grid": np.asarray(t_grid, dtype=float).tolist(),
-        "samples": np.asarray(samples, dtype=float).tolist(),
-        "params": {k: float(v) for k, v in params.items()},
+        "t_grid": t_grid.tolist(),
+        "samples": samples.tolist(),
+        "params": params,
     }
     _write_atomic(path, doc)

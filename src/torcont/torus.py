@@ -99,14 +99,6 @@ class TorusSolution:
     def N(self) -> int:
         return self.coupling.N
 
-    @property
-    def segments(self):
-        return [
-            colloc.Trajectory(mesh=self.mesh, x_bp=self.x_seg[j], duration=self.T,
-                              t_offset=self.T0)
-            for j in range(self.n_seg)
-        ]
-
 
 def reference_from_solution(vf: VectorField, sol: TorusSolution) -> ReferenceSection:
     """Freeze the Poincare-section data from a solution's own states."""
@@ -248,19 +240,9 @@ def init_from_samples(vf: VectorField, samples, params: dict,
     if om2 <= 0:
         raise InputError("om2 must be positive (it sets the return period T = 2*pi/om2)")
     p = np.array([float(params[name]) for name in vf.param_names])
-    N = (n_seg - 1) // 2
-    sol = TorusSolution(
-        mesh=mesh,
-        coupling=dft_matrix(N),
-        x_seg=samples[:, index],
-        T0=0.0,
-        T=2.0 * np.pi / om2,
-        p=p,
-        om1=om1,
-        om2=om2,
-        varrho=varrho,
-        reference=None,
-    )
+    sol = TorusSolution(mesh=mesh, coupling=dft_matrix((n_seg - 1) // 2), x_seg=samples[:, index],
+                        T0=0.0, T=2.0 * np.pi / om2, p=p, om1=om1, om2=om2, varrho=varrho,
+                        reference=None)
     return update_reference(vf, sol)
 
 
@@ -296,11 +278,14 @@ def init_from_TR(
     """Torus guess from a Neimark-Sacker (TR) periodic orbit.
 
     Builds the complex Floquet function u(t) = e^{-i alpha (t-t0)/T}
-    M(t, t0) v on the base-point times, turns it into the perturbation
+    M(t, t0) v at the distinct base-point times t0 + T * tau
+    (:func:`colloc.distinct_basepoints`), turns it into the perturbation
     surface uhat(theta1, t) = cos(theta1) Re u - sin(theta1) Im u, and
     seeds segment j with x_p(t) + eps * uhat(phi_j + om1 (t - t0), t),
-    where om1 = alpha/T, om2 = 2*pi/T and varrho = alpha/(2*pi).
-    Continuing this guess needs the problem's ``start_border`` set to the
+    where om1 = alpha/T, om2 = 2*pi/T and varrho = alpha/(2*pi).  x_p is
+    the orbit's first base point at each of those times, so eps = 0 gives
+    the collocated orbit; :func:`init_from_samples` builds the guess.
+    Continuing it needs the problem's ``start_border`` set to the
     amplitude direction (:func:`tr_perturbation_direction`, padded with
     zeros), as ``store.restart_TR2tor`` does: the default border stalls the
     start correction at a residual of 1.096e-8 at every N tried (5 to 50).
@@ -317,39 +302,16 @@ def init_from_TR(
     if eps is None:
         eps = default_tr_eps(po)
 
-    # M(t, t0) at the unique base-point times; the orbit states come from the
-    # converged collocation representation, so eps = 0 reproduces it exactly
-    tb = t0 + T * mesh.basepoints
-    uniq, inverse = np.unique(tb, return_inverse=True)
-    trans = transition_matrix(vf, t0, T, po.traj.x_bp[0], po.p, sample_times=uniq)
-    Phi = trans.Phi[np.searchsorted(trans.times, uniq)][inverse]  # (nbp, n, n)
-
-    tb_rel = T * mesh.basepoints
-    u_t = np.exp(-1j * alpha * tb_rel / T)[:, None] * (Phi @ v)
-    om1 = alpha / T
-    om2 = 2.0 * np.pi / T
-    varrho = alpha / (2.0 * np.pi)
-
-    coupling = dft_matrix(N)
-    n_seg = coupling.n_seg
-    theta1 = coupling.angles[:, None] + om1 * tb_rel[None, :]  # (n_seg, nbp)
-    uhat = (np.cos(theta1)[:, :, None] * u_t.real[None, :, :]
-            - np.sin(theta1)[:, :, None] * u_t.imag[None, :, :])
-    x_seg = po.traj.x_bp[None, :, :] + eps * uhat
-
-    sol = TorusSolution(
-        mesh=mesh,
-        coupling=coupling,
-        x_seg=x_seg,
-        T0=0.0,
-        T=T,
-        p=np.asarray(po.p, dtype=float).copy(),
-        om1=om1,
-        om2=om2,
-        varrho=varrho,
-        reference=None,
-    )
-    return update_reference(vf, sol)
+    tau, index = colloc.distinct_basepoints(mesh)
+    # transition_matrix records t0 + T too, after the times asked for
+    Phi = transition_matrix(vf, t0, T, po.traj.x_bp[0], po.p, sample_times=t0 + T * tau).Phi
+    u_t = np.exp(-1j * alpha * tau)[:, None] * (Phi[:tau.size] @ v)
+    theta1 = dft_matrix(N).angles[:, None] + alpha * tau  # (2N+1, times)
+    uhat = np.cos(theta1)[:, :, None] * u_t.real - np.sin(theta1)[:, :, None] * u_t.imag
+    x_p = po.traj.x_bp[np.flatnonzero(np.diff(index, prepend=-1))]
+    params = dict(zip(vf.param_names, po.p), om1=alpha / T, om2=2.0 * np.pi / T,
+                  varrho=alpha / (2.0 * np.pi))
+    return init_from_samples(vf, x_p + eps * uhat, params, mesh)
 
 
 def tr_perturbation_direction(sol: TorusSolution) -> np.ndarray:
@@ -369,9 +331,12 @@ def tr_perturbation_direction(sol: TorusSolution) -> np.ndarray:
 # -- evaluation, export, validation -------------------------------------------
 
 
-def eval_circle(sol: TorusSolution, t: float) -> np.ndarray:
-    """States of all segments at physical time t, shape (2N+1, n)."""
-    return np.stack([colloc.interpolate(seg, t) for seg in sol.segments])
+def eval_circle(sol: TorusSolution, t) -> np.ndarray:
+    """States of all segments at physical time t, shape (2N+1, n), or at
+    every time of an array t, shape (len(t), 2N+1, n)."""
+    side_by_side = sol.x_seg.swapaxes(0, 1).reshape(sol.mesh.n_base, -1)
+    x = colloc.interpolate(colloc.Trajectory(sol.mesh, side_by_side, sol.T, sol.T0), t)
+    return x.reshape(x.shape[:-1] + (sol.n_seg, sol.dim_state))
 
 
 def eval_torus(sol: TorusSolution, theta1, theta2: float) -> np.ndarray:

@@ -92,6 +92,13 @@ class TestConfigValidation:
          "stages[1].source.params.om2: missing required field"),
         ({"kind": "simulate_circle", "n_seg": 5,
           "params": {"om1": 1.0, "om2": 0.0, "varrho": 0.1}}, "stages[1].source.params.om2"),
+        # unchecked, a bool ran the stage with 1.0
+        ({"kind": "simulate_circle", "n_seg": 5,
+          "params": {"om1": 1.0, "om2": True, "varrho": 0.1}},
+         "stages[1].source.params.om2: must be a number, got True"),
+        ({"kind": "simulate_circle", "n_seg": 5,
+          "params": {"om1": 1.0, "om2": 2.0, "varrho": True}},
+         "stages[1].source.params.varrho: must be a number, got True"),
         ({"kind": "tr", "run": "po_s", "N": True}, "stages[1].source.N"),
         ({"kind": "tr", "run": "po_s", "N": 0}, "stages[1].source.N"),
         ({"kind": "tr", "run": "po_s", "eps": "0"}, "stages[1].source.eps"),
@@ -114,8 +121,9 @@ class TestConfigValidation:
             "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}},
            f"stages[1].source.n_seg: must be an odd integer >= 3, got {n_seg!r}")
           for n_seg in (0, -1, True, 1, 4)],
-    ], ids=["run", "n_seg", "torus-params", "om2", "N-bool", "N-zero", "eps-str", "eps-zero",
-            "label-bool", "label-str", "label-no-type", "label-pick-middle", "label-pick-bool",
+    ], ids=["run", "n_seg", "torus-params", "om2", "om2-bool", "varrho-bool", "N-bool", "N-zero",
+            "eps-str", "eps-zero", "label-bool", "label-str", "label-no-type", "label-pick-middle",
+            "label-pick-bool",
             "radius-zero", "transient_loops-negative", "n_seg-zero", "n_seg-negative",
             "n_seg-bool", "n_seg-one", "n_seg-even"])
     def test_source_fields_checked_before_any_run(self, tmp_path, capsys, source, where):
@@ -124,6 +132,46 @@ class TestConfigValidation:
         assert rc == 2
         assert where in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "po_s")  # the po stage did not run
+
+    @pytest.mark.parametrize("stage, mutate, where", [
+        (1, lambda st: st["continuation"].__setitem__("pt_mx", 6), "continuation.pt_mx"),
+        (0, lambda st: st["discretization"].__setitem__("ntsst", 10), "discretization.ntsst"),
+        (1, lambda st: st.__setitem__("source", {
+            "kind": "simulate_circle", "n_seg": 5, "radus": 2.0,
+            "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1}}), "source.radus"),
+        (1, lambda st: st["source"].__setitem__("radius", 2.0), "source.radius"),
+        (1, lambda st: st.__setitem__("discretization", {"N": 5}),
+         "discretization: a tr source takes no discretization"),
+        (1, lambda st: st.__setitem__("source", {"kind": "bp", "run": "po_s"}),
+         "continuation.released"),
+        (1, lambda st: st["continuation"].__setitem__("detect_tr", True),
+         "continuation.detect_tr"),
+        (1, lambda st: st.__setitem__("source", {
+            "kind": "simulate_circle", "n_seg": 5,
+            "params": {"om1": 1.0, "om2": 2.0, "varrho": 0.1, "rho": 0.6}}),
+         "source.params.rho"),
+        (0, lambda st: st["discretization"].__setitem__("N", 4), "discretization.N"),
+        (0, lambda st: st.__setitem__("comment", "orbits"), "comment"),
+    ], ids=["pt_mx", "ntsst", "radus", "tr-radius", "tr-discretization", "bp-released",
+            "torus-detect_tr", "circle-params-rho", "po-N", "stage-comment"])
+    def test_unread_fields_refused_before_any_run(self, tmp_path, capsys, stage, mutate,
+                                                  where):
+        # each of these was accepted and then ignored
+        path = self.make(tmp_path, lambda c: mutate(c["stages"][stage]))
+        rc = cli.main(["run", path])
+        assert rc == 2
+        assert f"stages[{stage}].{where}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "po_s")  # the po stage did not run
+
+    def test_shipped_and_benchmark_configs_validate(self, monkeypatch):
+        root = os.path.join(os.path.dirname(__file__), "..")
+        for name in ("langford.json", "vdp.json"):
+            cli.validate_config(cli.load_config(os.path.join(root, "configs", name)))
+        monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
+        import workloads
+
+        for name in ("po1", "tr1a", "vdp"):
+            cli.validate_config(workloads.build(name, 0).config)
 
     @pytest.mark.parametrize("mutate, where", [
         (lambda st: st.__setitem__("discretization", 5), "discretization"),

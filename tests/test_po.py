@@ -18,7 +18,7 @@ import pytest
 from scipy.linalg import expm
 
 from torcont import colloc, ivp, odesys, po
-from util_systems import linear_zero_orbit
+from util_systems import linear_zero_orbit, seams
 
 K_LANG = 3.557 / 3.0
 OM = 3.5
@@ -115,6 +115,15 @@ class TestPoResidual:
         r = langford_circle_radius(1.5)
         assert abs(np.linalg.norm(orbit.traj.x_bp[0][:2]) - r) < 1e-6
         assert abs(orbit.traj.x_bp[0][2] - 0.7) < 1e-6
+
+    @pytest.mark.parametrize("ntst", [20, 40])
+    def test_sampled_orbit_joins_exactly_at_subinterval_ends(self, ntst):
+        # integrating over np.unique of the base-point times left 4 of the 19
+        # shared ends of the 20 x 4 mesh (7 of 39 at 40 x 4) an ulp or so apart
+        mesh = colloc.build_mesh(ntst, 4)
+        traj = po.sample_orbit(odesys.builtin_langford(), [0.3, 0.4, 0.0],
+                               np.array([3.5, 1.5, 0.0]), mesh, 1.7951958020513104)
+        assert np.array_equal(*seams(mesh, traj.x_bp))
 
 
 class TestFloquet:

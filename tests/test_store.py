@@ -10,7 +10,7 @@ import pytest
 
 from torcont import colloc, contin, linsys, odesys, po, store, torus
 from torcont.errors import ConfigError, ConvergenceError, FormatError, InputError, NotFoundError
-from util_systems import OM, T_LANG, langford_circle_traj
+from util_systems import OM, T_LANG, langford_circle_traj, seams
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +365,22 @@ class TestSamplesFile:
             path, released=["gam", "om1", "om2", "varrho"], vf=vf, ntst=6, degree=4)
         assert np.abs(problem.residual(u0)).max() < 1e-2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["t_grid", "samples", "params"])
+    def test_writer_refuses_values_that_are_not_finite(self, tmp_path, field, bad):
+        # JSON has no NaN or Infinity; json.dumps would write them as bare tokens
+        data = {"t_grid": np.linspace(0.0, 4.0, 5), "samples": np.ones((3, 5, 2)),
+                "params": {"Om2": 1.5111, "c": 0.11, "a": 0.1, "om1": -1.0, "om2": 1.5,
+                           "varrho": 0.1}}
+        if field == "params":
+            data["params"]["c"] = bad
+        else:
+            data[field].flat[2] = bad
+        path = str(tmp_path / "samples.json")
+        with pytest.raises(InputError, match=f"{field} holds a value that is not finite"):
+            store.write_samples_file(path, odesys.builtin_vdp(), **data)
+        assert os.listdir(tmp_path) == []
+
     def test_wrong_format_rejected(self, tmp_path):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:
@@ -384,6 +400,15 @@ class TestSamplesFile:
         with pytest.raises(NotFoundError):
             store.restart_isol2tor("/nonexistent/samples.json",
                                    released=["om1", "om2", "varrho", "gam"])
+
+
+def test_refined_guess_joins_exactly_at_subinterval_ends(mini_pipeline, monkeypatch):
+    _, vf, sol = store.read_solution(mini_pipeline["base"], "tor_mini", {"type": "EP",
+                                                                          "pick": "last"})
+    monkeypatch.setattr(torus, "solve_fixed", lambda vf, guess: guess)
+    guess = store.refine_torus(vf, sol, N=4, ntst=10)
+    assert guess.x_seg.shape == (9, 50, 3)
+    assert np.array_equal(*seams(guess.mesh, guess.x_seg))
 
 
 def test_exported_family_diameter_grows(mini_pipeline):

@@ -15,6 +15,7 @@ from util_systems import (
     decoupled_torus,
     dense,
     langford_circle_traj,
+    seams,
 )
 
 RNG = np.random.default_rng(33)
@@ -288,6 +289,10 @@ class TestInitFromTR:
         shifted = -pa  # cos(th+pi) = -cos th, sin(th+pi) = -sin th
         assert np.abs(shifted - pb).max() < 1e-12
 
+    def test_segments_join_exactly_at_subinterval_ends(self):
+        vf, sol = langford_torus_guess(N=3, ntst=20, degree=4, rho=0.6154465)
+        assert np.array_equal(*seams(sol.mesh, sol.x_seg))
+
     def test_requires_tr_pair(self):
         vf = odesys.builtin_langford()
         mesh = colloc.build_mesh(6, 4)
@@ -356,6 +361,13 @@ class TestExport:
             x_orbit = colloc.interpolate(orbit.traj, th2 / sol.om2)
             for j in range(sol.n_seg):
                 assert np.abs(grid.values[j, i] - x_orbit).max() < 1e-10
+
+
+    def test_circle_at_several_times_is_the_circle_at_each(self):
+        vf, sol = decoupled_torus(ntst=6, degree=4, N=2)
+        ts = sol.T0 + sol.T * np.array([0.0, 0.3, 1.0])
+        assert np.array_equal(torus.eval_circle(sol, ts),
+                              np.stack([torus.eval_circle(sol, t) for t in ts]))
 
 
 class TestInvariance:

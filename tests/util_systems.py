@@ -52,6 +52,13 @@ def langford_circle_traj(mesh, rho):
     return colloc.Trajectory(mesh=mesh, x_bp=x, duration=T_LANG)
 
 
+def seams(mesh, x):
+    """(last base point of every subinterval but the last, first base point of
+    the next) of base-point states ``x``, shape (..., n_base, n)."""
+    xb = x.reshape(x.shape[:-2] + (mesh.ntst, mesh.degree + 1, x.shape[-1]))
+    return xb[..., :-1, -1, :], xb[..., 1:, 0, :]
+
+
 def linear_zero_orbit(A, T):
     """(vf, orbit): x' = A x without parameters and its zero solution with
     period T on a 20 x 4 mesh."""
