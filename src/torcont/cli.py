@@ -211,6 +211,13 @@ def validate_config(doc: dict):
         required, optional, mesh_fields = SOURCES[kind][skind]
         for key, types in required.items():
             _need(source, key, types, f"{path}.source")
+        if skind == "simulate":
+            y0, period = source["y0"], source["period"]
+            if len(y0) != vf.dim_state or not all(_is_number(v) for v in y0):
+                _cfg_error(f"{path}.source.y0",
+                           f"must be a list of {vf.dim_state} numbers, got {y0!r}")
+            if not (_is_number(period) and period > 0):
+                _cfg_error(f"{path}.source.period", f"must be a positive number, got {period!r}")
         if skind == "simulate_circle":
             n_seg, params = source["n_seg"], source["params"]
             if not (_is_int(n_seg, 3) and n_seg % 2):

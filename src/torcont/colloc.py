@@ -346,33 +346,53 @@ def _spline_coefficients(x, y):
 
     scipy's ``CubicSpline(x, y, axis=0)`` construction: the slopes s solve its
     3x3 system for n = 3 and its tridiagonal system otherwise, then the
-    Hermite form.  ``np.linalg.solve`` takes the system as a dense n x n
-    matrix (8 MB at n = 1,000), so the spline agrees with scipy's banded
-    solve to rounding, not bit for bit.
+    Hermite form.  :func:`_tridiagonal_solve` solves the system in O(n)
+    memory where scipy runs a banded LU, so the two agree to rounding, not
+    bit for bit.
     """
     n = x.size
     dx = np.diff(x)
     dxr = dx.reshape([dx.shape[0]] + [1] * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
-    A = np.zeros((n, n))
+    # row i: sub[i] s[i-1] + diag[i] s[i] + sup[i] s[i+1] = b[i]
+    sub, diag, sup = np.zeros(n), np.empty(n), np.zeros(n)
+    sub[1:-1], diag[1:-1], sup[1:-1] = dx[1:], 2 * (dx[:-1] + dx[1:]), dx[:-1]
     b = np.empty((n,) + y.shape[1:])
-    i = np.arange(1, n - 1)
-    A[i, i - 1] = dx[1:]
-    A[i, i] = 2 * (dx[:-1] + dx[1:])
-    A[i, i + 1] = dx[:-1]
     b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
     if n == 3:  # the parabola through the points
-        A[0, :2] = A[2, 1:] = 1
+        diag[0] = sup[0] = sub[2] = diag[2] = 1
         b[0], b[2] = 2 * slope[0], 2 * slope[1]
     else:
         d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        A[0, :2] = dx[1], d0
-        A[-1, -2:] = d1, dx[-2]
+        diag[0], sup[0] = dx[1], d0
+        sub[-1], diag[-1] = d1, dx[-2]
         b[0] = ((dxr[0] + 2 * d0) * dxr[1] * slope[0] + dxr[0]**2 * slope[1]) / d0
         b[-1] = (dxr[-1]**2 * slope[-2] + (2 * d1 + dxr[-1]) * dxr[-2] * slope[-1]) / d1
-    s = np.linalg.solve(A, b.reshape(n, -1)).reshape(b.shape)
+    s = _tridiagonal_solve(sub, diag, sup, b.reshape(n, -1)).reshape(b.shape)
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _tridiagonal_solve(sub, diag, sup, b):
+    """Solution of the tridiagonal system of rows (sub[i], diag[i], sup[i])
+    for the columns of ``b``, by elimination without pivoting.
+
+    The spline's interior rows are diagonally dominant and its end rows,
+    eliminated first and last, leave positive pivots, so no row exchange
+    is needed; the pivots run as Python floats, the right-hand side row by
+    row.
+    """
+    lo, d, up = sub.tolist(), diag.tolist(), sup.tolist()
+    x = b.copy()
+    for i in range(1, len(d)):
+        w = lo[i] / d[i - 1]
+        d[i] -= w * up[i - 1]
+        x[i] -= w * x[i - 1]
+    x[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        x[i] -= up[i] * x[i + 1]
+        x[i] /= d[i]
+    return x
 
 
 def _spline_eval(x, c, t):

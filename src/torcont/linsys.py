@@ -14,11 +14,14 @@ pseudo-arclength continuation; ``J @ v`` multiplies from the blocks.
 bordering algorithm):
 
 1. *Local elimination.*  Each of the K*ntst subintervals has an (m n)x(m n)
-   block on the m base points after its first; all of them are inverted in
-   one batched call that reads them in place from the kernel's values; the
-   inverses times the initial-point and extra columns, written into one
-   array, map each subinterval's interior base points affinely from its
-   initial point and the extra unknowns.
+   block on the m base points after its first.  One batched
+   ``np.linalg.solve``, reading the blocks in place from the kernel's
+   values, solves them for the columns that are read: the initial-point
+   columns, the extra columns that carry collocation values (the other
+   extras are zero there) and, given one, the interior collocation rows of
+   a right-hand side.  No inverse is formed.  The solutions map each
+   subinterval's interior base points affinely from its initial point and
+   the extra unknowns.
 2. *Segment chain.*  The continuity rows carry these maps from subinterval
    to subinterval, ntst batched steps across all segments, so every base
    point becomes an affine map of (v0 of its segment, extra unknowns).
@@ -28,12 +31,15 @@ bordering algorithm):
    (v0 of every segment, extra unknowns) of size K n + n_extra (309 on the
    N = 50 Langford torus).  Tail values on x(0) (v0 itself) and on the
    extras go straight into it; those on x(T) meet the chain's last maps in
-   one batched and one plain product.  numpy gives its determinant
-   (``slogdet``) and, in a solve, its solution (``np.linalg.solve``), each
-   by its own LAPACK LU of R.  A Newton update solves once per
-   factorization, so an LU kept for later solves would save only that
-   second LU, and numpy exposes none to keep.  A solve replays the steps on
-   the right-hand side and substitutes back.
+   one batched and one plain product.  A solve replays the steps on the
+   right-hand side, solves R once (``np.linalg.solve``) and substitutes
+   back.  A Newton update solves once per factorization, so
+   ``lu_factor(B, rhs=r)`` solves for its r while it factors, r riding
+   along in the local solve; numpy's determinant of R (``slogdet``, a
+   second LU of R) then waits until it is read, and a corrector that reads
+   none takes none.  A factor made without a right-hand side takes it at
+   once, which finds an exactly singular R, and solves each later
+   right-hand side against the kept blocks and R.
 
 The determinant obeys det B = s * prod det(local blocks) * (-1)^(continuity
 rows) * det(reduced), where s is the sign of the row and column
@@ -53,7 +59,8 @@ leaves an optional residual floor that an earlier iterate was below (near a
 branch point such an update runs along the near-null direction).  Stopped
 unconverged, it returns its best iterate if that is below the floor and
 fails otherwise, as on divergence.  Each update factors the Jacobian once,
-and a solution comes with the factor made before its last update.
+with the residual as the factor's right-hand side, and a solution comes
+with the factor made before its last update.
 """
 
 from __future__ import annotations
@@ -161,14 +168,12 @@ class CollocationJacobian:
         border = 0 if self.border is None else self.border.size
         return self.seg.J_x.size + coll_extra + p.tail_keep.size + border
 
-    def extra_block(self) -> np.ndarray:
-        """Values of the extra columns on the collocation rows, (rows, n_extra)."""
-        p, seg = self.pattern, self.seg
-        G = np.zeros((seg.J_T.size, p.n_extra))
+    def coll_columns(self) -> list:
+        """Values on the collocation rows of the extra columns that carry
+        them (``pattern.coll_extra``), one array per column."""
+        seg = self.seg
         kernel = (seg.J_T, seg.J_T0) + tuple(seg.J_p.T)
-        for col, src in zip(p.coll_extra, p.coll_src):
-            G[:, col] = kernel[src]
-        return G
+        return [kernel[src] for src in self.pattern.coll_src]
 
     def blocks(self) -> np.ndarray:
         """Collocation blocks of every subinterval, (K ntst, m n, (m+1) n):
@@ -195,7 +200,8 @@ class CollocationJacobian:
         x, e = V[: p.n_x].reshape(K, ntst, m + 1, n, k), V[p.n_x:]
         blocks = self.blocks()
         coll = (blocks @ x.reshape(K * ntst, -1, k)).reshape(K, -1, k)
-        coll += (self.extra_block() @ e).reshape(K, -1, k)
+        for col, values in zip(p.coll_extra, self.coll_columns()):
+            coll += (values[:, None] * e[col]).reshape(K, -1, k)
         # continuity rows: +1 on a subinterval's last point, -1 on the next one's first
         pm = seg.J_x[blocks.size:].reshape(K, 2, ntst - 1, n, 1)
         cont = (pm[:, 0] * x[:, :-1, -1] + pm[:, 1] * x[:, 1:, 0]).reshape(K, -1, k)
@@ -228,27 +234,42 @@ def max_abs(J) -> float:
     """Largest |entry| of a dense matrix or of a :class:`CollocationJacobian`."""
     if not isinstance(J, CollocationJacobian):
         return np.abs(J).max()
-    values = [J.seg.J_x, J.extra_block(), J.tail[J.pattern.tail_keep],
+    values = [J.seg.J_x, *J.coll_columns(), J.tail[J.pattern.tail_keep],
               [] if J.border is None else J.border]
     return max(np.abs(v).max(initial=0.0) for v in values)
 
 
-def _condense(B):
+def _interior_rows(rhs, p) -> np.ndarray:
+    """The interior collocation rows of ``rhs``, (K ntst, m n)."""
+    seg_rows = rhs[: p.K * p.rows_seg].reshape(p.K, p.rows_seg)
+    return seg_rows[:, : p.ntst * p.m * p.n].reshape(p.K * p.ntst, p.m * p.n)
+
+
+def _condense(B, rhs=None):
     """Steps 1 and 2 of the module docstring on the collocation rows of B.
 
-    Returns (A, inv, LM, chain): the (m n)x(m n) local blocks and their
-    inverses, LM = -inv [C | G] (the interior base points of every
-    subinterval as a map of [its initial point; extras]) and chain, where
-    chain[s, k] = [Phi | Psi] maps (v0 of segment s, extras) to the initial
-    point of subinterval k and chain[s, ntst] to the segment's last point.
+    Returns (A, LM, chain, w): the (m n)x(m n) local blocks, LM = -A^{-1}
+    [C | G] (the interior base points of every subinterval as a map of
+    [its initial point; the extras ``coll_extra``]), chain, where
+    chain[s, k] = [Phi | Psi] maps (v0 of segment s, those extras) to the
+    initial point of subinterval k and chain[s, ntst] to the segment's last
+    point, and w = A^{-1} r for the interior collocation rows r of ``rhs``
+    (None without one).  One batched solve gives LM and w; the other
+    extras are zero on the collocation rows, so nothing maps them.
     """
     p = B.pattern
-    K, ntst, m, n, ne = p.K, p.ntst, p.m, p.n, p.n_extra
-    subs, mn = K * ntst, m * n
+    K, ntst, m, n = p.K, p.ntst, p.m, p.n
+    subs, mn, nc = K * ntst, m * n, p.coll_extra.size
     blocks = B.blocks()
     A = blocks[:, :, n:]
+    cols = np.empty((subs, mn, n + nc + (rhs is not None)))  # [-C | -G | r]
+    np.negative(blocks[:, :, :n], out=cols[:, :, :n])
+    for i, values in enumerate(B.coll_columns(), start=n):
+        np.negative(values.reshape(subs, mn), out=cols[:, :, i])
+    if rhs is not None:
+        cols[:, :, -1] = _interior_rows(rhs, p)
     try:
-        inv = np.linalg.inv(A)
+        X = np.linalg.solve(A, cols)
     except np.linalg.LinAlgError:
         bad = np.flatnonzero(np.linalg.slogdet(A)[0] == 0)
         where = (f"segment {bad[0] // ntst}, subinterval {bad[0] % ntst}" if bad.size
@@ -256,18 +277,15 @@ def _condense(B):
         raise ConvergenceError(
             f"linear solve failed: collocation block of {where} is exactly singular"
         ) from None
-    # interior base points = LM @ [initial point; extras] + inv @ rhs
-    LM = np.empty((subs, mn, n + ne))
-    np.matmul(inv, blocks[:, :, :n], out=LM[:, :, :n])
-    np.matmul(inv, B.extra_block().reshape(subs, mn, ne), out=LM[:, :, n:])
-    np.negative(LM, out=LM)
-    last = LM.reshape(K, ntst, m, n, n + ne)[:, :, -1]
-    chain = np.zeros((K, ntst + 1, n, n + ne))
+    # interior base points = LM @ [initial point; extras coll_extra] + w
+    LM = X[:, :, :n + nc]
+    last = LM.reshape(K, ntst, m, n, n + nc)[:, :, -1]
+    chain = np.zeros((K, ntst + 1, n, n + nc))
     chain[:, 0, :, :n] = np.eye(n)
     for k in range(ntst):
         chain[:, k + 1] = last[:, k, :, :n] @ chain[:, k]
         chain[:, k + 1, :, n:] += last[:, k, :, n:]
-    return A, inv, LM, chain
+    return A, LM, chain, None if rhs is None else X[:, :, -1]
 
 
 def monodromy(J: CollocationJacobian) -> np.ndarray:
@@ -278,29 +296,39 @@ def monodromy(J: CollocationJacobian) -> np.ndarray:
     per-subinterval transition maps, the collocation approximation of
     M = Phi(T, 0) of segment 0 (an orbit's only segment).
     """
-    return _condense(J)[3][0, -1, :, :J.pattern.n]
+    return _condense(J)[2][0, -1, :, :J.pattern.n]
+
+
+def _singular(R) -> ConvergenceError:
+    """The error for an exactly singular reduced system R, naming the zero
+    pivot of getrf: the first column the columns before it span."""
+    n = R.shape[0]
+    k = 1 + bisect_left(range(1, n), True, key=lambda k: np.linalg.matrix_rank(R[:, :k]) < k)
+    return ConvergenceError(f"linear solve failed: the reduced {n}x{n} system is "
+                            f"exactly singular (zero pivot {k})")
 
 
 class CondensedFactor:
     """Factorization of a square system by condensation (module docstring).
 
-    It keeps the local inverses, ``LM``, the chain, the tail's x(T) block
-    and the reduced system R with (sign, log|det R|) from numpy's slogdet,
-    whose LU also finds an exactly singular R.  ``solve(rhs)`` returns
-    B^{-1} rhs and solves R by ``np.linalg.solve``: a Newton update solves
-    once per factorization, so a stored LU of R would be read only once.
+    It keeps the local blocks, ``LM``, the chain, the tail's x(T) block and
+    the reduced system R, no inverse and no LU.  Given ``rhs``, ``solve``
+    returns the solution found while factoring for that same array, and an
+    exactly singular R is found by its solve; without, by slogdet at once.
     ``U`` lists one pivot per row whose product is det B (local blocks and
     R as their geometric-mean pivot with the determinant's sign on the
     first, R's also with the permutation signs; -1 per continuity row).
     """
 
-    def __init__(self, B, shift: float = 0.0):
+    def __init__(self, B, shift: float = 0.0, rhs=None):
         self.shape = B.shape
         if B.shape[0] != B.shape[1]:
             raise ValueError(f"cannot factor a {B.shape[0]}x{B.shape[1]} system")
+        r = None if rhs is None else np.asarray(rhs, dtype=float)
+        w = None
         if isinstance(B, CollocationJacobian):
             self.p = B.pattern
-            self._A, self._inv, self._LM, self._chain = _condense(B)
+            self._A, self._LM, self._chain, w = _condense(B, r)
             R = self._reduced(B)
         else:
             self.p = None
@@ -310,29 +338,26 @@ class CondensedFactor:
         if shift:
             R[np.diag_indices_from(R)] += shift * max(1.0, np.abs(R).max())
         self._R = R
-        self._sign, self._logdet = np.linalg.slogdet(R)
-        if self._sign == 0:
-            # the zero pivot of getrf: the first column the columns before it span
-            n = R.shape[0]
-            k = 1 + bisect_left(range(1, n), True,
-                                key=lambda k: np.linalg.matrix_rank(R[:, :k]) < k)
-            raise ConvergenceError(
-                f"linear solve failed: the reduced {n}x{n} system is "
-                f"exactly singular (zero pivot {k})")
-        self.nnz = R.size + (0 if self.p is None else self._inv.size + self._LM.size)
+        self.nnz = R.size + (0 if self.p is None else self._A.size + self._LM.size)
+        self._rhs, self._x = rhs, None
+        if r is None:
+            self._det_R  # slogdet now: an exactly singular R raises here
+        else:
+            self._x = self._finish(r, w)
 
     # -- step 3: the reduced system --------------------------------------
 
     def _reduced(self, B):
         p = self.p
         K, n, ne = p.K, p.n, p.n_extra
-        R = np.empty((K * n + ne,) * 2)
+        R = np.zeros((K * n + ne,) * 2)
+        coll = K * n + p.coll_extra
         # x(T) of a segment maps by the chain's last [Phi | Psi], x(0) is its v0
         self._ends = B.tail_ends()
         last = self._chain[:, -1]
         np.matmul(self._ends.reshape(p.n_tail, K, n).transpose(1, 0, 2), last[..., :n],
                   out=R[: p.n_tail, : K * n].reshape(p.n_tail, K, n).transpose(1, 0, 2))
-        R[: p.n_tail, K * n:] = self._ends @ last[..., n:].reshape(K * n, ne)
+        R[: p.n_tail, coll] = self._ends @ last[..., n:].reshape(K * n, -1)
         R.reshape(-1)[p.start_slot] += B.tail[p.start_src]
         self._border = B.border
         if B.border is not None:
@@ -344,25 +369,39 @@ class CondensedFactor:
             self._beta = bx[:, 0] + bLM[:, :n]
             red = np.einsum("ski,skic->sc", self._beta.reshape(K, p.ntst, n), self._chain[:, :-1])
             R[-1, : K * n] = red[:, :n].ravel()
-            R[-1, K * n:] = b[p.n_x:] + red[:, n:].sum(axis=0) + bLM[:, n:].sum(axis=0)
+            R[-1, K * n:] = b[p.n_x:]
+            R[-1, coll] += red[:, n:].sum(axis=0) + bLM[:, n:].sum(axis=0)
         return R
+
+    def _solve_reduced(self, g):
+        try:
+            return np.linalg.solve(self._R, g)
+        except np.linalg.LinAlgError:
+            raise _singular(self._R) from None
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         if trans != "N":
             raise ValueError("only B x = rhs is supported")
+        if self._x is not None and rhs is self._rhs:
+            return self._x
         rhs = np.asarray(rhs, dtype=float)
+        w = (None if self.p is None
+             else np.linalg.solve(self._A, _interior_rows(rhs, self.p)[..., None])[..., 0])
+        return self._finish(rhs, w)
+
+    def _finish(self, rhs, w):
+        """B^{-1} rhs from w = A^{-1} r on the interior collocation rows."""
         if self.p is None:
-            return np.linalg.solve(self._R, rhs)
+            return self._solve_reduced(rhs)
         p = self.p
-        K, ntst, m, n, ne = p.K, p.ntst, p.m, p.n, p.n_extra
+        K, ntst, m, n = p.K, p.ntst, p.m, p.n
         subs = K * ntst
-        seg_rows = rhs[: K * p.rows_seg].reshape(K, p.rows_seg)
-        w = np.einsum("src,sc->sr", self._inv, seg_rows[:, : ntst * m * n].reshape(subs, m * n))
         # the particular solution: zero at x(0) and on the extras, the
         # continuity rows after every subinterval but a segment's last
         step = w.reshape(K, ntst, m, n)[:, :, -1].copy()
-        step[:, :-1] -= seg_rows[:, ntst * m * n:].reshape(K, ntst - 1, n)
-        last = self._LM.reshape(K, ntst, m, n, n + ne)[:, :, -1, :, :n]
+        cont = rhs[: K * p.rows_seg].reshape(K, p.rows_seg)[:, ntst * m * n:]
+        step[:, :-1] -= cont.reshape(K, ntst - 1, n)
+        last = self._LM.reshape(K, ntst, m, n, -1)[:, :, -1, :, :n]
         sigma = np.zeros((K, ntst + 1, n))  # its subinterval initial points, then x(T)
         for k in range(ntst):
             sigma[:, k + 1] = np.einsum("sij,sj->si", last[:, k], sigma[:, k]) + step[:, k]
@@ -371,27 +410,37 @@ class CondensedFactor:
         if self._border is not None:
             g[-1] -= (np.einsum("si,si->", self._beta, sigma[:, :-1].reshape(subs, n))
                       + np.einsum("sr,sr->", self._b_int, w))
-        z = np.linalg.solve(self._R, g)
+        z = self._solve_reduced(g)
         v0, e = z[: K * n].reshape(K, n), z[K * n:]
+        ec = e[p.coll_extra]
         chain = self._chain[:, :-1]
         x0 = (sigma[:, :-1] + np.einsum("skic,sc->ski", chain[..., :n], v0)
-              + chain[..., n:] @ e).reshape(subs, n)
+              + chain[..., n:] @ ec).reshape(subs, n)
         inner = np.einsum("src,sc->sr", self._LM,
-                          np.concatenate([x0, np.broadcast_to(e, (subs, ne))], axis=1)) + w
+                          np.concatenate([x0, np.broadcast_to(ec, (subs, ec.size))], axis=1)) + w
         return np.concatenate([np.concatenate([x0, inner], axis=1).ravel(), e])
 
     # -- determinant -------------------------------------------------------
 
     @cached_property
+    def _det_R(self):
+        """(sign, log|det R|); an exactly singular R raises."""
+        sign, logdet = np.linalg.slogdet(self._R)
+        if sign == 0:
+            raise _singular(self._R)
+        return sign, logdet
+
+    @cached_property
     def U(self) -> np.ndarray:
         """The pivots of the class docstring, one per row of B."""
+        sign, logdet = self._det_R
         if self.p is None:
-            return _pivots(self._sign, self._logdet, self._R.shape[0])
+            return _pivots(sign, logdet, self._R.shape[0])
         p = self.p
         mn = p.m * p.n
         cont = np.full(p.K * (p.ntst - 1) * p.n, -1.0)
         return np.concatenate([_pivots(*np.linalg.slogdet(self._A), mn), cont,
-                               _pivots(self._sign * p.parity, self._logdet, self._R.shape[0])])
+                               _pivots(sign * p.parity, logdet, self._R.shape[0])])
 
 
 def _pivots(sign, logabs, size) -> np.ndarray:
@@ -402,15 +451,18 @@ def _pivots(sign, logabs, size) -> np.ndarray:
     return d.ravel()
 
 
-def lu_factor(A, shift: float = 0.0) -> CondensedFactor:
+def lu_factor(A, shift: float = 0.0, rhs=None) -> CondensedFactor:
     """Condensed factorization of the square system ``A``.
 
     Raises :class:`ConvergenceError` naming the exactly singular local
     block or reduced system.  ``shift`` adds shift * max(1, max|R|) to the
     diagonal of the reduced system R (of the matrix itself when K = 0),
     which makes an exactly singular system solvable for inverse iteration.
+    Given ``rhs``, the factorization solves A x = rhs on the way and
+    ``solve(rhs)`` returns x for the same array; the determinant of R is
+    then taken only when ``U`` is read.
     """
-    return CondensedFactor(A, shift)
+    return CondensedFactor(A, shift, rhs)
 
 
 def det_sign_log(lu):
@@ -430,7 +482,7 @@ def nullspace_tangent(J, seed: np.ndarray) -> np.ndarray:
     B = bordered_matrix(J, seed)
     rhs = np.zeros(B.shape[0])
     rhs[-1] = 1.0
-    t = lu_factor(B).solve(rhs)
+    t = lu_factor(B, rhs=rhs).solve(rhs)
     nrm = np.linalg.norm(t)
     if not np.isfinite(nrm) or nrm == 0.0:
         raise ConvergenceError("null-space tangent computation failed (singular bordering)")
@@ -446,8 +498,8 @@ def newton_square(residual_fn, jacobian_fn, u0: np.ndarray, tol: float, max_iter
     reads the determinant; otherwise, or when that system is exactly
     singular, ``lu`` is None.
     """
-    def factor(v):
-        return lu_factor(jacobian_fn(v))
+    def factor(v, rhs=None):
+        return lu_factor(jacobian_fn(v), rhs=rhs)
 
     u = np.asarray(u0, dtype=float).copy()
     lu = None
@@ -467,7 +519,7 @@ def newton_square(residual_fn, jacobian_fn, u0: np.ndarray, tol: float, max_iter
             break
         if not np.isfinite(nrm) or nrm > 1e8 * max(best[0], 1.0):
             raise ConvergenceError(f"{context} diverged (residual {nrm:.3e})")
-        lu = factor(u)
+        lu = factor(u, res)
         if nrm < best[0]:
             best = (nrm, u, lu)
         prev = nrm

@@ -188,7 +188,9 @@ def torus_jacobian_pattern(vf: VectorField, sol: TorusSolution,
     else:
         r.append(np.full(2, off_c + 4))
         c.append([X + 2 + vf.param_index(vf.forcing_param), col_om2])
-    extra_src = [1, 0] + [2 + i for i in range(q)] + [-1] * len(EXTRA_PARAMS)
+    # an autonomous field has d/dT0 = -T f_t = 0 on the collocation rows
+    extra_src = [-1 if vf.autonomous else 1, 0] + [2 + i for i in range(q)] \
+        + [-1] * len(EXTRA_PARAMS)
     return CollocationPattern(sol.mesh, n, n_seg, extra_src, np.concatenate(r),
                               np.concatenate(c), rows - n_seg * rows_seg, keep)
 

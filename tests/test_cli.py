@@ -190,6 +190,21 @@ class TestConfigValidation:
         assert not os.path.exists(tmp_path / "po_s")  # the po stage did not run
 
     @pytest.mark.parametrize("key, value, where", [
+        ("y0", [0.3, "x", 0.0], "source.y0: must be a list of 3 numbers, got [0.3, 'x', 0.0]"),
+        ("y0", [0.3], "source.y0: must be a list of 3 numbers, got [0.3]"),
+        ("period", True, "source.period: must be a positive number, got True"),
+        ("period", -1.0, "source.period: must be a positive number, got -1.0"),
+    ], ids=["y0-text", "y0-short", "period-bool", "period-negative"])
+    def test_simulate_source_checked_before_any_run(self, tmp_path, capsys, key, value, where):
+        # unchecked, text in y0 ended in a traceback when the stage started, a short y0
+        # failed only then, and period true or -1.0 reached the orbit seed
+        path = self.make(tmp_path, lambda c: c["stages"][0]["source"].__setitem__(key, value))
+        rc = cli.main(["run", path])
+        assert rc == 2
+        assert f"stages[0].{where}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "po_s")  # the po stage did not run
+
+    @pytest.mark.parametrize("key, value, where", [
         ("pt_max", "10", "pt_max"),
         ("pt_max", 0, "pt_max"),
         ("pt_max", True, "pt_max"),

@@ -311,6 +311,28 @@ class TestSampleSpline:
         ref = CubicSpline(t_grid, values, axis=0)(np.clip(duration * tau, 0, duration))
         assert self.close(ours, ref)
 
+    def test_long_grid_resamples_in_linear_memory(self):
+        # a dense n x n spline system would take 3.2 GB here
+        import tracemalloc
+
+        from scipy.interpolate import CubicSpline
+
+        mesh = colloc.build_mesh(40, 4)
+        rng = np.random.default_rng(5)
+        t_grid = np.cumsum(rng.uniform(0.5, 1.5, 20_000)) * 1e-3
+        values = np.stack([np.sin(t_grid), np.cos(3 * t_grid), t_grid**2], axis=-1)
+        duration = t_grid[-1] - t_grid[0]
+        tracemalloc.start()
+        try:
+            ours = colloc.sample_onto_basepoints(mesh, t_grid - t_grid[0], values, duration)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        tau = colloc.distinct_basepoints(mesh)[0]
+        ref = CubicSpline(t_grid - t_grid[0], values, axis=0)(np.clip(duration * tau, 0, duration))
+        assert np.abs(ours - ref).max() <= 1e-12 * np.abs(ref).max()
+
     @pytest.mark.parametrize("t_grid, values, message", [
         ([0.0, 1.0], [[0.0], [1.0]], "at least 3 times"),
         ([0.0, 0.5, 0.5, 1.0], [[0.0], [1.0], [2.0], [3.0]], "strictly increasing"),

@@ -1,12 +1,14 @@
 """Collocation Jacobians, their condensed factorization and determinant signs."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import block_diag
 
-from torcont import colloc, linsys, odesys, po, torus
+from torcont import colloc, contin, linsys, odesys, po, torus
 from torcont.errors import ConvergenceError
 from util_systems import OM, decoupled_torus, dense, langford_circle_traj
 
@@ -321,3 +323,90 @@ def test_exactly_singular_reduced_system_is_reported_and_shift_solves():
         linsys.lu_factor(B)
     x = linsys.lu_factor(B, shift=1e-10).solve(np.ones(u0.size))
     assert np.all(np.isfinite(x))
+
+
+# -- a right-hand side solved inside the factorization --------------------------
+
+
+def dense_system():
+    rng = np.random.default_rng(8)
+    return rng.standard_normal((60, 60)) + 8 * np.eye(60)
+
+
+def bordered_orbit():
+    problem, u0 = autonomous_orbit()[:2]
+    border = np.random.default_rng(2).standard_normal(u0.size)
+    return linsys.bordered_matrix(problem.jacobian(u0), border)
+
+
+def bordered_torus_n10():
+    problem, u0 = autonomous_torus(N=10)[:2]
+    rng = np.random.default_rng(2)
+    return linsys.bordered_matrix(problem.jacobian(u0 + 1e-3 * rng.standard_normal(u0.size)),
+                                  rng.standard_normal(u0.size))
+
+
+@pytest.mark.parametrize("case", [bordered_orbit, bordered_torus_n10, dense_system],
+                         ids=["orbit", "torus-N10", "dense"])
+def test_factor_given_rhs_solves_as_a_plain_factor(case):
+    B = case()
+    rng = np.random.default_rng(11)
+    rhs, rhs2 = rng.standard_normal((2, B.shape[0]))
+    plain, given = linsys.lu_factor(B), linsys.lu_factor(B, rhs=rhs)
+    for r in (rhs, rhs2):  # the solution found while factoring, then a later one
+        x, x_ref = given.solve(r), plain.solve(r)
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+    sign, logdet = linsys.det_sign_log(given)
+    sign_ref, logdet_ref = linsys.det_sign_log(plain)
+    assert sign == sign_ref != 0
+    assert abs(logdet - logdet_ref) <= 1e-10
+
+
+def test_exactly_singular_reduced_system_given_rhs_names_its_zero_pivot():
+    B = np.random.default_rng(7).standard_normal((333, 333))
+    B[:, 200] = 0.0
+    with pytest.raises(ConvergenceError, match=r"reduced 333x333 system is exactly "
+                                               r"singular \(zero pivot 201\)"):
+        linsys.lu_factor(B, rhs=np.ones(333))
+    problem, u0 = autonomous_orbit()[:2]
+    B = linsys.bordered_matrix(problem.jacobian(u0), np.zeros(u0.size))
+    with pytest.raises(ConvergenceError) as plain:
+        linsys.lu_factor(B)
+    with pytest.raises(ConvergenceError) as given:
+        linsys.lu_factor(B, rhs=np.ones(u0.size))
+    assert "reduced" in str(plain.value) and str(given.value) == str(plain.value)
+
+
+def test_continuation_without_bp_detection_takes_no_reduced_determinant(monkeypatch):
+    """Nothing reads a determinant with detect_bp off: no slogdet of R runs,
+    and solving each Newton update inside its factorization adds none."""
+    factor, slogdet = linsys.lu_factor, np.linalg.slogdet
+
+    def counted_run(keep_rhs):
+        counts = Counter()
+
+        def lu_factor(A, shift=0.0, rhs=None):
+            counts["lu_factor"] += 1
+            return factor(A, shift, rhs if keep_rhs else None)
+
+        def counted_slogdet(a):
+            counts["slogdet of R"] += np.ndim(a) == 2
+            return slogdet(a)
+
+        with monkeypatch.context() as m:
+            m.setattr(linsys, "lu_factor", lu_factor)
+            m.setattr(contin, "lu_factor", lu_factor)
+            m.setattr(np.linalg, "slogdet", counted_slogdet)
+            problem, u0 = autonomous_torus()[:2]
+            branch = contin.run(problem, u0, contin.ContinuationState(
+                h=0.1, h_max=0.2, pt_max=4, bi_direct=False))
+        return branch, counts
+
+    branch, counts = counted_run(keep_rhs=True)
+    ref, ref_counts = counted_run(keep_rhs=False)  # every factor takes slogdet at once
+    assert counts["slogdet of R"] == 0
+    assert counts["lu_factor"] == ref_counts["lu_factor"] == ref_counts["slogdet of R"] > 4
+    assert [(pt.label, pt.ptype, pt.corrector_iters) for pt in branch.points] == \
+        [(pt.label, pt.ptype, pt.corrector_iters) for pt in ref.points]
+    for pt, pt_ref in zip(branch.points, ref.points):
+        assert np.abs(pt.u - pt_ref.u).max() <= 1e-10
