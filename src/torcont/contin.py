@@ -24,10 +24,10 @@ collocation interiors are eliminated subinterval by subinterval, the
 continuity rows chain the segments, and a small dense system in the
 segment starts, T0, T and the active parameters remains; the dense
 Jacobian of an algebraic problem (K = 0 segments) is that system itself.
-Branch points are flagged by sign changes of the bordered determinant,
-taken from the accepted corrector factorization as the product of the
-local block determinants, the reduced determinant and a fixed structural
-sign, so sign and log-magnitude never under- or overflow.
+Branch points are flagged by sign changes of the bordered determinant
+(:func:`_det`: the corrector's last factorization, else one made at the point),
+the product of the local block determinants, the reduced determinant and a
+fixed structural sign, so sign and log-magnitude never under- or overflow.
 """
 
 from __future__ import annotations
@@ -188,7 +188,6 @@ class BranchPoint:
     u: np.ndarray
     monitors: dict
     tangent: np.ndarray
-    det_sign: int = 0
     corrector_iters: int = 0
 
 
@@ -205,18 +204,25 @@ class Branch:
 # -- bordered Newton ----------------------------------------------------------
 
 
-def _correct(problem, u_first, border, anchor, max_iter=CORRECTOR_MAX_ITER, floor=0.0,
-             need_lu=False):
+def _correct(problem, u_first, border, anchor, max_iter=CORRECTOR_MAX_ITER, floor=0.0):
     """Newton from ``u_first`` on {F(u)=0, <border, u-anchor>=0}; returns (u, iters, lu).
 
     The bordered case of :func:`linsys.newton_square`, with its contraction
-    test, residual ``floor``, ``need_lu`` and returned factorization, to
+    test, residual ``floor`` and returned factorization or None, to
     ``CORRECTOR_TOL``.
     """
     return linsys.newton_square(
         lambda u: np.append(problem.residual(u), border @ (u - anchor)),
         lambda u: bordered_matrix(problem.jacobian(u), border),
-        u_first, CORRECTOR_TOL, max_iter, floor=floor, need_lu=need_lu, context="corrector")
+        u_first, CORRECTOR_TOL, max_iter, floor=floor, context="corrector")
+
+
+def _det(problem, u, border, lu=None):
+    """(sign, log|det|) of [J(u); border^T] from the corrector's factor ``lu``,
+    else from one made here; an exactly singular system raises ConvergenceError."""
+    if lu is None:
+        lu = lu_factor(bordered_matrix(problem.jacobian(u), border))
+    return det_sign_log(lu)
 
 
 def _check_square_plus_one(problem, u0):
@@ -252,17 +258,15 @@ def _initial_border(problem):
 # -- event localization -------------------------------------------------------
 
 
-def _localize(problem, u_a, u_b, border, value, f_a, f_b, value_tol, bracket_tol,
-              need_lu=False):
+def _localize(problem, u_a, u_b, border, value, f_a, f_b, value_tol, bracket_tol):
     """Illinois regula falsi for a sign change of ``value`` on [u_a, u_b].
 
     The secant places each trial point in the chord parameter (a little
     inside the bracket); it is predicted between the two corrected bracket
     ends, corrected with the frozen ``border`` down to ``LOCALIZE_FLOOR``,
     and ``value(u, lu)`` is taken there (None: the bracket is lost); ``lu``
-    is the corrector's factorization, made at every trial point only with
-    ``need_lu`` (see :func:`_correct`).  The end kept twice in a row has
-    its value halved (Dowell & Jarratt 1971).
+    is the corrector's factorization or None (see :func:`_correct`).  The
+    end kept twice in a row has its value halved (Dowell & Jarratt 1971).
     Stops when |value| < ``value_tol`` or the bracket is shorter than
     ``bracket_tol``; returns (u, value, evaluations) of the trial point
     with the smallest |value|.
@@ -274,8 +278,7 @@ def _localize(problem, u_a, u_b, border, value, f_a, f_b, value_tol, bracket_tol
         (s_lo, f_lo, u_lo), (s_hi, f_hi, u_hi) = ends
         w = np.clip(f_lo / (f_lo - f_hi), 0.01, 0.99)
         u_pred = u_lo + w * (u_hi - u_lo)
-        u, _, lu = _correct(problem, u_pred, border, u_pred, floor=LOCALIZE_FLOOR,
-                            need_lu=need_lu)
+        u, _, lu = _correct(problem, u_pred, border, u_pred, floor=LOCALIZE_FLOOR)
         val = value(u, lu)
         if val is None:
             raise ConvergenceError("bracket lost during localization (test function vanished)")
@@ -314,29 +317,29 @@ def detect_branch_point(problem, u_a, u_b, border, sign_a, sign_b, logdet_a, log
 
     ``sign_a``/``sign_b`` and ``logdet_a``/``logdet_b`` are the sign and
     log-magnitude of the bordered-Jacobian determinant at two consecutive
-    accepted points (from the scaled LU proxy, so magnitude under- or
-    overflow cannot corrupt them); the signs must differ.  The secant runs
-    on sign * exp(logdet - max(logdet_a, logdet_b)), linear through a
-    simple branch point.  The determinant is that of the corrector's last
-    factorization (see :func:`_correct`): for a trial point that converged
-    after updates it belongs to the iterate one update before the point,
-    as at the accepted bracket ends.  Stops once |det| has dropped by
-    ``BP_DET_DROP`` or the bracket is tighter than the arclength tolerance.
-    Returns (u_bp, evaluations).
+    accepted points (:func:`_det`, so magnitude under- or overflow cannot
+    corrupt them); the signs must differ.  The secant runs on
+    sign * exp(logdet - max(logdet_a, logdet_b)), linear through a simple
+    branch point, and an exactly singular trial point has the value 0.  As
+    at the accepted bracket ends, the determinant of a trial point that
+    converged after updates belongs to the iterate one update before it.
+    Stops once |det| has dropped by ``BP_DET_DROP`` or the bracket is
+    tighter than the arclength tolerance.  Returns (u_bp, evaluations).
     """
     if sign_a == 0 or sign_b == 0 or sign_a == sign_b:
         raise ConvergenceError("detect_branch_point needs opposite determinant signs")
     scale = max(logdet_a, logdet_b)
 
     def scaled_det(u, lu):
-        if lu is None:
+        try:
+            sign, logdet = _det(problem, u, border, lu)
+        except ConvergenceError:
             return 0.0  # landed on an exactly singular point
-        sign, logdet = det_sign_log(lu)
         return sign * np.exp(logdet - scale)
 
     u, _, its = _localize(problem, u_a, u_b, border, scaled_det,
                           sign_a * np.exp(logdet_a - scale), sign_b * np.exp(logdet_b - scale),
-                          BP_DET_DROP, EVENT_BRACKET_TOL, need_lu=True)
+                          BP_DET_DROP, EVENT_BRACKET_TOL)
     return u, its
 
 
@@ -436,7 +439,7 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
     branch = Branch()
     label_counter = [0]
 
-    def emit(u, ptype, tangent, det_sign=0, iters=0):
+    def emit(u, ptype, tangent, iters=0):
         label_counter[0] += 1
         pt = BranchPoint(
             label=label_counter[0],
@@ -444,7 +447,6 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
             u=u.copy(),
             monitors=problem.monitors(u),
             tangent=tangent.copy(),
-            det_sign=det_sign,
             corrector_iters=iters,
         )
         branch.points.append(pt)
@@ -495,8 +497,7 @@ def _walk(problem, branch, state, u_start, t0, emit):
 
     if problem.detect_bp:
         try:
-            lu0 = lu_factor(bordered_matrix(problem.jacobian(u_start), t0))
-            sign_prev, logdet_prev = det_sign_log(lu0)
+            sign_prev, logdet_prev = _det(problem, u_start, t0)
         except ConvergenceError as exc:  # e.g. a restart exactly at a BP
             bp_skipped(f"start point: {exc}")
     event_prev = [ev.fn(u_prev) for ev in problem.events]
@@ -510,8 +511,8 @@ def _walk(problem, branch, state, u_start, t0, emit):
     def flush(ptype="RO"):
         nonlocal pending
         if pending is not None:
-            u, t, sign, iters = pending
-            emit(u, ptype, t, det_sign=sign, iters=iters)
+            u, t, iters = pending
+            emit(u, ptype, t, iters=iters)
             pending = None
 
     def located(u, ptype):
@@ -528,8 +529,7 @@ def _walk(problem, branch, state, u_start, t0, emit):
         u_pred = u_prev + h * t_prev
         u_first = u_pred if retry or len(recent) < 3 else _extrapolate(recent, h, t_prev, u_pred)
         try:
-            u_new, iters, lu = _correct(problem, u_first, t_prev, u_pred,
-                                        need_lu=problem.detect_bp)
+            u_new, iters, lu = _correct(problem, u_first, t_prev, u_pred)
         except ConvergenceError as exc:
             if h <= state.h_min * (1 + 1e-12):
                 flush("EP")
@@ -549,10 +549,10 @@ def _walk(problem, branch, state, u_start, t0, emit):
         t_new = step / nrm
         sign_new, logdet_new = 0, 0.0
         if problem.detect_bp:
-            if lu is None:
-                bp_skipped("accepted point: the bordered system is exactly singular")
-            else:
-                sign_new, logdet_new = det_sign_log(lu)
+            try:
+                sign_new, logdet_new = _det(problem, u_new, t_prev, lu)
+            except ConvergenceError as exc:
+                bp_skipped(f"accepted point: {exc}")
         mon_new = problem.monitors(u_new)
 
         # scalar-event sign changes between the previous and the new point
@@ -625,7 +625,7 @@ def _walk(problem, branch, state, u_start, t0, emit):
         # anchored at it, then advance the reference to the new point
         flush("RO")
         problem.on_accept(u_new)
-        pending = (u_new, t_new, sign_new, iters)
+        pending = (u_new, t_new, iters)
         recent = recent[-2:] + [(recent[-1][0] + nrm, u_new)]
         u_prev, t_prev = u_new, t_new
         sign_prev, logdet_prev = sign_new, logdet_new

@@ -59,8 +59,10 @@ leaves an optional residual floor that an earlier iterate was below (near a
 branch point such an update runs along the near-null direction).  Stopped
 unconverged, it returns its best iterate if that is below the floor and
 fails otherwise, as on divergence.  Each update factors the Jacobian once,
-with the residual as the factor's right-hand side, and a solution comes
-with the factor made before its last update.
+with the residual as the factor's right-hand side.  It returns the factor
+of the last update, made at the iterate before the solution, or None (see
+:func:`newton_square`); a caller that reads a determinant where it gets none
+(``contin``'s branch-point test) factors the point itself.
 """
 
 from __future__ import annotations
@@ -490,17 +492,15 @@ def nullspace_tangent(J, seed: np.ndarray) -> np.ndarray:
 
 
 def newton_square(residual_fn, jacobian_fn, u0: np.ndarray, tol: float, max_iter: int,
-                  floor: float = 0.0, need_lu: bool = False, context: str = "Newton"):
+                  floor: float = 0.0, context: str = "Newton"):
     """Newton from ``u0`` on a square system; returns (u, iterations, lu).
 
-    Policy and ``floor`` as in the module docstring.  A returned ``u`` that
-    no update factored is factored only with ``need_lu``, for a caller that
-    reads the determinant; otherwise, or when that system is exactly
-    singular, ``lu`` is None.
+    Policy and ``floor`` as in the module docstring.  ``lu`` is the
+    factorization of the last update, made at the iterate before ``u``, or
+    on a floor exit at an earlier best iterate that iterate's own.  It is
+    None when ``u0`` converged without an update or a floor exit returns
+    the last iterate, which no update factored.
     """
-    def factor(v, rhs=None):
-        return lu_factor(jacobian_fn(v), rhs=rhs)
-
     u = np.asarray(u0, dtype=float).copy()
     lu = None
     prev = np.inf
@@ -509,24 +509,19 @@ def newton_square(residual_fn, jacobian_fn, u0: np.ndarray, tol: float, max_iter
         res = residual_fn(u)
         nrm = np.abs(res).max()
         if nrm < tol:
-            if lu is None and need_lu:
-                try:
-                    lu = factor(u)
-                except ConvergenceError:
-                    lu = None  # converged on a singular point (e.g. exactly at a BP)
             return u, it, lu
         if it == max_iter or (it >= 2 and nrm > CONTRACTION * prev) or best[0] < floor < nrm:
             break
         if not np.isfinite(nrm) or nrm > 1e8 * max(best[0], 1.0):
             raise ConvergenceError(f"{context} diverged (residual {nrm:.3e})")
-        lu = factor(u, res)
+        lu = lu_factor(jacobian_fn(u), rhs=res)
         if nrm < best[0]:
             best = (nrm, u, lu)
         prev = nrm
         u = u - lu.solve(res)
     if min(nrm, best[0]) < floor:
         if nrm < best[0]:
-            return u, it, factor(u) if need_lu else None
+            return u, it, None
         return best[1], it, best[2]
     if it < max_iter:
         raise ConvergenceError(f"{context} stopped contracting after {it} iterations "

@@ -58,22 +58,32 @@ def _encode_array(a) -> dict:
             "data": base64.b64encode(a.tobytes()).decode("ascii")}
 
 
-def _decode_array(obj, path: str, name: str, size: Optional[int] = None) -> np.ndarray:
-    """Inverse of ``_encode_array``, optionally of a vector of ``size``
-    entries; errors name the file and the field."""
+def _decode_array(obj, path: str, name: str, shape: Optional[tuple] = None) -> np.ndarray:
+    """Inverse of ``_encode_array``, optionally of an array of ``shape``;
+    errors name the file and the field."""
     if not isinstance(obj, dict) or obj.get("dtype") != "<f8":
         raise FormatError(f"{path}: field {name!r} is not an encoded <f8 array")
     try:
-        shape = tuple(int(k) for k in obj["shape"])
+        got = tuple(int(k) for k in obj["shape"])
         raw = base64.b64decode(obj["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
         raise FormatError(f"{path}: field {name!r} is a malformed array ({exc})") from None
-    if min(shape, default=0) < 0 or len(raw) != 8 * math.prod(shape):
+    if min(got, default=0) < 0 or len(raw) != 8 * math.prod(got):
         raise FormatError(f"{path}: field {name!r} has {len(raw)} data bytes, "
-                          f"not 8 per entry of shape {list(shape)}")
-    if size is not None and shape != (size,):
-        raise FormatError(f"{path}: field {name!r} has shape {list(shape)}, not [{size}]")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)  # a writable copy
+                          f"not 8 per entry of shape {list(got)}")
+    if shape is not None and got != tuple(shape):
+        raise FormatError(f"{path}: field {name!r} has shape {list(got)}, not {list(shape)}")
+    return np.frombuffer(raw, dtype="<f8").reshape(got).astype(float)  # a writable copy
+
+
+def _number(value, path: str, name: str, count: bool = False):
+    """``value`` if it is a JSON number, with ``count`` a positive integer;
+    anything else (a bool too) raises FormatError naming the file and field."""
+    kinds = int if count else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or (count and value < 1):
+        raise FormatError(f"{path}: field {name!r} is {value!r}, not "
+                          + ("a positive integer" if count else "a number"))
+    return value
 
 
 def _system_header(vf: VectorField) -> dict:
@@ -156,42 +166,53 @@ def resolve_field(doc: dict, vf: Optional[VectorField]) -> VectorField:
 def solution_from_snapshot(doc: dict, vf: Optional[VectorField] = None,
                            path: str = "snapshot"):
     """Rebuild a TorusSolution or PeriodicOrbit (with its field) from a dict;
-    ``path`` names the source in format errors."""
+    ``path`` names the source in format errors.  Every array must have the
+    shape and every scalar the type of docs/formats.md."""
     vf = resolve_field(doc, vf)
-    mesh = colloc.build_mesh(doc["mesh"]["ntst"], doc["mesh"]["degree"])
+    mesh = colloc.build_mesh(_number(doc["mesh"]["ntst"], path, "mesh.ntst", count=True),
+                             _number(doc["mesh"]["degree"], path, "mesh.degree", count=True))
+    n, q = vf.dim_state, len(vf.param_names)
+
+    def array(obj, name, *shape):
+        return _decode_array(obj, path, name, shape)
+
+    def number(name):
+        return _number(doc[name], path, name)
+
     if doc["kind"] == "torus":
+        N = _number(doc["fourier_modes"], path, "fourier_modes", count=True)
         ref = doc["reference"]
         sol = torus_mod.TorusSolution(
             mesh=mesh,
-            coupling=dft_matrix(doc["fourier_modes"]),
-            x_seg=_decode_array(doc["x_seg"], path, "x_seg"),
-            T0=doc["T0"],
-            T=doc["T"],
-            p=_decode_array(doc["p"], path, "p"),
-            om1=doc["om1"],
-            om2=doc["om2"],
-            varrho=doc["varrho"],
+            coupling=dft_matrix(N),
+            x_seg=array(doc["x_seg"], "x_seg", 2 * N + 1, mesh.n_base, n),
+            T0=number("T0"),
+            T=number("T"),
+            p=array(doc["p"], "p", q),
+            om1=number("om1"),
+            om2=number("om2"),
+            varrho=number("varrho"),
             reference=torus_mod.ReferenceSection(
-                v00=_decode_array(ref["v00"], path, "reference.v00"),
-                vphi=_decode_array(ref["vphi"], path, "reference.vphi"),
-                vt=None if ref["vt"] is None else _decode_array(ref["vt"], path, "reference.vt"),
+                v00=array(ref["v00"], "reference.v00", n),
+                vphi=array(ref["vphi"], "reference.vphi", n),
+                vt=None if ref["vt"] is None else array(ref["vt"], "reference.vt", n),
             ),
         )
         return vf, sol
     if doc["kind"] == "po":
         traj = colloc.Trajectory(
             mesh=mesh,
-            x_bp=_decode_array(doc["x_bp"], path, "x_bp"),
-            duration=doc["T"],
-            t_offset=doc["t_offset"],
+            x_bp=array(doc["x_bp"], "x_bp", mesh.n_base, n),
+            duration=number("T"),
+            t_offset=number("t_offset"),
         )
         ref = doc["reference"]
         orbit = po_mod.PeriodicOrbit(
             traj=traj,
-            p=_decode_array(doc["p"], path, "p"),
+            p=array(doc["p"], "p", q),
             reference=po_mod.PoReference(
-                x0=_decode_array(ref["x0"], path, "reference.x0"),
-                f0=_decode_array(ref["f0"], path, "reference.f0"),
+                x0=array(ref["x0"], "reference.x0", n),
+                f0=array(ref["f0"], "reference.f0", n),
             ),
         )
         return vf, orbit
@@ -467,7 +488,7 @@ def restart_tor2tor(
         S = sol.x_seg.size + len(scalars)
         cols = contin.active_columns(S, params, doc["active"])
         t_full = np.zeros(S + len(params))
-        t_full[cols] = _decode_array(doc["tangent"], path, "tangent", cols.size)
+        t_full[cols] = _decode_array(doc["tangent"], path, "tangent", (cols.size,))
         problem.start_border = t_full[contin.active_columns(S, params, problem.active)]
     return problem, u0
 
@@ -542,7 +563,7 @@ def restart_BP2tor(
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, released, bounds=bounds, detect_bp=detect_bp)
     incoming = _decode_array(doc["tangent"], snapshot_path(store, run_id, doc["label"]),
-                             "tangent", problem.n_unknowns)
+                             "tangent", (problem.n_unknowns,))
     problem.start_tangent = contin.switch_branch(problem, u0, incoming)
     return problem, u0
 

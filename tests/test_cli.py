@@ -363,6 +363,36 @@ class TestValidate:
         rc = cli.main(["validate", "tor_s", "999", "--store", cli_run["store"]])
         assert rc == 4
 
+    @pytest.mark.parametrize("field,corrupt", [
+        ("x_seg", lambda doc, a: {"x_seg": store._encode_array(a(doc["x_seg"])[:-1])}),
+        ("x_seg", lambda doc, a: {"x_seg": store._encode_array(a(doc["x_seg"])[:, 1:])}),
+        ("p", lambda doc, a: {"p": store._encode_array(a(doc["p"])[:-1])}),
+        ("reference.vphi", lambda doc, a: {"reference": dict(
+            doc["reference"], vphi=store._encode_array(a(doc["reference"]["vphi"])[:2]))}),
+        ("T", lambda doc, a: {"T": "x"}),
+        ("T0", lambda doc, a: {"T0": True}),
+        ("mesh.ntst", lambda doc, a: {"mesh": dict(doc["mesh"], ntst=0)}),
+        ("mesh.degree", lambda doc, a: {"mesh": dict(doc["mesh"], degree=4.0)}),
+        ("fourier_modes", lambda doc, a: {"fourier_modes": "4"}),
+    ], ids=["x_seg-segments", "x_seg-base-points", "p", "reference.vphi", "T-string",
+            "T0-bool", "mesh.ntst-zero", "mesh.degree-float", "fourier_modes-string"])
+    def test_malformed_snapshot_is_a_format_error(self, cli_run, tmp_path, capsys, field,
+                                                  corrupt):
+        # a snapshot whose array shapes or scalar types differ from
+        # docs/formats.md is refused naming the file and the field
+        lab = store.read_bd(cli_run["store"], "tor_s").labels_of_type("EP")[-1]
+        name = f"sol_{lab:06d}.json"
+        src, dst = os.path.join(cli_run["store"], "tor_s"), tmp_path / "tor_s"
+        dst.mkdir()
+        for f in ("meta.json", "bd.tsv"):
+            (dst / f).write_text(open(os.path.join(src, f)).read())
+        doc = json.load(open(os.path.join(src, name)))
+        doc.update(corrupt(doc, lambda obj: store._decode_array(obj, "", field)))
+        (dst / name).write_text(json.dumps(doc))
+        rc = cli.main(["validate", "tor_s", str(lab), "--returns", "1", "--store", str(tmp_path)])
+        assert rc == 2
+        assert f"{dst / name}: field {field!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("verb", ["validate", "export"])
     def test_orbit_label_is_not_a_torus(self, cli_run, tmp_path, capsys, verb):
         out = str(tmp_path / "grid.tsv")

@@ -269,8 +269,9 @@ def test_endpoint_superconvergence_degree3():
 class TestSampleSpline:
     """The not-a-knot spline of ``sample_onto_basepoints`` against scipy's CubicSpline.
 
-    numpy solves the spline's system densely where scipy runs a banded
-    solver, so the two agree to rounding: within ``REL`` of the largest value.
+    ``colloc._tridiagonal_solve`` solves the spline's system where scipy runs
+    a banded solver, so the two agree to rounding: within ``REL`` of the
+    largest value.
     """
 
     REL = 1e-13

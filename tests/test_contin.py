@@ -142,11 +142,12 @@ def curved_pitchfork_problem(**kw):
 
 def counted_factorizations(monkeypatch):
     """A list that grows by one entry per ``lu_factor`` call, at the
-    ``contin`` and the ``linsys`` binding (Newton and null-space tangent)."""
+    ``contin`` and the ``linsys`` binding (Newton and null-space tangent):
+    whether the call carries a right-hand side."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(kwargs.get("rhs") is not None)
         return lu_factor(*args, **kwargs)
 
     monkeypatch.setattr(contin, "lu_factor", counted)
@@ -230,6 +231,20 @@ class TestBranchPoints:
         assert len(skipped) == 1
         assert skipped[0]["type"] == "BP" and skipped[0]["near_label"] == 1
         assert skipped[0]["reason"].startswith(where)
+
+    # on the same line each point is factored once, for its determinant: the
+    # start of each direction and every accepted point; only the start
+    # tangent's factor carries a right-hand side
+    @pytest.mark.parametrize("bi_direct,count", [(False, 6), (True, 11)],
+                             ids=["one-way", "two-way"])
+    def test_point_without_an_update_is_factored_once(self, monkeypatch, bi_direct, count):
+        problem = algebraic_problem(lambda u: u[0] - u[1], lambda u: [[1.0, -1.0]],
+                                    names=["x", "lam"], detect_bp=True)
+        calls = counted_factorizations(monkeypatch)
+        state = contin.ContinuationState(h=0.1, h_max=0.1, pt_max=4, bi_direct=bi_direct)
+        branch = contin.run(problem, np.zeros(2), state)
+        assert [pt.corrector_iters for pt in branch.points] == [0] * (1 + 4 * (1 + bi_direct))
+        assert len(calls) == count and sum(calls) == 1
 
     def test_switch_requires_two_dimensional_null_space(self):
         problem = circle_problem()
