@@ -129,14 +129,14 @@ def _only(doc, fields, path, reader):
 
 
 def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) < np.inf
 
 
 def _is_int(val, least) -> bool:
     return isinstance(val, int) and not isinstance(val, bool) and val >= least
 
 
-_NUMBER = (_is_number, "a number")
+_NUMBER = (_is_number, "a finite number")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
 _POSITIVE_INT = (lambda v: _is_int(v, 1), "a positive integer")
 #: stage section -> optional field -> (value check, what it needs)

@@ -9,11 +9,12 @@ step on, Newton starts at the quadratic through the last three accepted
 points, extrapolated in accumulated chord length to h past the last one
 and projected onto that hyperplane: the step solves the same intersection
 in fewer updates.  A retry after a rejected correction starts at u_pred.
-The engine adapts the step size from the corrector iteration count and
-watches scalar test functions for sign changes.  Each correction is the
-bordered case of the package's one Newton iteration,
+The engine adapts the step size from the corrector iteration count.  Each
+correction is the bordered case of the package's one Newton iteration,
 :func:`linsys.newton_square`: an update that stops contracting the residual
-ends it.
+ends it.  After each accepted point one table of tests runs (:func:`_tests`):
+user events, branch points, folds and monitor bounds, each with its value
+at a point, its crossing rule and what a crossing does (:class:`EventSpec`).
 Events, monitor bounds and branch points share one localization: a
 safeguarded (Illinois) secant in the chord parameter of the bracketing
 step, whose trial points are predicted between the two corrected bracket
@@ -56,12 +57,37 @@ NULL_TOL = 1.0e-4  # scaled |J psi| above which a switched direction is no null 
 LOCALIZE_FLOOR = 5.0 * CORRECTOR_TOL
 
 
+def _sign_change(v_a, v_b) -> bool:
+    """An event's crossing rule: both values known, the earlier one not 0, signs differ."""
+    return v_a is not None and v_b is not None and v_a != 0.0 and np.sign(v_a) != np.sign(v_b)
+
+
 @dataclass
 class EventSpec:
-    """Scalar test function whose sign change triggers localization."""
+    """One test of the continuation walk (see :func:`run`).
 
-    name: str  # bd point type for the located point (e.g. "TR")
-    fn: Callable[[np.ndarray], Optional[float]]  # None means "no event possible here"
+    ``EventSpec(name, fn)`` is a scalar test function: a sign change of
+    ``fn(u)`` (None: no event possible there) over a step is located by
+    :func:`locate_event` on ``fn`` as a point of type ``name``.  The walk's
+    own tests (:func:`_tests`) have no ``fn``: they set the ``value`` at a
+    point (a returned ConvergenceError skips the test there), the ``locate``
+    function (None: a crossing is only annotated), the termination a
+    crossing ``ends`` with (an EP there) and the ``monitor`` of their records.
+    """
+
+    name: str  # point type of a located crossing (e.g. "TR"), and the records' type
+    fn: Optional[Callable[[np.ndarray], Optional[float]]]
+    value: Optional[Callable] = None  # (problem, u, t, border, lu) -> value at a point
+    crossed: Callable = _sign_change  # (v_a, v_b) -> whether a step crosses
+    locate: Optional[Callable] = None  # (problem, u_a, u_b, border, v_a, v_b) -> point
+    ends: Optional[str] = None
+    monitor: Optional[str] = None
+
+    def __post_init__(self):
+        if self.fn is not None:
+            self.value = self.value or (lambda problem, u, *_: self.fn(u))
+            self.locate = self.locate or (lambda problem, u_a, u_b, border, *_: locate_event(
+                problem, u_a, u_b, border, self.fn)[0])
 
 
 @dataclass
@@ -72,6 +98,10 @@ class ContinuationProblem:
     ``len(active)`` names are active unknowns, the rest are monitor-only
     (the usual continuation-toolbox convention, so extra names can
     ride along for monitoring).
+    Each step of the walk (see :func:`run`) runs the ``events``, a BP test on
+    the bordered determinant's sign with ``detect_bp``, and the ``bounds``
+    (monitor name -> (lo, hi), None for an open end), whose edges end a
+    direction that leaves them with an EP there.
     ``start_border`` (a vector in ``u``) borders the start correction; by
     default it holds the first active unknown, column ``n_unknowns - len(active)``.
     With a ``start_tangent`` the start is not corrected and the run leaves along it.
@@ -219,9 +249,13 @@ def _correct(problem, u_first, border, anchor, max_iter=CORRECTOR_MAX_ITER, floo
 
 def _det(problem, u, border, lu=None):
     """(sign, log|det|) of [J(u); border^T] from the corrector's factor ``lu``,
-    else from one made here; an exactly singular system raises ConvergenceError."""
+    else from one made here; for an exactly singular system, the
+    ConvergenceError of its factorization (returned: no determinant there)."""
     if lu is None:
-        lu = lu_factor(bordered_matrix(problem.jacobian(u), border))
+        try:
+            lu = lu_factor(bordered_matrix(problem.jacobian(u), border))
+        except ConvergenceError as exc:
+            return exc
     return det_sign_log(lu)
 
 
@@ -255,7 +289,7 @@ def _initial_border(problem):
     return vec / np.linalg.norm(vec)
 
 
-# -- event localization -------------------------------------------------------
+# -- the walk's tests and their localization ----------------------------------
 
 
 def _localize(problem, u_a, u_b, border, value, f_a, f_b, value_tol, bracket_tol):
@@ -331,16 +365,51 @@ def detect_branch_point(problem, u_a, u_b, border, sign_a, sign_b, logdet_a, log
     scale = max(logdet_a, logdet_b)
 
     def scaled_det(u, lu):
-        try:
-            sign, logdet = _det(problem, u, border, lu)
-        except ConvergenceError:
-            return 0.0  # landed on an exactly singular point
-        return sign * np.exp(logdet - scale)
+        det = _det(problem, u, border, lu)
+        return 0.0 if isinstance(det, ConvergenceError) else det[0] * np.exp(det[1] - scale)
 
     u, _, its = _localize(problem, u_a, u_b, border, scaled_det,
                           sign_a * np.exp(logdet_a - scale), sign_b * np.exp(logdet_b - scale),
                           BP_DET_DROP, EVENT_BRACKET_TOL)
     return u, its
+
+
+def _bound_test(name, lo, hi, edge, side):
+    """The test of ``edge`` (``side`` -1 for lo, 1 for hi) of the bound [lo, hi]
+    on monitor ``name``: a step from inside the closed interval past the edge
+    ends the direction on it, at once from a start on it (1e-12 relative)."""
+
+    def locate(problem, u_a, u_b, border, v_a, v_b):
+        if abs(v_a - edge) <= 1e-12 * max(1.0, abs(edge)):
+            return u_a
+        return locate_event(problem, u_a, u_b, border, lambda u: problem.monitors(u)[name] - edge,
+                            value_tol=1e-9 * max(1.0, abs(edge)))[0]
+
+    return EventSpec("EP", None, value=lambda problem, u, *_: problem.monitors(u)[name],
+                     crossed=lambda v_a, v_b: (v_b < edge if side < 0 else v_b > edge) and (
+                         (lo is None or v_a >= lo) and (hi is None or v_a <= hi)),
+                     locate=locate, ends=f"bound {name}={edge}", monitor=name)
+
+
+def _tests(problem) -> list:
+    """The walk's tests of ``problem`` in the order a step runs them: its events,
+    the BP determinant sign with ``detect_bp``, the fold of the first active
+    parameter (only annotated), then each bound's ends."""
+    tests = list(problem.events)
+    if problem.detect_bp:
+        tests.append(EventSpec(
+            "BP", None, value=lambda problem, u, t, border, lu: _det(problem, u, border, lu),
+            crossed=lambda v_a, v_b: v_a is not None and v_b is not None and v_a[0] * v_b[0] < 0,
+            locate=lambda problem, u_a, u_b, border, v_a, v_b: detect_branch_point(
+                problem, u_a, u_b, border, v_a[0], v_b[0], v_a[1], v_b[1])[0]))
+    if problem.active:
+        col = problem.n_unknowns - len(problem.active)
+        tests.append(EventSpec("FO", None, value=lambda problem, u, t, *_: t[col],
+                               crossed=lambda v_a, v_b: v_a * v_b < 0,
+                               monitor=problem.active[0]))
+    return tests + [_bound_test(name, lo, hi, edge, side)
+                    for name, (lo, hi) in problem.bounds.items()
+                    for edge, side in ((lo, -1), (hi, 1)) if edge is not None]
 
 
 # -- branch switching ---------------------------------------------------------
@@ -406,13 +475,15 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
     starting at the quadratic extrapolation of the last three accepted
     points of its direction (at the prediction on a direction's first two
     steps and on a retry after a rejected correction; see the module
-    docstring).  After each accepted point
-    the problem's ``on_accept`` hook runs (moving Poincare sections),
-    monitors are recorded, events are tested and bounds are enforced.  A
-    bound on a name that is not a monitor raises ConfigError.  With
-    ``bi_direct`` both tangent orientations are explored; labels keep
-    ascending across the two passes.  A ``writer`` stores every labeled
-    point as it is emitted and the branch events when the run ends.
+    docstring).  After each accepted point the problem's ``on_accept`` hook
+    runs (moving Poincare sections), and each step runs the tests of
+    :func:`_tests` in order: a crossing is located as a labeled point, ends
+    the direction with an EP or is annotated, and the records of a step's
+    tests go to ``branch.events`` in that order.  A bound on a name that is
+    not a monitor raises ConfigError.  With ``bi_direct`` both tangent
+    orientations are explored; labels keep ascending across the two
+    passes.  A ``writer`` stores every labeled point as it is emitted and
+    the branch events when the run ends.
     """
     u0 = np.asarray(u0, dtype=float)
     _check_square_plus_one(problem, u0)
@@ -420,6 +491,7 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
     if unknown:
         raise ConfigError(f"bounds on unknown monitor(s) {', '.join(unknown)}; "
                           f"known: {', '.join(problem.monitor_names)}")
+    tests = _tests(problem)
 
     start_iters = 0
     if problem.start_tangent is None:
@@ -437,18 +509,10 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
         t0 = t0 / np.linalg.norm(t0)
 
     branch = Branch()
-    label_counter = [0]
 
     def emit(u, ptype, tangent, iters=0):
-        label_counter[0] += 1
-        pt = BranchPoint(
-            label=label_counter[0],
-            ptype=ptype,
-            u=u.copy(),
-            monitors=problem.monitors(u),
-            tangent=tangent.copy(),
-            corrector_iters=iters,
-        )
+        pt = BranchPoint(len(branch.points) + 1, ptype, u.copy(), problem.monitors(u),
+                         tangent.copy(), iters)
         branch.points.append(pt)
         if writer is not None:
             writer.write_point(pt)
@@ -458,15 +522,11 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
 
     emit(u_start, "EP", t0, iters=start_iters)
 
-    terminations = []
     # reverse direction first so the run's last EP label ends the forward
     # (tangent-oriented) sweep, which restarts pick up by default
     directions = (-1.0, 1.0) if state.bi_direct else (1.0,)
-    for direction in directions:
-        problem.on_accept(u_start)  # re-anchor moving sections at the start
-        _walk(problem, branch, state, u_start, direction * t0, emit)
-        terminations.append(branch.termination)
-    branch.termination = "; ".join(terminations)
+    branch.termination = "; ".join(_walk(problem, branch, state, u_start, d * t0, emit, tests)
+                                   for d in directions)
     if writer is not None:
         writer.write_events(branch.events)
     return branch
@@ -485,23 +545,24 @@ def _extrapolate(recent, h, t, u_pred):
     return q - (t @ (q - u_pred)) * t
 
 
-def _walk(problem, branch, state, u_start, t0, emit):
-    u_prev = u_start
-    t_prev = t0
-    sign_prev, logdet_prev = 0, 0.0
+def _walk(problem, branch, state, u_start, t0, emit, tests) -> str:
+    """One direction of :func:`run` from ``u_start`` along ``t0``; returns its termination."""
+    problem.on_accept(u_start)  # re-anchor moving sections at the start
 
-    def bp_skipped(reason):
-        # a point without a determinant sign drops the BP test of its steps
-        branch.events.append({"type": "BP", "status": "skipped", "reason": reason,
-                              "near_label": branch.points[-1].label if branch.points else 0})
+    def record(test, status, **fields):
+        # the one writer of branch.events; a test's monitor follows the status
+        monitor = {} if test.monitor is None else {"monitor": test.monitor}
+        branch.events.append({"type": test.name, "status": status, **monitor, **fields})
 
-    if problem.detect_bp:
-        try:
-            sign_prev, logdet_prev = _det(problem, u_start, t0)
-        except ConvergenceError as exc:  # e.g. a restart exactly at a BP
-            bp_skipped(f"start point: {exc}")
-    event_prev = [ev.fn(u_prev) for ev in problem.events]
-    mon_prev = problem.monitors(u_prev)
+    def values(u, t, border, lu, where):
+        out = [test.value(problem, u, t, border, lu) for test in tests]
+        for test, v in zip(tests, out):
+            if isinstance(v, ConvergenceError):  # no test on the steps next to this point
+                record(test, "skipped", reason=f"{where}: {v}", near_label=branch.points[-1].label)
+        return [None if isinstance(v, ConvergenceError) else v for v in out]
+
+    u_prev, t_prev = u_start, t0
+    v_prev = values(u_start, t0, t0, None, "start point")
     h = min(max(state.h, state.h_min), state.h_max)
     recent = [(0.0, u_start)]  # (chord length, point) of the last accepted points
     retry = False
@@ -515,16 +576,6 @@ def _walk(problem, branch, state, u_start, t0, emit):
             emit(u, ptype, t, iters=iters)
             pending = None
 
-    def located(u, ptype):
-        flush("RO")
-        pt = emit(u, ptype, t_prev)
-        branch.events.append({"type": ptype, "status": "located", "label": pt.label})
-
-    def unlocated(ptype, exc, **fields):
-        branch.events.append({"type": ptype, "status": "unlocated", **fields, "reason": str(exc),
-                              "bracket": (u_prev.copy(), u_new.copy())})
-
-    branch.termination = "pt_max"
     while accepted < state.pt_max:
         u_pred = u_prev + h * t_prev
         u_first = u_pred if retry or len(recent) < 3 else _extrapolate(recent, h, t_prev, u_pred)
@@ -533,8 +584,7 @@ def _walk(problem, branch, state, u_start, t0, emit):
         except ConvergenceError as exc:
             if h <= state.h_min * (1 + 1e-12):
                 flush("EP")
-                branch.termination = f"corrector failure at h_min: {exc}"
-                return
+                return f"corrector failure at h_min: {exc}"
             h = max(0.5 * h, state.h_min)
             retry = True
             continue
@@ -544,82 +594,30 @@ def _walk(problem, branch, state, u_start, t0, emit):
         nrm = np.linalg.norm(step)
         if nrm == 0.0:
             flush("EP")
-            branch.termination = "stagnated"
-            return
+            return "stagnated"
         t_new = step / nrm
-        sign_new, logdet_new = 0, 0.0
-        if problem.detect_bp:
-            try:
-                sign_new, logdet_new = _det(problem, u_new, t_prev, lu)
-            except ConvergenceError as exc:
-                bp_skipped(f"accepted point: {exc}")
-        mon_new = problem.monitors(u_new)
-
-        # scalar-event sign changes between the previous and the new point
-        event_new = [ev.fn(u_new) for ev in problem.events]
-        for k, ev in enumerate(problem.events):
-            va, vb = event_prev[k], event_new[k]
-            if va is None or vb is None or va == 0.0 or np.sign(va) == np.sign(vb):
+        v_new = values(u_new, t_new, t_prev, lu, "accepted point")
+        for test, v_a, v_b in zip(tests, v_prev, v_new):
+            if not test.crossed(v_a, v_b):
+                continue
+            if test.locate is None:
+                record(test, "annotated", near_label=branch.points[-1].label)
                 continue
             try:
-                located(locate_event(problem, u_prev, u_new, t_prev, ev.fn)[0], ev.name)
+                u_hit = test.locate(problem, u_prev, u_new, t_prev, v_a, v_b)
             except ConvergenceError as exc:
-                unlocated(ev.name, exc)
-
-        # branch points: determinant sign change of the bordered Jacobian
-        if problem.detect_bp and sign_prev != 0 and sign_new != 0 and sign_new != sign_prev:
-            try:
-                located(detect_branch_point(problem, u_prev, u_new, t_prev, sign_prev, sign_new,
-                                            logdet_prev, logdet_new)[0], "BP")
-            except ConvergenceError as exc:
-                unlocated("BP", exc)
-
-        # fold annotation: first active parameter reverses along the branch
-        if problem.active:
-            col = problem.n_unknowns - len(problem.active)
-            if t_prev[col] * t_new[col] < 0:
-                branch.events.append(
-                    {"type": "FO", "status": "annotated", "monitor": problem.active[0],
-                     "near_label": branch.points[-1].label if branch.points else 0}
-                )
-
-        # monitor bounds terminate the direction with an EP at the bound:
-        # trigger when the new point exits the closed interval from inside
-        # (a start exactly on an edge counts as inside)
-        bound_hit = None
-        for name, interval in problem.bounds.items():
-            lo, hi = interval
-            va, vb = mon_prev[name], mon_new[name]
-            inside_a = (lo is None or va >= lo) and (hi is None or va <= hi)
-            if not inside_a:
-                continue
-            if lo is not None and vb < lo:
-                bound_hit = (name, lo)
-            elif hi is not None and vb > hi:
-                bound_hit = (name, hi)
-            if bound_hit:
-                break
-        if bound_hit is not None:
-            name, edge = bound_hit
-            if abs(mon_prev[name] - edge) <= 1e-12 * max(1.0, abs(edge)):
-                u_ep = u_prev  # started exactly on the bound, stop there
-            else:
-                try:
-                    u_ep, _, _ = locate_event(
-                        problem, u_prev, u_new, t_prev,
-                        lambda u: problem.monitors(u)[name] - edge,
-                        value_tol=1e-9 * max(1.0, abs(edge)),
-                    )
-                except ConvergenceError as exc:
-                    unlocated("EP", exc, monitor=name)  # still ends, on the step's end
-                    u_ep = u_new
-            # flush the pending point under its own reference section, then
-            # re-anchor at the endpoint before emitting it
+                record(test, "unlocated", reason=str(exc), bracket=(u_prev.copy(), u_new.copy()))
+                if test.ends is None:
+                    continue
+                u_hit = u_new  # still ends, on the step's end
             flush("RO")
-            problem.on_accept(u_ep)
-            emit(u_ep, "EP", t_new, iters=iters)
-            branch.termination = f"bound {name}={edge}"
-            return
+            if test.ends is not None:
+                # the pending point went out under its own reference section;
+                # re-anchor at the end point before emitting it
+                problem.on_accept(u_hit)
+                emit(u_hit, "EP", t_new, iters=iters)
+                return test.ends
+            record(test, "located", label=emit(u_hit, test.name, t_prev).label)
 
         # accept: emit the pending point while the moving sections are still
         # anchored at it, then advance the reference to the new point
@@ -627,12 +625,10 @@ def _walk(problem, branch, state, u_start, t0, emit):
         problem.on_accept(u_new)
         pending = (u_new, t_new, iters)
         recent = recent[-2:] + [(recent[-1][0] + nrm, u_new)]
-        u_prev, t_prev = u_new, t_new
-        sign_prev, logdet_prev = sign_new, logdet_new
-        event_prev = event_new
-        mon_prev = mon_new
+        u_prev, t_prev, v_prev = u_new, t_new, v_new
         accepted += 1
         if iters <= FAST_ITERS:
             h = min(2.0 * h, state.h_max)
 
     flush("EP")
+    return "pt_max"

@@ -77,12 +77,13 @@ def _decode_array(obj, path: str, name: str, shape: Optional[tuple] = None) -> n
 
 
 def _number(value, path: str, name: str, count: bool = False):
-    """``value`` if it is a JSON number, with ``count`` a positive integer;
-    anything else (a bool too) raises FormatError naming the file and field."""
+    """``value`` if a finite JSON number, with ``count`` a positive integer; anything
+    else (a bool, NaN or an infinity too) raises FormatError naming the file and field."""
     kinds = int if count else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds) or (count and value < 1):
+    if (isinstance(value, bool) or not isinstance(value, kinds) or not abs(value) < math.inf
+            or (count and value < 1)):
         raise FormatError(f"{path}: field {name!r} is {value!r}, not "
-                          + ("a positive integer" if count else "a number"))
+                          + ("a positive integer" if count else "a finite number"))
     return value
 
 

@@ -7,6 +7,7 @@ on-disk store, so the suite also exercises replay-from-disk.  Run with
 ``pytest tests/test_acceptance.py -s`` to see the per-criterion lines.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -69,11 +70,12 @@ def pipeline(tmp_path_factory):
     timings["tr2a"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    rc = cli.cmd_run(os.path.join(CONFIGS, "vdp.json"), store_dir=base, quiet=True)
+    with contextlib.redirect_stdout(io.StringIO()) as vdp_out:
+        rc = cli.cmd_run(os.path.join(CONFIGS, "vdp.json"), store_dir=base, quiet=True)
     timings["vdp"] = time.monotonic() - t0
     assert rc == 0
 
-    return {"base": base, "timings": timings,
+    return {"base": base, "timings": timings, "vdp_out": vdp_out.getvalue(),
             "branch_tr1": branch_tr1, "branch_tr2": branch_tr2}
 
 
@@ -202,6 +204,16 @@ def test_criterion_4_vdp_pipeline(pipeline):
                   f"{len(bps)} BP event(s); switched branch first point "
                   f"residual {res_max:.1e}, separation {separation:.1e}; "
                   f"chain {runtime:.0f}s < 600s")
+
+
+def test_vdp_first_stage_starts_on_its_bound(pipeline):
+    # the simulated start has a = 0.1, the lower edge of a's bound: the
+    # first (reverse) direction ends there at once, without localizing
+    bd = store.read_bd(pipeline["base"], "vdP_torus")
+    assert (bd.labels[1], bd.types[1]) == (2, "EP")
+    assert abs(bd.columns["a"][1] - 0.1) <= 1e-12
+    stage = pipeline["vdp_out"].split("== run vdP_torus ")[1].splitlines()[1]
+    assert stage.split("termination: ")[1].startswith("bound a=0.1; ")
 
 
 @pytest.mark.parametrize("extra_loops", [3, 6])

@@ -215,8 +215,10 @@ class TestConfigValidation:
         ("detect_bp", "no", "detect_bp"),
         ("bounds", {"rho": ["a", 2.0]}, "bounds.rho"),
         ("bounds", {"rho": [2.0, 0.2]}, "bounds.rho"),
+        ("bounds", {"rho": [float("nan"), 2.0]}, "bounds.rho"),
     ], ids=["pt_max-str", "pt_max-zero", "pt_max-bool", "h0-str", "h_min-null",
-            "h_max-bool", "bi_direct-str", "detect_bp-str", "bound-str", "bound-reversed"])
+            "h_max-bool", "bi_direct-str", "detect_bp-str", "bound-str", "bound-reversed",
+            "bound-nan"])
     def test_continuation_fields_checked_before_any_run(self, tmp_path, capsys, key, value,
                                                         where):
         path = self.make(tmp_path, lambda c: c["stages"][1]["continuation"].__setitem__(
@@ -370,11 +372,12 @@ class TestValidate:
         ("reference.vphi", lambda doc, a: {"reference": dict(
             doc["reference"], vphi=store._encode_array(a(doc["reference"]["vphi"])[:2]))}),
         ("T", lambda doc, a: {"T": "x"}),
+        ("T", lambda doc, a: {"T": float("nan")}),
         ("T0", lambda doc, a: {"T0": True}),
         ("mesh.ntst", lambda doc, a: {"mesh": dict(doc["mesh"], ntst=0)}),
         ("mesh.degree", lambda doc, a: {"mesh": dict(doc["mesh"], degree=4.0)}),
         ("fourier_modes", lambda doc, a: {"fourier_modes": "4"}),
-    ], ids=["x_seg-segments", "x_seg-base-points", "p", "reference.vphi", "T-string",
+    ], ids=["x_seg-segments", "x_seg-base-points", "p", "reference.vphi", "T-string", "T-nan",
             "T0-bool", "mesh.ntst-zero", "mesh.degree-float", "fourier_modes-string"])
     def test_malformed_snapshot_is_a_format_error(self, cli_run, tmp_path, capsys, field,
                                                   corrupt):

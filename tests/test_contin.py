@@ -69,9 +69,9 @@ class TestCircle:
         state = contin.ContinuationState(h=0.1, h_max=0.15, pt_max=100, bi_direct=False)
         branch = contin.run(problem, np.array([1.0, 0.0]), state)
         last = branch.points[-1]
+        assert branch.termination == "bound y=0.5"
         assert last.ptype == "EP"
-        if "bound" in branch.termination:
-            assert abs(last.monitors["y"] - 0.5) < 1e-7
+        assert abs(last.monitors["y"] - 0.5) < 1e-7
 
     def test_bound_on_unknown_monitor_rejected(self):
         # a misspelt bound name would never end the run
@@ -103,6 +103,79 @@ class TestCircle:
         )
         with pytest.raises(ConvergenceError, match="initial correction"):
             contin.run(problem, np.array([1.0, 0.0]), contin.ContinuationState())
+
+
+class TestWalkTests:
+    """Each test of the walk keeps its own crossing rule and its own records."""
+
+    STATE = dict(h=0.1, h_min=1e-3, h_max=0.2, pt_max=40, bi_direct=False)
+
+    def test_start_on_a_bound_edge_ends_there(self):
+        # the first stage of the vdp chain in small: the start lies on the
+        # edge of its own bound and outside the interval of the second one
+        problem = circle_problem(bounds={"y": (-0.5, 0.0), "x": (2.0, 3.0)})
+        branch = contin.run(problem, np.array([1.0, 0.0]), contin.ContinuationState(**self.STATE))
+        assert branch.termination == "bound y=0.0"
+        assert [pt.ptype for pt in branch.points] == ["EP", "EP"]
+        assert np.array_equal(branch.points[1].u, branch.points[0].u)  # not localized
+        assert branch.events == []
+
+    def test_entering_a_bound_interval_does_not_end_the_direction(self):
+        # y climbs into [0.5, 2] from 0 and leaves it at 0.5 past the top
+        problem = circle_problem(bounds={"y": (0.5, 2.0)})
+        branch = contin.run(problem, np.array([1.0, 0.0]), contin.ContinuationState(**self.STATE))
+        assert branch.termination == "bound y=0.5"
+        last = branch.points[-1]
+        assert last.ptype == "EP" and last.u[0] < 0.0 and abs(last.u[1] - 0.5) < 1e-7
+        assert max(pt.u[1] for pt in branch.points) > 0.9
+
+    def test_unlocated_bound_ends_on_the_step_end(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ConvergenceError("injected localization failure")
+
+        monkeypatch.setattr(contin, "locate_event", failing)
+        problem = circle_problem(bounds={"y": (None, 0.5)})
+        branch = contin.run(problem, np.array([1.0, 0.0]), contin.ContinuationState(**self.STATE))
+        assert branch.termination == "bound y=0.5"
+        (ev,) = branch.events
+        assert list(ev) == ["type", "status", "monitor", "reason", "bracket"]
+        assert (ev["type"], ev["status"], ev["monitor"], ev["reason"]) == (
+            "EP", "unlocated", "y", "injected localization failure")
+        u_a, u_b = ev["bracket"]
+        assert [pt.ptype for pt in branch.points[-2:]] == ["RO", "EP"]
+        assert np.array_equal(branch.points[-2].u, u_a) and np.array_equal(branch.points[-1].u, u_b)
+        assert u_a[1] < 0.5 < u_b[1]
+
+    @pytest.mark.parametrize("fn", [lambda u: u[1], lambda u: None if u[1] == 0.0 else u[1]],
+                             ids=["zero", "none"])
+    def test_event_without_a_signed_earlier_value_is_not_localized(self, monkeypatch, fn):
+        # y is exactly 0 at the start (the zero case's value; None in the
+        # other) and positive after it
+        calls = []
+        monkeypatch.setattr(contin, "locate_event", lambda *args, **kwargs: calls.append(args))
+        problem = circle_problem()
+        problem.events = [contin.EventSpec("ZZ", fn)]
+        state = contin.ContinuationState(**dict(self.STATE, pt_max=3))
+        branch = contin.run(problem, np.array([1.0, 0.0]), state)
+        assert calls == [] and branch.events == []
+        assert [pt.ptype for pt in branch.points] == ["EP", "RO", "RO", "EP"]
+
+    def test_event_and_fold_of_one_step_are_recorded_in_test_order(self):
+        state = contin.ContinuationState(**dict(self.STATE, pt_max=14))
+        plain = contin.run(circle_problem(), np.array([1.0, 0.0]), state)
+        # the step over the circle's top, where y starts to fall: an event
+        # placed inside it is located on the step that annotates the fold
+        a, b = next((a, b) for a, b in zip(plain.points, plain.points[1:]) if b.u[1] < a.u[1])
+        c = 0.5 * (a.u[0] + b.u[0])
+        problem = circle_problem()
+        problem.events = [contin.EventSpec("ZZ", lambda u: u[0] - c)]
+        branch = contin.run(problem, np.array([1.0, 0.0]), state)
+        (pt,) = branch.by_type("ZZ")
+        assert abs(pt.u[0] - c) < contin.EVENT_VALUE_TOL
+        assert [list(ev.items()) for ev in branch.events] == [
+            [("type", "ZZ"), ("status", "located"), ("label", pt.label)],
+            [("type", "FO"), ("status", "annotated"), ("monitor", "y"), ("near_label", pt.label)],
+        ]
 
 
 def pitchfork_problem(**kw):
