@@ -8,8 +8,9 @@ Verbs:
     torcont bd RUN_ID --columns NAME [NAME ...] [-o FILE] [--store DIR]
     torcont list [RUN_ID] [--store DIR]
 
-Exit codes: 0 success, 2 configuration error or an output path that cannot
-be written, 3 convergence failure, 4 not found.  A config file is JSON with
+Exit codes: 0 success, 2 an input refused (naming the file and the field,
+see :mod:`torcont.fields`) or an output path that cannot be written, 3
+convergence failure, 4 not found.  A config file is JSON with
 a ``system`` header and a list of ``stages``; each stage declares its
 initial data source (simulated orbit, samples file, circle-seeded
 simulation, or a prior run's labeled solution), discretization, and
@@ -20,13 +21,13 @@ a whole workflow.
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import os
 import sys
 
 import numpy as np
 
-from . import colloc, contin, ivp, odesys, po, store, torus
+from . import colloc, contin, fields, ivp, odesys, po, store, torus
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -36,127 +37,83 @@ from .errors import (
     NotFoundError,
     TorcontError,
 )
+from .fields import BOOL, COUNT, DEGREE, NAMES, NUMBER, OBJECT, POSITIVE, STRING, Field, optional
 
 DEFAULT_STORE = "runs"
 #: problem kind -> adapter module, whose ``names(vf)`` lists its parameters and scalars
 KINDS = {"po": po, "torus": torus}
-_MESH = ("ntst", "degree")
-#: problem kind -> source kind -> (required source fields and their types,
-#: optional source fields, discretization fields); no other field is read
+#: the fields of a config besides its stages' (``system.params``: one number per parameter)
+CONFIG = {"store": optional(STRING), "system": OBJECT, "system.name": optional(STRING),
+          "system.plugin": optional(STRING), "system.params": Field("map"),
+          "stages": Field("list")}
+#: the fields of every stage; CONTINUATION and SOURCES add the rest
+STAGE = {"run_id": STRING, "problem": Field("string", among=tuple(KINDS)), "source": OBJECT,
+         "source.kind": STRING, "continuation": OBJECT}
+CONTINUATION = {"continuation.bounds": optional(OBJECT), "continuation.h0": optional(NUMBER),
+                "continuation.h_min": optional(NUMBER), "continuation.h_max": optional(NUMBER),
+                "continuation.pt_max": optional(COUNT), "continuation.bi_direct": optional(BOOL),
+                "continuation.detect_bp": optional(BOOL)}
+_MESH = {"discretization": optional(OBJECT), "discretization.ntst": optional(COUNT),
+         "discretization.degree": optional(DEGREE)}
+_RELEASED = {"continuation.released": NAMES}  # a bp source takes its BP run's names
+_RUN = {"source.run": STRING, "source.label": optional(Field("label"))}
+#: problem kind -> source kind -> the fields that a stage from that source adds; a
+#: vector has the system's state dimension
 SOURCES = {
-    "po": {"simulate": ({"y0": list, "period": (int, float)}, ("transient_periods",), _MESH)},
+    "po": {"simulate": {"source.y0": Field("vector"), "source.period": POSITIVE,
+                        "source.transient_periods": optional(Field("number", lo=0)), **_MESH,
+                        **_RELEASED, "continuation.detect_tr": optional(BOOL)}},
     "torus": {
-        "samples": ({"path": str}, (), _MESH),
-        "simulate_circle": ({"n_seg": int, "params": dict}, ("radius", "transient_loops"), _MESH),
-        "tr": ({"run": str}, ("label", "N", "eps"), ()),
-        "torus": ({"run": str}, ("label",), _MESH + ("N",)),
-        "bp": ({"run": str}, ("label",), ()),
+        "samples": {"source.path": STRING, **_MESH, **_RELEASED},
+        # om2 is a number before it is positive: a bool is refused as not a number
+        "simulate_circle": {
+            "source.n_seg": Field("integer", lo=3, odd=True), "source.params": OBJECT,
+            "source.params.om1": NUMBER, "source.params.om2": (NUMBER, POSITIVE),
+            "source.params.varrho": NUMBER, "source.radius": optional(POSITIVE),
+            "source.transient_loops": optional(Field("integer", lo=0)), **_MESH, **_RELEASED},
+        "tr": {**_RUN, "source.N": optional(COUNT),
+               "source.eps": optional(Field("number", nonzero=True, null=True)), **_RELEASED},
+        "torus": {**_RUN, **_MESH, "discretization.N": optional(COUNT), **_RELEASED},
+        "bp": _RUN,
     },
 }
+#: continuation field -> ContinuationState attribute
+STATE_FIELDS = {"h0": "h", "h_min": "h_min", "h_max": "h_max", "pt_max": "pt_max",
+                "bi_direct": "bi_direct"}
 
 
 # -- config loading and validation ---------------------------------------------
 
 
-def _cfg_error(path, msg):
-    raise ConfigError(f"{path}: {msg}")
-
-
-def _need(doc, key, types, path, what=""):
-    if key not in doc:
-        _cfg_error(f"{path}.{key}", f"missing required field {what}".strip())
-    val = doc[key]
-    if types is not None and not isinstance(val, types):
-        _cfg_error(f"{path}.{key}", f"expected {types}, got {type(val).__name__}")
-    return val
-
-
 def load_config(path: str) -> dict:
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        return fields.load(path, ConfigError)
     except FileNotFoundError:
         raise NotFoundError(f"config file {path!r} does not exist") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
 
 
-def resolve_system(doc: dict):
-    sysdoc = _need(doc, "system", dict, "config")
-    if "name" in sysdoc:
-        vf = odesys.get_builtin(sysdoc["name"])
-    elif "plugin" in sysdoc:
-        mod, _, attr = sysdoc["plugin"].partition(":")
-        if not attr:
-            _cfg_error("config.system.plugin", "expected 'module:factory'")
-        import importlib
-
+def resolve_system(doc: dict, path: str = "config"):
+    """(vf, p0) of a config whose top-level fields are checked: its ``system``
+    is a builtin or a plugin, with a value for each of its parameters."""
+    reader = fields.Reader(path, ConfigError)
+    got = reader.check(doc, CONFIG, reader="config")
+    if "system.name" in got:
+        try:
+            vf = odesys.get_builtin(got["system.name"])
+        except NotFoundError as exc:
+            reader.fail("system.name", str(exc))
+    elif "system.plugin" in got:
+        mod, _, attr = got["system.plugin"].partition(":")
         try:
             vf = getattr(importlib.import_module(mod), attr)()
-        except (ImportError, AttributeError) as exc:
-            _cfg_error("config.system.plugin", f"cannot load {sysdoc['plugin']!r}: {exc}")
+        except (ImportError, AttributeError, ValueError) as exc:  # ValueError: no module name
+            reader.fail("system.plugin", f"cannot load {got['system.plugin']!r} as "
+                                         f"'module:factory': {exc}")
     else:
-        _cfg_error("config.system", "needs 'name' (builtin) or 'plugin' (module:factory)")
-    params = _need(sysdoc, "params", dict, "config.system")
-    missing = [n for n in vf.param_names if n not in params]
-    if missing:
-        _cfg_error("config.system.params", f"missing values for: {', '.join(missing)}")
-    unknown = [n for n in params if n not in vf.param_names]
-    if unknown:
-        _cfg_error(
-            "config.system.params",
-            f"unknown parameter(s) {', '.join(unknown)}; system has {', '.join(vf.param_names)}",
-        )
-    p0 = np.array([float(params[n]) for n in vf.param_names])
-    return vf, p0
-
-
-def _check_released(released, vf, problem_kind, path):
-    if not isinstance(released, list) or not all(isinstance(x, str) for x in released):
-        _cfg_error(path, "must be a list of parameter names")
-    try:
-        contin.check_released(released, KINDS[problem_kind].names(vf)[0])
-    except ConfigError as exc:
-        _cfg_error(path, str(exc))
-
-
-def _only(doc, fields, path, reader):
-    """Refuse a field of ``doc`` outside ``fields``, the ones ``reader`` reads."""
-    for key in doc:
-        if key not in fields:
-            _cfg_error(f"{path}.{key}", f"is not read by {reader}; it reads "
-                                        f"{', '.join(fields) or 'no field'}")
-
-
-def _is_number(val) -> bool:
-    return isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) < np.inf
-
-
-def _is_int(val, least) -> bool:
-    return isinstance(val, int) and not isinstance(val, bool) and val >= least
-
-
-_NUMBER = (_is_number, "a finite number")
-_BOOL = (lambda v: isinstance(v, bool), "true or false")
-_POSITIVE_INT = (lambda v: _is_int(v, 1), "a positive integer")
-#: stage section -> optional field -> (value check, what it needs)
-OPTIONAL_FIELDS = {
-    "source": {
-        "transient_periods": (lambda v: _is_number(v) and v >= 0, "a number >= 0"),
-        "N": _POSITIVE_INT,
-        "eps": (lambda v: v is None or (_is_number(v) and v != 0), "a nonzero number or null"),
-        "label": (store.is_label_spec, 'a label >= 1 or {"type": ..., "pick": '
-                                       '"first", "last" or an index}'),
-        "radius": (lambda v: _is_number(v) and v > 0, "a positive number"),
-        "transient_loops": (lambda v: _is_int(v, 0), "an integer >= 0"),
-    },
-    "continuation": {"h0": _NUMBER, "h_min": _NUMBER, "h_max": _NUMBER, "pt_max": _POSITIVE_INT,
-                     "bi_direct": _BOOL, "detect_tr": _BOOL, "detect_bp": _BOOL},
-    "discretization": {"ntst": _POSITIVE_INT, "degree": _POSITIVE_INT, "N": _POSITIVE_INT},
-}
-#: continuation field -> ContinuationState attribute
-STATE_FIELDS = {"h0": "h", "h_min": "h_min", "h_max": "h_max", "pt_max": "pt_max",
-                "bi_direct": "bi_direct"}
+        reader.fail("system", "needs 'name' (builtin) or 'plugin' (module:factory)")
+    params = fields.Reader(path, ConfigError, "system.params").check(
+        got["system.params"], dict.fromkeys(vf.param_names, NUMBER), f"{vf.name} system")
+    return vf, np.array([float(params[name]) for name in vf.param_names])
 
 
 def _state_from(cfg: dict, path: str) -> contin.ContinuationState:
@@ -165,97 +122,43 @@ def _state_from(cfg: dict, path: str) -> contin.ContinuationState:
         return contin.ContinuationState(**{attr: cfg[key] for key, attr in STATE_FIELDS.items()
                                            if key in cfg})
     except ConfigError as exc:
-        _cfg_error(path, str(exc))
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _bounds_from(cfg: dict, vf, problem_kind, path):
-    bounds = cfg.get("bounds", {})
-    if not isinstance(bounds, dict):
-        _cfg_error(f"{path}.bounds", "must map monitor names to [lo, hi] pairs")
-    params, scalars = KINDS[problem_kind].names(vf)
-    allowed = params + scalars
-    out = {}
-    for name, pair in bounds.items():
-        if name not in allowed:
-            _cfg_error(f"{path}.bounds.{name}", f"unknown monitor; known: {', '.join(allowed)}")
-        if not isinstance(pair, list) or len(pair) != 2:
-            _cfg_error(f"{path}.bounds.{name}", "expected [lo, hi] (null for one-sided)")
-        lo, hi = pair
-        if not all(end is None or _is_number(end) for end in pair):
-            _cfg_error(f"{path}.bounds.{name}", f"ends must be numbers or null, got {pair!r}")
-        if lo is not None and hi is not None and lo > hi:
-            _cfg_error(f"{path}.bounds.{name}", f"lower end {lo} is above upper end {hi}")
-        out[name] = (None if lo is None else float(lo), None if hi is None else float(hi))
-    return out
+def _bounds_from(cfg: dict) -> dict:
+    """The bounds of a checked continuation section: monitor name -> (lo, hi)."""
+    return {name: tuple(None if end is None else float(end) for end in pair)
+            for name, pair in cfg.get("bounds", {}).items()}
 
 
-def validate_config(doc: dict):
-    vf, p0 = resolve_system(doc)
-    stages = _need(doc, "stages", list, "config")
-    if not stages:
-        _cfg_error("config.stages", "needs at least one stage")
+def validate_config(doc: dict, path: str = "config"):
+    """(vf, p0, stages) of the config ``doc`` read from ``path``.  Every field
+    of every stage is checked before the first stage runs; a fault raises
+    ConfigError naming the file and the field."""
+    vf, p0 = resolve_system(doc, path)
+    if not doc["stages"]:
+        fields.Reader(path, ConfigError).fail("stages", "needs at least one stage")
     seen = set()
-    for i, st in enumerate(stages):
-        path = f"config.stages[{i}]"
-        run_id = _need(st, "run_id", str, path)
-        if run_id in seen:
-            _cfg_error(f"{path}.run_id", f"duplicate run id {run_id!r}")
-        seen.add(run_id)
-        kind = _need(st, "problem", str, path)
-        if kind not in KINDS:
-            _cfg_error(f"{path}.problem", "must be 'po' or 'torus'")
-        source = _need(st, "source", dict, path)
-        skind = _need(source, "kind", str, f"{path}.source")
-        if skind not in SOURCES[kind]:
-            _cfg_error(f"{path}.source.kind", f"{kind} stages accept {', '.join(SOURCES[kind])}")
-        required, optional, mesh_fields = SOURCES[kind][skind]
-        for key, types in required.items():
-            _need(source, key, types, f"{path}.source")
-        if skind == "simulate":
-            y0, period = source["y0"], source["period"]
-            if len(y0) != vf.dim_state or not all(_is_number(v) for v in y0):
-                _cfg_error(f"{path}.source.y0",
-                           f"must be a list of {vf.dim_state} numbers, got {y0!r}")
-            if not (_is_number(period) and period > 0):
-                _cfg_error(f"{path}.source.period", f"must be a positive number, got {period!r}")
-        if skind == "simulate_circle":
-            n_seg, params = source["n_seg"], source["params"]
-            if not (_is_int(n_seg, 3) and n_seg % 2):
-                _cfg_error(f"{path}.source.n_seg", f"must be an odd integer >= 3, got {n_seg!r}")
-            _only(params, torus.EXTRA_PARAMS, f"{path}.source.params", "a simulate_circle source")
-            for key in torus.EXTRA_PARAMS:
-                val = _need(params, key, None, f"{path}.source.params")
-                if not _is_number(val):
-                    _cfg_error(f"{path}.source.params.{key}", f"must be a number, got {val!r}")
-            if params["om2"] <= 0:
-                _cfg_error(f"{path}.source.params.om2", "must be positive")
-        cont = _need(st, "continuation", dict, path)
-        _only(st, ("run_id", "problem", "source", "discretization", "continuation"), path,
-              "a stage")
-        if "discretization" in st and not mesh_fields:
-            _cfg_error(f"{path}.discretization", f"a {skind} source takes no discretization")
-        cont_fields = ["released", "bounds", *OPTIONAL_FIELDS["continuation"]]
-        if kind == "torus":
-            cont_fields.remove("detect_tr")
-        if skind == "bp":
-            cont_fields.remove("released")
-        read = {"source": ("kind", *required, *optional), "discretization": mesh_fields,
-                "continuation": cont_fields}
-        for section, fields in OPTIONAL_FIELDS.items():
-            values = st.get(section, {})
-            if not isinstance(values, dict):
-                _cfg_error(f"{path}.{section}", f"must be an object, got {values!r}")
-            _only(values, read[section], f"{path}.{section}",
-                  f"a {kind} stage from a {skind} source")
-            for key, (valid, need) in fields.items():
-                if key in values and not valid(values[key]):
-                    _cfg_error(f"{path}.{section}.{key}", f"must be {need}, got {values[key]!r}")
-        if skind != "bp":
-            released = _need(cont, "released", list, f"{path}.continuation")
-            _check_released(released, vf, kind, f"{path}.continuation.released")
-        _bounds_from(cont, vf, kind, f"{path}.continuation")
-        _state_from(cont, f"{path}.continuation")
-    return vf, p0, stages
+    for i, st in enumerate(doc["stages"]):
+        reader = fields.Reader(path, ConfigError, f"stages[{i}]")
+        kind = reader.check(st, STAGE)["problem"]
+        skind = reader.value(st["source"]["kind"], "source.kind",
+                             Field("string", among=tuple(SOURCES[kind])))
+        params, scalars = KINDS[kind].names(vf)
+        table = {**STAGE, **CONTINUATION, **SOURCES[kind][skind], **{
+            f"continuation.bounds.{m}": optional(Field("interval")) for m in params + scalars}}
+        if "source.y0" in table:
+            table["source.y0"] = Field("vector", shape=(vf.dim_state,))
+        got = reader.check(st, table, f"{skind} source")
+        if got["run_id"] in seen:
+            reader.fail("run_id", f"duplicate run id {got['run_id']!r}")
+        seen.add(got["run_id"])
+        try:  # a bp source releases its run's names
+            contin.check_released(got.get("continuation.released", ()), params)
+        except ConfigError as exc:
+            reader.fail("continuation.released", str(exc))
+        _state_from(got["continuation"], f"{path}: stages[{i}].continuation")
+    return vf, p0, doc["stages"]
 
 
 # -- stage execution -----------------------------------------------------------
@@ -358,7 +261,7 @@ def _torus_stage(vf, p0, st, store_dir, bounds):
 def cmd_run(config_path: str, stage: str = None, store_dir: str = None,
             quiet: bool = False) -> int:
     doc = load_config(config_path)
-    vf, p0, stages = validate_config(doc)
+    vf, p0, stages = validate_config(doc, config_path)
     base = store_dir or doc.get("store", DEFAULT_STORE)
     selected = [st for st in stages if stage is None or st["run_id"] == stage]
     if stage is not None and not selected:
@@ -373,8 +276,7 @@ def cmd_run(config_path: str, stage: str = None, store_dir: str = None,
         print(f"== run {st['run_id']} ({st['problem']}, source {st['source']['kind']}) ==")
         cont, path = st["continuation"], f"stage {st['run_id']}"
         stage_problem = _po_stage if st["problem"] == "po" else _torus_stage
-        problem, u0 = stage_problem(vf, p0, st, base,
-                                    _bounds_from(cont, vf, st["problem"], path))
+        problem, u0 = stage_problem(vf, p0, st, base, _bounds_from(cont))
         writer = store.RunWriter(base, st["run_id"], problem)
         progress = None if quiet else _progress_printer(problem.monitor_names)
         branch = contin.run(problem, u0, _state_from(cont, path), writer=writer,
@@ -468,7 +370,9 @@ def cmd_list(store_dir: str, run_id: str = None, out=None) -> int:
     if run_id is None:
         for name in store.list_runs(store_dir):
             meta = store.read_meta(store_dir, name)
-            print(f"{name}\t{meta['kind']}\treleased: {', '.join(meta['released'])}",
+            env = [f"{key} {meta[key]}" for key in ("numpy", "blas") if key in meta]
+            env += [f"{var}={val}" for var, val in meta.get("threads", {}).items() if val]
+            print("\t".join([name, meta["kind"], f"released: {', '.join(meta['released'])}", *env]),
                   file=out)
         return 0
     bd = store.read_bd(store_dir, run_id)

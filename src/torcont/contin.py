@@ -86,8 +86,8 @@ class EventSpec:
     def __post_init__(self):
         if self.fn is not None:
             self.value = self.value or (lambda problem, u, *_: self.fn(u))
-            self.locate = self.locate or (lambda problem, u_a, u_b, border, *_: locate_event(
-                problem, u_a, u_b, border, self.fn)[0])
+            self.locate = self.locate or (lambda problem, u_a, u_b, border, v_a, v_b: locate_event(
+                problem, u_a, u_b, border, self.fn, values=(v_a, v_b))[0])
 
 
 @dataclass
@@ -331,15 +331,16 @@ def _localize(problem, u_a, u_b, border, value, f_a, f_b, value_tol, bracket_tol
 
 
 def locate_event(problem, u_a, u_b, border, test_fn,
-                 value_tol=EVENT_VALUE_TOL, bracket_tol=EVENT_BRACKET_TOL):
+                 value_tol=EVENT_VALUE_TOL, bracket_tol=EVENT_BRACKET_TOL, values=None):
     """Localize a sign change of ``test_fn`` between two points.
 
-    Safeguarded secant (:func:`_localize`) on the test function.  Returns
-    (u_located, value, evaluations); raises :class:`ConvergenceError` when
-    the bracket is lost (for example over a fold in the test function).
+    Safeguarded secant (:func:`_localize`) on the test function; ``values``
+    are its values at ``u_a`` and ``u_b`` when the caller has them (the
+    walk does), else they are evaluated.  Returns (u_located, value,
+    evaluations); raises :class:`ConvergenceError` when the bracket is lost
+    (for example over a fold in the test function).
     """
-    val_a = test_fn(u_a)
-    val_b = test_fn(u_b)
+    val_a, val_b = values if values is not None else (test_fn(u_a), test_fn(u_b))
     if val_a is None or val_b is None or np.sign(val_a) == np.sign(val_b):
         raise ConvergenceError("locate_event needs opposite-sign bracket values")
     return _localize(problem, u_a, u_b, border, lambda u, lu: test_fn(u),
@@ -383,7 +384,8 @@ def _bound_test(name, lo, hi, edge, side):
         if abs(v_a - edge) <= 1e-12 * max(1.0, abs(edge)):
             return u_a
         return locate_event(problem, u_a, u_b, border, lambda u: problem.monitors(u)[name] - edge,
-                            value_tol=1e-9 * max(1.0, abs(edge)))[0]
+                            value_tol=1e-9 * max(1.0, abs(edge)),
+                            values=(v_a - edge, v_b - edge))[0]
 
     return EventSpec("EP", None, value=lambda problem, u, *_: problem.monitors(u)[name],
                      crossed=lambda v_a, v_b: (v_b < edge if side < 0 else v_b > edge) and (

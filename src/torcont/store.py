@@ -21,19 +21,42 @@ import base64
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from . import colloc, contin, po as po_mod, torus as torus_mod
+from . import colloc, contin, fields, po as po_mod, torus as torus_mod
 from .errors import ConfigError, FormatError, InputError, NotFoundError
+from .fields import (BOOL, COUNT, DEGREE, NAMES, NUMBER, OBJECT, POSITIVE, STRING, Field, Reader,
+                     is_label_spec, optional)
 from .fourier import dft_matrix, trig_interpolate
 from .odesys import VectorField, get_builtin
 
 FORMAT_VERSION = 1  # meta.json, events.json, samples files
 SNAPSHOT_VERSION = 2  # sol_<label>.json; version 1 wrote arrays as float lists
 BD_HEADER = "# torcont bd v1"
+#: environment variables that set the thread count of numpy's BLAS
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+KIND = Field("string", among=("po", "torus"))
+#: the system header of every file torcont writes: each field a VectorField attribute
+SYSTEM = {"system": OBJECT, "system.name": Field("string", null=True), "system.dim_state": COUNT,
+          "system.param_names": NAMES, "system.autonomous": BOOL,
+          "system.forcing_param": Field("string", null=True)}
+#: the fields of meta.json
+META = {**fields.format_version("torcont-run", FORMAT_VERSION), "run_id": STRING, "kind": KIND,
+        **SYSTEM, "monitor_names": NAMES, "released": NAMES, "numpy": optional(STRING),
+        "blas": optional(Field("string", null=True)), "threads": optional(OBJECT),
+        **{f"threads.{name}": Field("string", null=True) for name in THREAD_VARIABLES}}
+#: the fields of every snapshot; solution_from_snapshot adds those of its kind
+SNAPSHOT = {**fields.format_version("torcont-solution", SNAPSHOT_VERSION), "kind": KIND, **SYSTEM,
+            "mesh": OBJECT, "mesh.ntst": COUNT, "mesh.degree": DEGREE, "label": COUNT,
+            "point_type": STRING, "released": NAMES, "active": NAMES, "monitors": OBJECT}
+#: the fields of a samples file besides its system (a builtin name or a system header)
+SAMPLES = {**fields.format_version("torcont-samples", FORMAT_VERSION),
+           "t_grid": Field("grid", shape=(None,)),
+           "samples": Field("grid", shape=(None, None, None)), "params": Field("map"),
+           "params.om2": POSITIVE}
 
 
 def _f(x) -> str:
@@ -61,163 +84,90 @@ def _encode_array(a) -> dict:
 def _decode_array(obj, path: str, name: str, shape: Optional[tuple] = None) -> np.ndarray:
     """Inverse of ``_encode_array``, optionally of an array of ``shape``;
     errors name the file and the field."""
-    if not isinstance(obj, dict) or obj.get("dtype") != "<f8":
-        raise FormatError(f"{path}: field {name!r} is not an encoded <f8 array")
-    try:
-        got = tuple(int(k) for k in obj["shape"])
-        raw = base64.b64decode(obj["data"], validate=True)
-    except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
-        raise FormatError(f"{path}: field {name!r} is a malformed array ({exc})") from None
-    if min(got, default=0) < 0 or len(raw) != 8 * math.prod(got):
-        raise FormatError(f"{path}: field {name!r} has {len(raw)} data bytes, "
-                          f"not 8 per entry of shape {list(got)}")
-    if shape is not None and got != tuple(shape):
-        raise FormatError(f"{path}: field {name!r} has shape {list(got)}, not {list(shape)}")
-    return np.frombuffer(raw, dtype="<f8").reshape(got).astype(float)  # a writable copy
-
-
-def _number(value, path: str, name: str, count: bool = False):
-    """``value`` if a finite JSON number, with ``count`` a positive integer; anything
-    else (a bool, NaN or an infinity too) raises FormatError naming the file and field."""
-    kinds = int if count else (int, float)
-    if (isinstance(value, bool) or not isinstance(value, kinds) or not abs(value) < math.inf
-            or (count and value < 1)):
-        raise FormatError(f"{path}: field {name!r} is {value!r}, not "
-                          + ("a positive integer" if count else "a finite number"))
-    return value
+    return Reader(path).value(obj, name, Field("array", shape=shape))
 
 
 def _system_header(vf: VectorField) -> dict:
-    return {
-        "name": vf.name,
-        "dim_state": vf.dim_state,
-        "param_names": list(vf.param_names),
-        "autonomous": vf.autonomous,
-        "forcing_param": vf.forcing_param,
-    }
+    """The system header: each field of ``SYSTEM`` is the attribute of ``vf``."""
+    return {key: getattr(vf, key) for key in (path.removeprefix("system.") for path in SYSTEM)
+            if key != "system"}
+
+
+def _snapshot(kind: str, vf: VectorField, mesh: colloc.SegmentMesh, **own) -> dict:
+    """A snapshot's fields: the ones every snapshot has, then ``own``, the kind's."""
+    return {"format": "torcont-solution", "version": SNAPSHOT_VERSION, "kind": kind,
+            "system": _system_header(vf), "mesh": {"ntst": mesh.ntst, "degree": mesh.degree},
+            **own}
 
 
 def torus_snapshot(vf: VectorField, sol: torus_mod.TorusSolution) -> dict:
     ref = sol.reference
-    return {
-        "format": "torcont-solution",
-        "version": SNAPSHOT_VERSION,
-        "kind": "torus",
-        "system": _system_header(vf),
-        "mesh": {"ntst": sol.mesh.ntst, "degree": sol.mesh.degree},
-        "fourier_modes": sol.N,
-        "x_seg": _encode_array(sol.x_seg),
-        "T0": sol.T0,
-        "T": sol.T,
-        "p": _encode_array(sol.p),
-        "om1": sol.om1,
-        "om2": sol.om2,
-        "varrho": sol.varrho,
-        "reference": {
-            "v00": _encode_array(ref.v00),
-            "vphi": _encode_array(ref.vphi),
-            "vt": None if ref.vt is None else _encode_array(ref.vt),
-        },
-    }
+    return _snapshot(
+        "torus", vf, sol.mesh, fourier_modes=sol.N, x_seg=_encode_array(sol.x_seg), T0=sol.T0,
+        T=sol.T, p=_encode_array(sol.p), om1=sol.om1, om2=sol.om2, varrho=sol.varrho,
+        reference={"v00": _encode_array(ref.v00), "vphi": _encode_array(ref.vphi),
+                   "vt": None if ref.vt is None else _encode_array(ref.vt)})
 
 
 def po_snapshot(vf: VectorField, orbit: po_mod.PeriodicOrbit) -> dict:
-    return {
-        "format": "torcont-solution",
-        "version": SNAPSHOT_VERSION,
-        "kind": "po",
-        "system": _system_header(vf),
-        "mesh": {"ntst": orbit.traj.mesh.ntst, "degree": orbit.traj.mesh.degree},
-        "x_bp": _encode_array(orbit.traj.x_bp),
-        "T": orbit.traj.duration,
-        "t_offset": orbit.traj.t_offset,
-        "p": _encode_array(orbit.p),
-        "reference": {
-            "x0": _encode_array(orbit.reference.x0),
-            "f0": _encode_array(orbit.reference.f0),
-        },
-    }
+    traj, ref = orbit.traj, orbit.reference
+    return _snapshot("po", vf, traj.mesh, x_bp=_encode_array(traj.x_bp), T=traj.duration,
+                     t_offset=traj.t_offset, p=_encode_array(orbit.p),
+                     reference={"x0": _encode_array(ref.x0), "f0": _encode_array(ref.f0)})
 
 
-def _check_format(doc: dict, path: str):
-    if doc.get("format") != "torcont-solution":
-        raise FormatError(f"{path}: not a torcont solution file")
-    if doc.get("version") != SNAPSHOT_VERSION:
-        raise FormatError(
-            f"{path}: format version {doc.get('version')} not supported "
-            f"(this build reads version {SNAPSHOT_VERSION})"
-        )
-
-
-def resolve_field(doc: dict, vf: Optional[VectorField]) -> VectorField:
-    """Vector field for a snapshot: the given one, or the named builtin."""
-    sysinfo = doc["system"]
+def _vector_field(reader: Reader, got: dict, vf: Optional[VectorField]) -> VectorField:
+    """The vector field of a file with the checked system fields ``got``: ``vf``,
+    or else the builtin they name; a system header must match it."""
     if vf is None:
-        if sysinfo.get("name") is None:
-            raise ConfigError(
-                "snapshot was produced by an unnamed user-defined system; "
-                "pass its VectorField explicitly to restart"
-            )
-        vf = get_builtin(sysinfo["name"])
-    if vf.dim_state != sysinfo["dim_state"] or list(vf.param_names) != sysinfo["param_names"]:
-        raise ConfigError("vector field does not match the snapshot's system header")
+        try:
+            vf = get_builtin(got.get("system.name", got["system"]))
+        except NotFoundError as exc:
+            reader.fail("system", f"names no builtin system ({exc}); pass its vector field")
+    if isinstance(got["system"], dict) and (vf.dim_state != got["system.dim_state"]
+                                            or list(vf.param_names) != got["system.param_names"]):
+        reader.fail("system", f"does not match the vector field {vf.name!r}")
     return vf
 
 
 def solution_from_snapshot(doc: dict, vf: Optional[VectorField] = None,
                            path: str = "snapshot"):
     """Rebuild a TorusSolution or PeriodicOrbit (with its field) from a dict;
-    ``path`` names the source in format errors.  Every array must have the
-    shape and every scalar the type of docs/formats.md."""
-    vf = resolve_field(doc, vf)
-    mesh = colloc.build_mesh(_number(doc["mesh"]["ntst"], path, "mesh.ntst", count=True),
-                             _number(doc["mesh"]["degree"], path, "mesh.degree", count=True))
-    n, q = vf.dim_state, len(vf.param_names)
-
-    def array(obj, name, *shape):
-        return _decode_array(obj, path, name, shape)
-
-    def number(name):
-        return _number(doc[name], path, name)
-
-    if doc["kind"] == "torus":
-        N = _number(doc["fourier_modes"], path, "fourier_modes", count=True)
-        ref = doc["reference"]
-        sol = torus_mod.TorusSolution(
-            mesh=mesh,
-            coupling=dft_matrix(N),
-            x_seg=array(doc["x_seg"], "x_seg", 2 * N + 1, mesh.n_base, n),
-            T0=number("T0"),
-            T=number("T"),
-            p=array(doc["p"], "p", q),
-            om1=number("om1"),
-            om2=number("om2"),
-            varrho=number("varrho"),
+    ``path`` names the source in format errors.  Every field must be one of
+    docs/formats.md, of its kind and in its range, and every array of its shape."""
+    reader = Reader(path)
+    head = reader.check(doc, SNAPSHOT)
+    vf = _vector_field(reader, head, vf)
+    kind, n = head["kind"], vf.dim_state
+    params, scalars = (torus_mod if kind == "torus" else po_mod).names(vf)
+    mesh = colloc.build_mesh(head["mesh.ntst"], head["mesh.degree"])
+    vector = Field("array", shape=(n,))
+    if kind == "torus":
+        N = reader.check(doc, {"fourier_modes": COUNT})["fourier_modes"]
+        states = Field("array", shape=(2 * N + 1, mesh.n_base, n))
+        own = {"fourier_modes": COUNT, "x_seg": states, "T0": NUMBER, "om1": NUMBER,
+               "om2": POSITIVE, "varrho": NUMBER, "reference.v00": vector,
+               "reference.vphi": vector, "reference.vt": replace(vector, null=not vf.autonomous)}
+    else:
+        states = Field("array", shape=(mesh.n_base, n))
+        own = {"x_bp": states, "t_offset": NUMBER, "reference.x0": vector, "reference.f0": vector}
+    unknowns = math.prod(states.shape) + len(scalars) + len(head["active"])
+    names = Field("names", among=params)
+    got = reader.check(doc, {
+        **SNAPSHOT, "released": names, "active": names,
+        **{f"monitors.{name}": NUMBER for name in params + scalars},
+        "p": Field("array", shape=(len(vf.param_names),)), "T": POSITIVE, "reference": OBJECT,
+        **own, "tangent": Field("array", shape=(unknowns,))}, reader=f"{kind} snapshot")
+    if kind == "torus":
+        return vf, torus_mod.TorusSolution(
+            mesh=mesh, coupling=dft_matrix(N), x_seg=got["x_seg"], T0=got["T0"], T=got["T"],
+            p=got["p"], om1=got["om1"], om2=got["om2"], varrho=got["varrho"],
             reference=torus_mod.ReferenceSection(
-                v00=array(ref["v00"], "reference.v00", n),
-                vphi=array(ref["vphi"], "reference.vphi", n),
-                vt=None if ref["vt"] is None else array(ref["vt"], "reference.vt", n),
-            ),
-        )
-        return vf, sol
-    if doc["kind"] == "po":
-        traj = colloc.Trajectory(
-            mesh=mesh,
-            x_bp=array(doc["x_bp"], "x_bp", mesh.n_base, n),
-            duration=number("T"),
-            t_offset=number("t_offset"),
-        )
-        ref = doc["reference"]
-        orbit = po_mod.PeriodicOrbit(
-            traj=traj,
-            p=array(doc["p"], "p", q),
-            reference=po_mod.PoReference(
-                x0=array(ref["x0"], "reference.x0", n),
-                f0=array(ref["f0"], "reference.f0", n),
-            ),
-        )
-        return vf, orbit
-    raise FormatError(f"unknown solution kind {doc['kind']!r}")
+                v00=got["reference.v00"], vphi=got["reference.vphi"], vt=got["reference.vt"]))
+    traj = colloc.Trajectory(mesh=mesh, x_bp=got["x_bp"], duration=got["T"],
+                             t_offset=got["t_offset"])
+    return vf, po_mod.PeriodicOrbit(traj=traj, p=got["p"], reference=po_mod.PoReference(
+        x0=got["reference.x0"], f0=got["reference.f0"]))
 
 
 # -- run writer ----------------------------------------------------------------
@@ -246,6 +196,7 @@ class RunWriter:
             "system": _system_header(self.problem.vf),
             "monitor_names": list(self.problem.monitor_names),
             "released": list(self.problem.released),
+            **_environment(),
         })
         # encoded before anything changes; then the old header goes first and
         # the old rows next: no header outlives its bd table, no row its snapshot
@@ -293,6 +244,18 @@ class RunWriter:
         _write_atomic(os.path.join(self._dir, "events.json"), doc)
 
 
+def _environment() -> dict:
+    """The numerical environment of this process: numpy's version, its BLAS
+    (null if numpy does not say) and the thread counts that are set."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = None
+    return {"numpy": np.__version__, "blas": blas,
+            "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES}}
+
+
 def _write_atomic(path: str, doc):
     """Write ``doc`` (a dict or its JSON text) to a temporary file, then
     rename it to ``path``."""
@@ -301,28 +264,6 @@ def _write_atomic(path: str, doc):
     with open(path + ".tmp", "w") as fh:
         fh.write(text)
     os.replace(path + ".tmp", path)
-
-
-class _Fields(dict):
-    """A JSON object read from the file ``path``; a missing field raises a
-    FormatError naming the file and the field."""
-
-    def __init__(self, path: str, pairs):
-        super().__init__(pairs)
-        self.path = path
-
-    def __missing__(self, key):
-        raise FormatError(f"{self.path}: missing field {key!r}")
-
-
-def _read_json(path: str) -> dict:
-    """Parse a JSON file into :class:`_Fields` objects; invalid JSON raises a
-    FormatError naming the file."""
-    with open(path) as fh:
-        try:
-            return json.load(fh, object_pairs_hook=lambda pairs: _Fields(path, pairs))
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-            raise FormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 # -- reading -------------------------------------------------------------------
@@ -343,9 +284,8 @@ def read_meta(store: str, run_id: str) -> dict:
     path = os.path.join(run_dir(store, run_id), "meta.json")
     if not os.path.exists(path):
         raise NotFoundError(f"run {run_id!r} not found in store {store!r}")
-    meta = _read_json(path)
-    if meta.get("format") != "torcont-run" or meta.get("version") != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported run format/version")
+    meta = fields.load(path)
+    Reader(path).check(meta, META, reader="run header")
     return meta
 
 
@@ -353,25 +293,21 @@ def read_bd(store: str, run_id: str) -> BdTable:
     path = os.path.join(run_dir(store, run_id), "bd.tsv")
     if not os.path.exists(path):
         raise NotFoundError(f"run {run_id!r} has no bd table in store {store!r}")
+    reader = Reader(path)
     with open(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if header != BD_HEADER:
-            raise FormatError(f"{path}: unsupported bd header {header!r}")
-        names = fh.readline().rstrip("\n").split("\t")
+        header, names = fh.readline().rstrip("\n"), fh.readline().rstrip("\n").split("\t")
+        if header != BD_HEADER or names[:2] != ["label", "type"]:
+            raise FormatError(f"{path}: unsupported bd header {header!r}, {names!r}")
         labels, types = [], []
         columns = {name: [] for name in names[2:]}
         for line in fh:
             cells = line.rstrip("\n").split("\t")
             if len(cells) != len(names):
                 raise FormatError(f"{path}: malformed row {line!r}")
-            try:
-                label, values = int(cells[0]), [float(cell) for cell in cells[2:]]
-            except ValueError:
-                raise FormatError(f"{path}: row {line!r} has a cell that does not parse") from None
-            labels.append(label)
+            labels.append(reader.cell(cells[0], "label", line, COUNT))
             types.append(cells[1])
-            for name, value in zip(names[2:], values):
-                columns[name].append(value)
+            for name, cell in zip(names[2:], cells[2:]):
+                columns[name].append(reader.cell(cell, name, line, NUMBER))
     return BdTable(run_id=run_id, labels=labels, types=types, columns=columns)
 
 
@@ -386,11 +322,10 @@ def read_solution(store: str, run_id: str, label, vf: Optional[VectorField] = No
     path = snapshot_path(store, run_id, lab)
     if not os.path.exists(path):
         raise NotFoundError(f"label {lab} not found in run {run_id!r}")
-    doc = _read_json(path)
-    _check_format(doc, path)
-    if doc["label"] != lab:
-        raise FormatError(f"{path}: holds label {doc['label']!r}, not {lab}")
+    doc = fields.load(path)
     vf, sol = solution_from_snapshot(doc, vf, path)
+    if doc["label"] != lab:
+        Reader(path).fail("label", f"holds label {doc['label']!r}, not {lab}")
     return doc, vf, sol
 
 
@@ -403,18 +338,6 @@ def expect_point(doc: dict, run_id: str, kind: str, ptype: Optional[str] = None)
     if ptype is not None and doc["point_type"] != ptype:
         raise ConfigError(f"label {doc['label']} of run {run_id!r} is type "
                           f"{doc['point_type']!r}, not {ptype}")
-
-
-def is_label_spec(spec) -> bool:
-    """Whether ``spec`` names a stored point: a label (an int >= 1), or
-    {"type": <point type>, "pick": "first" (the default), "last" or an
-    index into the labels of that type}."""
-    def index(val):
-        return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
-
-    if isinstance(spec, dict) and isinstance(spec.get("type"), str):
-        return spec.get("pick", "first") in ("first", "last") or index(spec.get("pick"))
-    return index(spec) and spec >= 1
 
 
 def pick_label(bd: BdTable, spec) -> int:
@@ -481,15 +404,12 @@ def restart_tor2tor(
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, released, bounds=bounds, detect_bp=detect_bp)
     if not refined:
-        path = snapshot_path(store, run_id, doc["label"])
         params, scalars = torus_mod.names(vf)
-        for name in doc["active"]:
-            if name not in params:
-                raise FormatError(f"{path}: field 'active' names unknown parameter {name!r}")
         S = sol.x_seg.size + len(scalars)
         cols = contin.active_columns(S, params, doc["active"])
         t_full = np.zeros(S + len(params))
-        t_full[cols] = _decode_array(doc["tangent"], path, "tangent", (cols.size,))
+        t_full[cols] = _decode_array(doc["tangent"], snapshot_path(store, run_id, doc["label"]),
+                                     "tangent")
         problem.start_border = t_full[contin.active_columns(S, params, problem.active)]
     return problem, u0
 
@@ -586,32 +506,21 @@ def restart_isol2tor(
     onto the base points for ``torus.init_from_samples``."""
     if not os.path.exists(samples_path):
         raise NotFoundError(f"samples file {samples_path!r} does not exist")
-    doc = _read_json(samples_path)
-    if doc.get("format") != "torcont-samples" or doc.get("version") != FORMAT_VERSION:
-        raise FormatError(f"{samples_path}: not a torcont samples file (or wrong version)")
-    if vf is None:
-        sysinfo = doc.get("system")
-        name = sysinfo if isinstance(sysinfo, str) else (sysinfo or {}).get("name")
-        if name is None:
-            raise ConfigError("samples file names no builtin system; pass a VectorField")
-        vf = get_builtin(name)
-    for key, ndim in (("t_grid", 1), ("samples", 3)):
-        try:
-            doc[key] = np.asarray(doc[key], dtype=float)
-        except (TypeError, ValueError):  # a ragged or non-numeric list
-            doc[key] = None
-        if doc[key] is None or doc[key].ndim != ndim:
-            raise FormatError(f"{samples_path}: field {key!r} is not a {ndim}-dimensional "
-                              "array of numbers")
-    params = doc["params"]
-    if not (isinstance(params, dict) and all(type(v) in (int, float) for v in params.values())
-            and params.get("om2", 0) > 0):
-        raise FormatError(f"{samples_path}: field 'params' must map names to numbers, "
-                          "om2 among them and positive")
+    doc, reader = fields.load(samples_path), Reader(samples_path)
+    header = isinstance(doc, dict) and isinstance(doc.get("system"), dict)
+    system = SYSTEM if header else {"system": STRING}
+    got = reader.check(doc, {**SAMPLES, **system}, reader="samples file")
+    vf = _vector_field(reader, got, vf)
+    reader.value(doc["t_grid"], "t_grid", Field("grid", shape=got["samples"].shape[1:2]))
+    Reader(samples_path, prefix="params").check(got["params"], dict.fromkeys(
+        torus_mod.names(vf)[0], NUMBER))
     mesh = colloc.build_mesh(ntst, degree)
-    on_mesh = colloc.sample_onto_basepoints(mesh, doc["t_grid"], doc["samples"].swapaxes(0, 1),
-                                            2.0 * np.pi / params["om2"])
-    sol = torus_mod.init_from_samples(vf, on_mesh.swapaxes(0, 1), params, mesh)
+    try:  # the samples' own faults (a short or stalled grid, values that are not finite)
+        on_mesh = colloc.sample_onto_basepoints(
+            mesh, got["t_grid"], got["samples"].swapaxes(0, 1), 2.0 * np.pi / got["params.om2"])
+        sol = torus_mod.init_from_samples(vf, on_mesh.swapaxes(0, 1), got["params"], mesh)
+    except InputError as exc:
+        raise InputError(f"{samples_path}: {exc}") from None
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, list(released), bounds=bounds, detect_bp=detect_bp)
     return problem, u0

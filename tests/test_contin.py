@@ -120,6 +120,24 @@ class TestWalkTests:
         assert np.array_equal(branch.points[1].u, branch.points[0].u)  # not localized
         assert branch.events == []
 
+    def test_localization_takes_the_bracket_values_from_the_walk(self):
+        # the walk has evaluated the event at both bracket ends: localizing
+        # the crossing evaluates it only at trial points
+        calls = {}
+
+        def counted(u):
+            calls[u.tobytes()] = calls.get(u.tobytes(), 0) + 1
+            return u[1] - 0.37
+
+        problem = circle_problem()
+        problem.events = [contin.EventSpec("ZZ", counted)]
+        branch = contin.run(problem, np.array([1.0, 0.0]), contin.ContinuationState(**self.STATE))
+        located = branch.by_type("ZZ")
+        assert located and all(abs(pt.u[1] - 0.37) < contin.EVENT_VALUE_TOL for pt in located)
+        assert max(calls.values()) == 1
+        accepted = [pt.u.tobytes() for pt in branch.points if pt.ptype != "ZZ"]
+        assert all(u in calls for u in accepted)  # each accepted point once, by the walk
+
     def test_entering_a_bound_interval_does_not_end_the_direction(self):
         # y climbs into [0.5, 2] from 0 and leaves it at 0.5 past the top
         problem = circle_problem(bounds={"y": (0.5, 2.0)})
