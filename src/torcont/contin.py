@@ -550,6 +550,11 @@ def _extrapolate(recent, h, t, u_pred):
 def _walk(problem, branch, state, u_start, t0, emit, tests) -> str:
     """One direction of :func:`run` from ``u_start`` along ``t0``; returns its termination."""
     problem.on_accept(u_start)  # re-anchor moving sections at the start
+    first = len(branch.points)  # this direction's points are appended after it
+
+    def near_label():
+        # the label this direction wrote last, or the run's start label
+        return branch.points[-1 if len(branch.points) > first else 0].label
 
     def record(test, status, **fields):
         # the one writer of branch.events; a test's monitor follows the status
@@ -560,7 +565,7 @@ def _walk(problem, branch, state, u_start, t0, emit, tests) -> str:
         out = [test.value(problem, u, t, border, lu) for test in tests]
         for test, v in zip(tests, out):
             if isinstance(v, ConvergenceError):  # no test on the steps next to this point
-                record(test, "skipped", reason=f"{where}: {v}", near_label=branch.points[-1].label)
+                record(test, "skipped", reason=f"{where}: {v}", near_label=near_label())
         return [None if isinstance(v, ConvergenceError) else v for v in out]
 
     u_prev, t_prev = u_start, t0
@@ -603,7 +608,7 @@ def _walk(problem, branch, state, u_start, t0, emit, tests) -> str:
             if not test.crossed(v_a, v_b):
                 continue
             if test.locate is None:
-                record(test, "annotated", near_label=branch.points[-1].label)
+                record(test, "annotated", near_label=near_label())
                 continue
             try:
                 u_hit = test.locate(problem, u_prev, u_new, t_prev, v_a, v_b)

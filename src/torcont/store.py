@@ -203,9 +203,8 @@ class RunWriter:
         meta_path = os.path.join(self._dir, "meta.json")
         if os.path.exists(meta_path):
             os.remove(meta_path)
-        with open(os.path.join(self._dir, "bd.tsv"), "w") as fh:
-            fh.write(BD_HEADER + "\n")
-            fh.write("\t".join(["label", "type"] + list(self.problem.monitor_names)) + "\n")
+        _write_atomic(os.path.join(self._dir, "bd.tsv"), BD_HEADER + "\n" + "\t".join(
+            ["label", "type"] + list(self.problem.monitor_names)) + "\n")
         for name in os.listdir(self._dir):
             if name.startswith("sol_") or name == "events.json":
                 os.remove(os.path.join(self._dir, name))
@@ -257,8 +256,8 @@ def _environment() -> dict:
 
 
 def _write_atomic(path: str, doc):
-    """Write ``doc`` (a dict or its JSON text) to a temporary file, then
-    rename it to ``path``."""
+    """Write ``doc`` (a dict, or text written as it is) to a temporary file,
+    then rename it to ``path``."""
     # json.dumps is the C encoder; json.dump runs the Python one
     text = doc if isinstance(doc, str) else json.dumps(doc)
     with open(path + ".tmp", "w") as fh:

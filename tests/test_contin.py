@@ -64,6 +64,17 @@ class TestCircle:
         assert runs[0].shape == runs[1].shape
         assert np.array_equal(runs[0], runs[1])
 
+    def test_fold_names_a_label_of_its_own_direction(self):
+        # from just right of the circle's top the second direction crosses
+        # the fold in y on its first step, before it has written a label:
+        # the fold is near the start (label 1), not the first direction's end
+        state = contin.ContinuationState(h=0.1, h_min=1e-3, h_max=0.1, pt_max=3, bi_direct=True)
+        branch = contin.run(circle_problem(), np.array([np.sin(0.05), np.cos(0.05)]), state)
+        assert [pt.ptype for pt in branch.points] == ["EP", "RO", "RO", "EP", "RO", "RO", "EP"]
+        assert branch.points[3].u[0] > 0.0 > branch.points[4].u[0]
+        assert branch.events == [{"type": "FO", "status": "annotated", "monitor": "y",
+                                  "near_label": 1}]
+
     def test_bound_terminates_with_ep_at_bound(self):
         problem = circle_problem(bounds={"y": (None, 0.5)})
         state = contin.ContinuationState(h=0.1, h_max=0.15, pt_max=100, bi_direct=False)

@@ -578,6 +578,141 @@ def test_reopen_interrupted_while_writing_meta_leaves_no_header(tmp_path, monkey
     assert store.read_bd(base, "cut").labels == []
 
 
+class Crash(Exception):
+    pass
+
+
+def crashing_at(monkeypatch, base, k):
+    """Count the store's file operations under ``base`` (an ``open`` in write
+    or append mode, each ``write`` to such a file, ``os.replace`` and
+    ``os.remove``) and raise :class:`Crash` before the k-th (never for k = 0);
+    returns the count so far, as a one-item list."""
+    count = [0]
+    real_open, real_replace, real_remove = open, os.replace, os.remove
+
+    def tick(path):
+        if str(path).startswith(base + os.sep):
+            count[0] += 1
+            if count[0] == k:
+                raise Crash(f"crash at file operation {k}")
+
+    class File:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            tick(self.fh.name)
+            return self.fh.write(text)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def opening(path, mode="r", *args, **kwargs):
+        if mode[0] not in "wa":
+            return real_open(path, mode, *args, **kwargs)
+        tick(path)
+        return File(real_open(path, mode, *args, **kwargs))
+
+    def replacing(src, dst):
+        tick(dst)
+        real_replace(src, dst)
+
+    def removing(path):
+        tick(path)
+        real_remove(path)
+
+    monkeypatch.setattr(store, "open", opening, raising=False)
+    monkeypatch.setattr(os, "replace", replacing)
+    monkeypatch.setattr(os, "remove", removing)
+    return count
+
+
+def replay(base, run_id, problem, branch):
+    """The store writes of a ``contin.run`` that emits ``branch``."""
+    writer = store.RunWriter(base, run_id, problem)
+    for pt in branch.points:
+        writer.write_point(pt)
+    writer.write_events(branch.events)
+
+
+def check_run(base, run_id):
+    """Every bd row of the run loads, and a ``meta.json`` names bd.tsv's columns."""
+    try:
+        bd = store.read_bd(base, run_id)
+    except NotFoundError:
+        bd = None
+    for lab in [] if bd is None else bd.labels:
+        assert store.read_solution(base, run_id, lab)[0]["label"] == lab
+    try:
+        meta = store.read_meta(base, run_id)
+    except NotFoundError:
+        return
+    assert bd is not None and meta["monitor_names"] == list(bd.columns)
+
+
+def test_crash_at_every_file_operation_keeps_every_row_loadable(tmp_path, monkeypatch,
+                                                                mini_pipeline):
+    # a po run, a torus run, the torus run re-opening a finished po run's
+    # directory and a samples file, each cut before each of its file operations
+    problem, u0 = small_po_problem()
+    state = contin.ContinuationState(h=0.02, h_min=1e-4, h_max=0.05, pt_max=4,
+                                     bi_direct=False)
+    po_branch = contin.run(problem, u0, state)  # the finished run the re-open replaces
+    tor = (mini_pipeline["tproblem"], mini_pipeline["tbranch"])
+    samples = {"t_grid": np.linspace(0.0, 4.0, 5), "samples": np.ones((3, 5, 2)),
+               "params": {"Om2": 1.5111, "c": 0.11, "a": 0.1, "om1": -1.0, "om2": 1.5,
+                          "varrho": 0.1}}
+    cases = {
+        "po run": (None, lambda base: contin.run(problem, u0, state, writer=store.RunWriter(
+            base, "cut", problem))),
+        "torus run": (None, lambda base: replay(base, "cut", *tor)),
+        "re-open": (lambda base: replay(base, "cut", problem, po_branch),
+                    lambda base: replay(base, "cut", *tor)),
+        "samples file": (None, lambda base: store.write_samples_file(
+            os.path.join(base, "samples.json"), odesys.builtin_vdp(), **samples)),
+    }
+
+    def check(base):
+        check_run(base, "cut")
+        path = os.path.join(base, "samples.json")
+        if os.path.exists(path):  # whole, or not there
+            with open(path) as fh:
+                assert json.load(fh)["samples"] == samples["samples"].tolist()
+
+    def files(base):
+        out = {}
+        for top, _, names in os.walk(base):
+            for name in names:
+                with open(os.path.join(top, name), "rb") as fh:
+                    out[os.path.relpath(fh.name, base)] = fh.read()
+        return out
+
+    for name, (setup, act) in cases.items():
+        whole = str(tmp_path / name)
+        os.mkdir(whole)
+        if setup is not None:
+            setup(whole)
+        with monkeypatch.context() as m:
+            count = crashing_at(m, whole, 0)
+            act(whole)
+        assert count[0] >= 3, name  # open, write and replace at least
+        for k in range(1, count[0] + 1):
+            base = str(tmp_path / f"{name}-{k}")
+            os.mkdir(base)
+            if setup is not None:
+                setup(base)
+            with monkeypatch.context() as m:
+                crashing_at(m, base, k)
+                with pytest.raises(Crash):
+                    act(base)
+            check(base)
+            act(base)  # a re-run into the cut directory leaves what an uncut one does
+            assert files(base) == files(whole), (name, k)
+
+
 def test_skipped_bp_test_is_written_to_events(tmp_path, monkeypatch):
     # a walk whose start factor is singular records the skipped BP test
     problem, u0 = small_po_problem()
