@@ -11,6 +11,13 @@ The ``torcont`` command is the console script that ``shutil.which`` finds.
 Without one the "editable install" step fails on a GitHub Actions runner;
 anywhere else that step is reported as skipped, and a temporary ``torcont``
 shim that runs ``python -m torcont.cli`` stands in for the console script.
+
+Only the tests, the README library tour and the demos get ``src`` on
+``PYTHONPATH``. The steps after the install run in the caller's environment,
+so they show that the install alone makes ``torcont`` importable; when the
+install is skipped they get ``src`` on ``PYTHONPATH`` too.
+
+Each child's output is printed under its step's line.
 """
 
 from __future__ import annotations
@@ -43,17 +50,21 @@ NO_SCIPY = ('import sys; from torcont import cli; rc = cli.main(["run", "configs
             'loaded {left}" if left else 0))')
 
 
+#: the output of the current step's children, printed under its line
+OUTPUT: list[str] = []
+
+
 class Failed(Exception):
     """A step's command exited with another status or printed another thing."""
 
 
 def run(cmd, env, cwd=ROOT, expect=0) -> subprocess.CompletedProcess:
-    """Run ``cmd`` in a child process; raise :class:`Failed`, after printing
-    its output, unless it exits with ``expect``."""
+    """Run ``cmd`` in a child process, keep its output for the step's log, and
+    raise :class:`Failed` unless it exits with ``expect``."""
     cmd = [str(c) for c in cmd]
     proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+    OUTPUT.append(proc.stdout + proc.stderr)
     if proc.returncode != expect:
-        sys.stdout.write(proc.stdout + proc.stderr)
         raise Failed(f"`{shlex.join(cmd)}` exited {proc.returncode}, not {expect}")
     return proc
 
@@ -67,12 +78,17 @@ def readme_block(pattern: str) -> str:
 
 
 def steps(tmp: Path, env: dict) -> list:
-    """The (name, function) steps; each function returns its status line."""
+    """The (name, function) steps; each function returns its status line.
+
+    ``env`` is the caller's environment; the install's steps run in it."""
     py = sys.executable
     store = tmp / "store"
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    with_src = dict(env, PYTHONPATH=src)
 
     def tests():
-        out = run([py, "-m", "pytest", "-q", "--continue-on-collection-errors"], env).stdout
+        out = run([py, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                  with_src).stdout
         return f"ok: {out.strip().splitlines()[-1]}"
 
     def console_script():
@@ -85,8 +101,9 @@ def steps(tmp: Path, env: dict) -> list:
         shim.parent.mkdir()
         shim.write_text(f'#!/bin/sh\nexec {shlex.quote(py)} -m torcont.cli "$@"\n')
         shim.chmod(0o755)
-        env["PATH"] = f"{shim.parent}{os.pathsep}{env['PATH']}"
-        return "skipped: no torcont console script; a shim runs `python -m torcont.cli`"
+        env.update(PATH=f"{shim.parent}{os.pathsep}{env['PATH']}", PYTHONPATH=src)
+        return ("skipped: no torcont console script; a shim runs `python -m torcont.cli`"
+                " and the install's steps get src on PYTHONPATH")
 
     def po1_stage():
         run(["torcont", "run", "configs/langford.json", "--stage", "po1", "--quiet",
@@ -106,14 +123,13 @@ def steps(tmp: Path, env: dict) -> list:
         err = run(["torcont", "validate", "po1_bad", "1", "--returns", "1", "--store", store],
                   env, expect=2).stderr
         if not any(str(snap) in line and "'mesh'" in line for line in err.splitlines()):
-            sys.stdout.write(err)
             raise Failed(f"no error line names both {snap} and 'mesh'")
         return "ok: exit 2 names the file and 'mesh'"
 
     def library_tour():
         tour = tmp / "tour.py"
         tour.write_text(readme_block(r"```python\n(.*?)```"))
-        run([py, tour], env)
+        run([py, tour], with_src)
         return "ok"
 
     def command_line():
@@ -124,14 +140,13 @@ def steps(tmp: Path, env: dict) -> list:
         return "ok"
 
     def demo(name):
-        run([py, ROOT / "demos" / f"{name}.py"], env)
+        run([py, ROOT / "demos" / f"{name}.py"], with_src)
         return "ok"
 
     def bench(workload, trace):
         out = run([py, "perfbench/run.py", "--workload", workload, "--seed", "0",
                    "--seconds", "5", "--trace", trace], env).stdout
         if not json.loads(out.strip().splitlines()[-1])["correct"]:
-            sys.stdout.write(out)
             raise Failed(f"{workload} run (--trace {trace}) not correct")
         return "ok: correct"
 
@@ -151,19 +166,24 @@ def steps(tmp: Path, env: dict) -> list:
 
 def run_steps(table) -> int:
     """Run the (name, function) steps of ``table`` in order and print one line
-    for each; returns 1 at the first step that raises, else 0."""
+    for each, with its children's output under it; returns 1 at the first
+    step that raises, else 0."""
     start = time.perf_counter()
     for name, step in table:
         t0 = time.perf_counter()
+        OUTPUT.clear()
         failed = True
         try:
             status, failed = step(), False
         except Failed as exc:
             status = f"FAILED: {exc}"
         except Exception as exc:  # a fault of the step itself still names the step
-            traceback.print_exc()
+            OUTPUT.append(traceback.format_exc())
             status = f"FAILED: {type(exc).__name__}: {exc}"
-        print(f"{name:<40} {time.perf_counter() - t0:7.1f} s  {status}", flush=True)
+        print(f"{name:<40} {time.perf_counter() - t0:7.1f} s  {status}")
+        for line in "".join(OUTPUT).splitlines():
+            print(f"    | {line}")
+        sys.stdout.flush()
         if failed:
             print(f"check failed at step {name!r}; total {time.perf_counter() - start:.1f} s")
             return 1
@@ -172,11 +192,8 @@ def run_steps(table) -> int:
 
 
 def main() -> int:
-    src = str(ROOT / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get(
-        "PYTHONPATH")])))
     with tempfile.TemporaryDirectory(prefix="torcont-check-") as tmp:
-        return run_steps(steps(Path(tmp), env))
+        return run_steps(steps(Path(tmp), dict(os.environ)))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,10 @@
 """The step runner of ci/check.py, on fake steps (the real ones run pytest)."""
 
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,8 +37,28 @@ def test_runner_stops_at_the_first_failing_step(capsys):
 
 def test_a_step_that_raises_is_named(capsys):
     rc = check.run_steps([("broken", lambda: {}["missing"])])
+    out = capsys.readouterr().out
     assert rc == 1
-    assert "check failed at step 'broken'" in capsys.readouterr().out
+    assert "check failed at step 'broken'" in out
+    assert "    | KeyError: 'missing'" in out.splitlines()
+
+
+def test_child_output_is_printed_under_its_step(capsys):
+    # on success, and when the step then fails on what the child printed
+    def child(text):
+        return check.run([sys.executable, "-c", f"print({text!r})"], dict(os.environ))
+
+    def bench():
+        return json.loads(child("not json").stdout)["correct"]
+
+    rc = check.run_steps([("talks", lambda: child("hello").stdout.strip()), ("bench", bench)])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 1
+    assert out[0].startswith("talks") and out[0].endswith("s  hello")
+    assert out[1] == "    | hello"
+    assert out[2].startswith("bench") and "FAILED: JSONDecodeError" in out[2]
+    assert out[3] == "    | not json"
+    assert "    | Traceback (most recent call last):" in out
 
 
 def test_runner_reports_every_step_and_the_total(capsys):
@@ -62,3 +85,31 @@ def test_missing_console_script(tmp_path, monkeypatch, ci):
     assert steps["editable install"]().startswith("skipped: ")
     shim = env["PATH"].split(os.pathsep)[0]
     assert os.access(os.path.join(shim, "torcont"), os.X_OK)
+    assert env["PYTHONPATH"] == str(check.ROOT / "src")
+
+
+def test_only_tests_tour_and_demos_get_src(tmp_path, monkeypatch):
+    # the install's steps run in the caller's environment, so a broken
+    # editable install cannot pass through src on PYTHONPATH
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "torcont").write_text("#!/bin/sh\n")
+    (bin_dir / "torcont").chmod(0o755)
+    env = {"PATH": str(bin_dir)}
+    seen = {}
+
+    def fake_run(cmd, env, cwd=check.ROOT, expect=0):
+        seen[str(cmd[1] if cmd[0] == "torcont" else cmd[-1])] = env.get("PYTHONPATH")
+        return subprocess.CompletedProcess(cmd, expect, '{"correct": true}\n', "")
+
+    monkeypatch.setattr(check, "run", fake_run)
+    steps = dict(check.steps(tmp_path, env))
+    for name in ["tier-1 tests", "editable install", "console script: po1 stage",
+                 "vdP_torus stage loads no scipy", "README library tour",
+                 "demo 01_transform_gallery", "bench po1 --trace 0"]:
+        assert steps[name]().startswith("ok"), name
+    assert env == {"PATH": str(bin_dir)}
+    src = str(check.ROOT / "src")
+    assert seen == {"--continue-on-collection-errors": src, "run": None,
+                    str(tmp_path / "store"): None, str(tmp_path / "tour.py"): src,
+                    str(check.ROOT / "demos" / "01_transform_gallery.py"): src, "0": None}

@@ -675,13 +675,6 @@ def test_crash_at_every_file_operation_keeps_every_row_loadable(tmp_path, monkey
             os.path.join(base, "samples.json"), odesys.builtin_vdp(), **samples)),
     }
 
-    def check(base):
-        check_run(base, "cut")
-        path = os.path.join(base, "samples.json")
-        if os.path.exists(path):  # whole, or not there
-            with open(path) as fh:
-                assert json.load(fh)["samples"] == samples["samples"].tolist()
-
     def files(base):
         out = {}
         for top, _, names in os.walk(base):
@@ -708,7 +701,10 @@ def test_crash_at_every_file_operation_keeps_every_row_loadable(tmp_path, monkey
                 crashing_at(m, base, k)
                 with pytest.raises(Crash):
                     act(base)
-            check(base)
+            check_run(base, "cut")
+            # every cut comes before the samples file's rename, so none is left;
+            # the comparison below checks the re-run's bytes
+            assert not os.path.exists(os.path.join(base, "samples.json"))
             act(base)  # a re-run into the cut directory leaves what an uncut one does
             assert files(base) == files(whole), (name, k)
 
