@@ -5,13 +5,17 @@ rho = 0.6154, 20 x 4 mesh) with N = 10, 25, 50 and 100 Fourier modes,
 borders each Jacobian with the torus perturbation direction and times one
 factorization by condensation that solves for a right-hand side on the
 way, ``linsys.lu_factor(B, rhs=rhs)``, as each Newton update does.  Its
-time is split into the batched local solve (``np.linalg.solve`` of the
-collocation blocks, read in place from the kernel's values, for the
+time is split into the local elimination (``linsys._eliminate``: every
+collocation block at once, along the subinterval axis, carrying the
 initial-point columns, the extra columns with collocation values and the
-right-hand side), the one solve of the reduced system R
-(``np.linalg.solve``) and the rest: the segment chain, the assembly of R
-and the replay of the right-hand side.  "later" times a second
-right-hand side on the same factor, which solves the kept blocks again.
+right-hand side; these meshes have 420 to 4020 blocks, all above
+``linsys.ELIMINATION_MIN_BLOCKS``), the one solve of the reduced system
+R (``np.linalg.solve``) and the rest: filling the elimination's array,
+the segment chain, the assembly of R and the replay of the right-hand
+side.  "later" times a second right-hand side on the same factor, which
+solves the kept blocks again by ``np.linalg.solve``; "det" times
+``linsys.det_sign_log``, whose local determinants are the elimination's
+pivots.
 BLAS and OpenMP threads are capped at the usable CPUs before numpy loads,
 as in ``perfbench/run.py``.  Both solutions are checked by their relative
 residual max|B x - rhs| / max|rhs|, with B x taken from the Jacobian's
@@ -19,20 +23,21 @@ blocks (``B @ x``); the demo exits with status 1 when one is above 1e-8.
 Then it runs three continuation steps of the N = 100 family, 60,306
 unknowns.
 
-One run on a shared 2-vCPU host (Python 3.11.7, numpy 2.4.6, two BLAS
-threads), best of 5, in ms; local + R solve + rest = factor, which
-includes the solve for its right-hand side.  On the same host, inverting
-the local blocks (``np.linalg.inv``) and taking slogdet of R in the
-factorization, then solving separately, read N = 50 at 11.7 + 2.2 ms and
-N = 100 at 31.5 + 8.6 ms.  Other runs read higher: of four runs, one read
-N = 25 at 157.1 ms (rest 152.7 ms), and the inverting code had such a run
+One run on a shared 2-vCPU host (Python 3.11.7, numpy 2.4.6, OpenBLAS
+0.3.31, two BLAS threads), best of 5, in ms; local + R solve + rest =
+factor, which includes the solve for its right-hand side.  The same run
+of the previous build, which solved the blocks by one batched
+``np.linalg.solve`` and took their determinants by a batched ``slogdet``,
+read factor 9.1 ms (local 5.1) at N = 50 and 24.5 ms (local 10.4) at
+N = 100.  Other runs read higher: of four runs of this build, one read
+N = 25 at 127.6 ms (rest 126.0 ms), and the previous build had such runs
 too.
 
-   N  unknowns    R  factor ms  local  R solve   rest  later  residual
-  10      6306   69        1.8    1.1      0.0    0.7   0.86   8.8e-13
-  25     15306  159        4.6    2.8      0.3    1.6   2.32   9.4e-12
-  50     30306  309       10.1    5.3      1.1    3.7   5.43   3.5e-11
- 100     60306  609       30.5   12.7      6.6   11.3  16.52   2.7e-11
+   N  unknowns    R  factor ms  local  R solve   rest  later    det  residual
+  10      6306   69        1.4    0.6      0.0    0.8   0.82   0.11   1.0e-12
+  25     15306  159        2.5    1.1      0.2    1.1   2.15   0.37   9.5e-12
+  50     30306  309        5.6    2.4      1.0    2.2   4.86   1.40   3.7e-11
+ 100     60306  609       16.4    4.5      5.1    6.8  12.87   6.05   2.8e-11
 
 Expect a few seconds.
 """
@@ -89,7 +94,7 @@ orbit = tr_orbit(vf, colloc.build_mesh(20, 4))
 floq = po.floquet(vf, orbit)
 
 print(f"{'N':>4} {'unknowns':>9} {'R':>4} {'factor ms':>10} {'local':>6} {'R solve':>8} "
-      f"{'rest':>6} {'later':>6} {'residual':>9}")
+      f"{'rest':>6} {'later':>6} {'det':>6} {'residual':>9}")
 worst = 0.0
 for N in (10, 25, 50, 100):
     problem, u0, seed = problem_at(vf, orbit, floq, N)
@@ -97,17 +102,20 @@ for N in (10, 25, 50, 100):
     rhs, rhs2 = np.random.default_rng(N).standard_normal((2, B.shape[0]))
     t_fac, lu = best_of(lambda: linsys.lu_factor(B, rhs=rhs))
     p = B.pattern
-    A = B.blocks()[:, :, p.n:]
-    cols = np.ones(A.shape[:2] + (p.n + p.coll_extra.size + 1,))
-    t_loc, _ = best_of(lambda: np.linalg.solve(A, cols))
+    mn = p.m * p.n
+    work = np.ones((mn, mn + p.n + p.coll_extra.size + 1, p.K * p.ntst))
+    work[:, :mn] = B.blocks()[:, :, p.n:].transpose(1, 2, 0)
+    t_loc, _ = best_of(lambda: linsys._eliminate(work.copy(), mn))
     R, g = lu._R, rhs[-lu._R.shape[0]:]
     t_red, _ = best_of(lambda: np.linalg.solve(R, g))
     t_sol, x2 = best_of(lambda: lu.solve(rhs2))
+    fresh = [linsys.lu_factor(B, rhs=rhs) for _ in range(REPEATS)]  # U is cached
+    t_det, _ = best_of(lambda: linsys.det_sign_log(fresh.pop()))
     residual = max(np.abs(B @ x - r).max() / np.abs(r).max()
                    for x, r in ((lu.solve(rhs), rhs), (x2, rhs2)))
     worst = max(worst, residual)
     print(f"{N:4d} {B.shape[0]:9d} {R.shape[0]:4d} {t_fac:10.1f} {t_loc:6.1f} {t_red:8.1f} "
-          f"{t_fac - t_loc - t_red:6.1f} {t_sol:6.2f} {residual:9.1e}")
+          f"{t_fac - t_loc - t_red:6.1f} {t_sol:6.2f} {t_det:6.2f} {residual:9.1e}")
 
 print("\nthree continuation steps of the N = 100 family:")
 t0 = perf_counter()

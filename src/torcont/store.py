@@ -74,11 +74,16 @@ def snapshot_path(store: str, run_id: str, label: int) -> str:
 # -- snapshot encoding ---------------------------------------------------------
 
 
+class _Base64(str):
+    """Base64 text, which JSON holds as it is: no character of it needs an
+    escape, so :func:`_json` splices it in unscanned."""
+
+
 def _encode_array(a) -> dict:
     """A float array as {"dtype": "<f8", "shape", "data": base64 of its bytes}."""
     a = np.ascontiguousarray(a, dtype="<f8")
     return {"dtype": "<f8", "shape": list(a.shape),
-            "data": base64.b64encode(a.tobytes()).decode("ascii")}
+            "data": _Base64(base64.b64encode(a.tobytes()), "ascii")}
 
 
 def _decode_array(obj, path: str, name: str, shape: Optional[tuple] = None) -> np.ndarray:
@@ -133,8 +138,9 @@ def _vector_field(reader: Reader, got: dict, vf: Optional[VectorField]) -> Vecto
 def solution_from_snapshot(doc: dict, vf: Optional[VectorField] = None,
                            path: str = "snapshot"):
     """Rebuild a TorusSolution or PeriodicOrbit (with its field) from a dict;
-    ``path`` names the source in format errors.  Every field must be one of
-    docs/formats.md, of its kind and in its range, and every array of its shape."""
+    returns (vf, solution, tangent), the tangent decoded.  ``path`` names the
+    source in format errors.  Every field must be one of docs/formats.md, of
+    its kind and in its range, and every array of its shape."""
     reader = Reader(path)
     head = reader.check(doc, SNAPSHOT)
     vf = _vector_field(reader, head, vf)
@@ -159,15 +165,17 @@ def solution_from_snapshot(doc: dict, vf: Optional[VectorField] = None,
         "p": Field("array", shape=(len(vf.param_names),)), "T": POSITIVE, "reference": OBJECT,
         **own, "tangent": Field("array", shape=(unknowns,))}, reader=f"{kind} snapshot")
     if kind == "torus":
-        return vf, torus_mod.TorusSolution(
+        sol = torus_mod.TorusSolution(
             mesh=mesh, coupling=dft_matrix(N), x_seg=got["x_seg"], T0=got["T0"], T=got["T"],
             p=got["p"], om1=got["om1"], om2=got["om2"], varrho=got["varrho"],
             reference=torus_mod.ReferenceSection(
                 v00=got["reference.v00"], vphi=got["reference.vphi"], vt=got["reference.vt"]))
-    traj = colloc.Trajectory(mesh=mesh, x_bp=got["x_bp"], duration=got["T"],
-                             t_offset=got["t_offset"])
-    return vf, po_mod.PeriodicOrbit(traj=traj, p=got["p"], reference=po_mod.PoReference(
-        x0=got["reference.x0"], f0=got["reference.f0"]))
+    else:
+        traj = colloc.Trajectory(mesh=mesh, x_bp=got["x_bp"], duration=got["T"],
+                                 t_offset=got["t_offset"])
+        sol = po_mod.PeriodicOrbit(traj=traj, p=got["p"], reference=po_mod.PoReference(
+            x0=got["reference.x0"], f0=got["reference.f0"]))
+    return vf, sol, got["tangent"]
 
 
 # -- run writer ----------------------------------------------------------------
@@ -255,13 +263,36 @@ def _environment() -> dict:
             "threads": {name: os.environ.get(name) for name in THREAD_VARIABLES}}
 
 
-def _write_atomic(path: str, doc):
-    """Write ``doc`` (a dict, or text written as it is) to a temporary file,
-    then rename it to ``path``."""
+def _json(doc: dict) -> bytes:
+    """The bytes of ``json.dumps(doc)``, the ``_Base64`` texts in its dicts
+    spliced in rather than scanned by the encoder."""
+    payloads = []
+
+    def hold(obj):  # a copy of doc with every _Base64 text replaced by a hole
+        if isinstance(obj, _Base64):
+            payloads.append(obj.encode("ascii"))
+            return "\0"
+        return {k: hold(v) for k, v in obj.items()} if isinstance(obj, dict) else obj
+
     # json.dumps is the C encoder; json.dump runs the Python one
-    text = doc if isinstance(doc, str) else json.dumps(doc)
-    with open(path + ".tmp", "w") as fh:
-        fh.write(text)
+    parts = json.dumps(hold(doc)).encode("ascii").split(b'"\\u0000"')
+    if len(parts) != len(payloads) + 1:  # a string of doc encodes as a hole
+        return json.dumps(doc).encode("ascii")
+    out = [parts[0]]
+    for payload, part in zip(payloads, parts[1:]):
+        out += [b'"', payload, b'"', part]
+    return b"".join(out)
+
+
+def _write_atomic(path: str, doc):
+    """Write ``doc`` (a dict as JSON, or text as it is) to a temporary file,
+    then rename it to ``path``."""
+    if isinstance(doc, str):
+        with open(path + ".tmp", "w") as fh:
+            fh.write(doc)
+    else:
+        with open(path + ".tmp", "wb") as fh:
+            fh.write(_json(doc))
     os.replace(path + ".tmp", path)
 
 
@@ -310,8 +341,10 @@ def read_bd(store: str, run_id: str) -> BdTable:
     return BdTable(run_id=run_id, labels=labels, types=types, columns=columns)
 
 
-def read_solution(store: str, run_id: str, label, vf: Optional[VectorField] = None):
-    """Load the snapshot of a stored point; returns (doc, vf, solution object).
+def read_solution(store: str, run_id: str, label, vf: Optional[VectorField] = None,
+                  tangent: bool = False):
+    """Load the snapshot of a stored point; returns (doc, vf, solution object),
+    and with ``tangent`` the decoded tangent as a fourth item.
 
     ``label`` is a bd label or a label spec (:func:`is_label_spec`), resolved
     against the run's bd table, which is parsed once; a snapshot file without
@@ -322,10 +355,10 @@ def read_solution(store: str, run_id: str, label, vf: Optional[VectorField] = No
     if not os.path.exists(path):
         raise NotFoundError(f"label {lab} not found in run {run_id!r}")
     doc = fields.load(path)
-    vf, sol = solution_from_snapshot(doc, vf, path)
+    vf, sol, t = solution_from_snapshot(doc, vf, path)
     if doc["label"] != lab:
         Reader(path).fail("label", f"holds label {doc['label']!r}, not {lab}")
-    return doc, vf, sol
+    return (doc, vf, sol, t) if tangent else (doc, vf, sol)
 
 
 def expect_point(doc: dict, run_id: str, kind: str, ptype: Optional[str] = None):
@@ -391,8 +424,9 @@ def restart_tor2tor(
     re-converged as an isolated square problem before continuation.
     Otherwise the stored tangent, mapped by name, borders the start.
     """
-    doc, vf, sol = read_solution(
-        store, run_id, {"type": "EP", "pick": "last"} if label is None else label, vf)
+    doc, vf, sol, tangent = read_solution(
+        store, run_id, {"type": "EP", "pick": "last"} if label is None else label, vf,
+        tangent=True)
     expect_point(doc, run_id, "torus")
     released = list(released) if released is not None else list(doc["released"])
 
@@ -407,8 +441,7 @@ def restart_tor2tor(
         S = sol.x_seg.size + len(scalars)
         cols = contin.active_columns(S, params, doc["active"])
         t_full = np.zeros(S + len(params))
-        t_full[cols] = _decode_array(doc["tangent"], snapshot_path(store, run_id, doc["label"]),
-                                     "tangent")
+        t_full[cols] = tangent
         problem.start_border = t_full[contin.active_columns(S, params, problem.active)]
     return problem, u0
 
@@ -476,15 +509,17 @@ def restart_BP2tor(
     ``label`` names (a label or a label spec; ``None``: the run's first BP);
     returns (problem, u0) whose ``start_tangent`` is the switched direction.
     """
-    doc, vf, sol = read_solution(
-        store, run_id, {"type": "BP", "pick": "first"} if label is None else label, vf)
+    doc, vf, sol, tangent = read_solution(
+        store, run_id, {"type": "BP", "pick": "first"} if label is None else label, vf,
+        tangent=True)
     expect_point(doc, run_id, "torus", "BP")
     released = list(doc["released"])
     problem, u0 = torus_mod.continuation_problem(
         vf, sol, released, bounds=bounds, detect_bp=detect_bp)
-    incoming = _decode_array(doc["tangent"], snapshot_path(store, run_id, doc["label"]),
-                             "tangent", (problem.n_unknowns,))
-    problem.start_tangent = contin.switch_branch(problem, u0, incoming)
+    if tangent.shape != (problem.n_unknowns,):  # "active" disagrees with "released"
+        Reader(snapshot_path(store, run_id, doc["label"])).fail(
+            "tangent", f"has shape {list(tangent.shape)}, not [{problem.n_unknowns}]")
+    problem.start_tangent = contin.switch_branch(problem, u0, tangent)
     return problem, u0
 
 

@@ -1,5 +1,6 @@
 """Collocation Jacobians, their condensed factorization and determinant signs."""
 
+import sys
 from collections import Counter
 
 import numpy as np
@@ -245,9 +246,28 @@ def linear_forced_orbit(multiplier=1.0e3):
     return problem, u0
 
 
-@pytest.mark.parametrize("case", [autonomous_orbit, forced_orbit,
-                                  autonomous_torus_n3, autonomous_torus_n12, forced_torus,
-                                  linear_forced_orbit])
+@pytest.fixture
+def eliminated(monkeypatch):
+    """Step 1 of every factorization eliminates the blocks, whatever their
+    number.  The list returned records each elimination: True when its
+    pivots stood, False when it fell back to ``np.linalg.solve``."""
+    outcomes, eliminate = [], linsys._eliminate
+
+    def recorded(work, mn):
+        piv = eliminate(work, mn)
+        outcomes.append(piv is not None)
+        return piv
+
+    monkeypatch.setattr(linsys, "ELIMINATION_MIN_BLOCKS", 0)
+    monkeypatch.setattr(linsys, "_eliminate", recorded)
+    return outcomes
+
+
+CONDENSED_CASES = [autonomous_orbit, forced_orbit, autonomous_torus_n3, autonomous_torus_n12,
+                   forced_torus, linear_forced_orbit]
+
+
+@pytest.mark.parametrize("case", CONDENSED_CASES)
 def test_condensed_factor_matches_sparse_lu(case):
     problem, u0 = case()[:2]
     rng = np.random.default_rng(3)
@@ -259,8 +279,16 @@ def test_condensed_factor_matches_sparse_lu(case):
     assert_matches_reference(linsys.bordered_matrix(problem.jacobian(u0), t), seed=1)
 
 
-@pytest.mark.parametrize("ntst,degree,N", [(1, 1, 1), (2, 1, 1), (1, 3, 2), (3, 2, 1),
-                                           (2, 4, 3)])
+@pytest.mark.parametrize("case", CONDENSED_CASES)
+def test_condensed_factor_matches_sparse_lu_eliminated(case, eliminated):
+    test_condensed_factor_matches_sparse_lu(case)
+    assert eliminated and all(eliminated)
+
+
+MESH_SHAPES = [(1, 1, 1), (2, 1, 1), (1, 3, 2), (3, 2, 1), (2, 4, 3)]
+
+
+@pytest.mark.parametrize("ntst,degree,N", MESH_SHAPES)
 def test_determinant_sign_over_mesh_shapes(ntst, degree, N):
     vf, sol = decoupled_torus(ntst=ntst, degree=degree, N=N)
     problem, u0 = torus.continuation_problem(vf, sol, ["gam", "om1", "om2", "varrho"],
@@ -271,6 +299,47 @@ def test_determinant_sign_over_mesh_shapes(ntst, degree, N):
     sign, logdet = np.linalg.slogdet(dense(B))
     assert linsys.det_sign_log(linsys.lu_factor(B)) == pytest.approx((sign, logdet), rel=1e-9)
     assert_matches_reference(B)
+
+
+@pytest.mark.parametrize("ntst,degree,N", MESH_SHAPES)
+def test_determinant_sign_over_mesh_shapes_eliminated(ntst, degree, N, eliminated):
+    # the coarse meshes (2, 1, 1) and (1, 3, 2) have multipliers above
+    # MAX_MULTIPLIER and fall back; the others keep their pivots
+    test_determinant_sign_over_mesh_shapes(ntst, degree, N)
+    assert eliminated and all(eliminated) == ((ntst, degree, N) not in [(2, 1, 1), (1, 3, 2)])
+
+
+@pytest.mark.parametrize("degree", range(1, 8))
+def test_elimination_matches_the_batched_solve(degree, monkeypatch):
+    """Step 1 by elimination and by ``np.linalg.solve`` give the same
+    solution and determinant on collocation blocks of every degree; a
+    regular block whose first pivot is zero falls back to the solve."""
+    vf, sol = decoupled_torus(ntst=5, degree=degree, N=2)
+    problem, u0 = torus.continuation_problem(vf, sol, ["gam", "om1", "om2", "varrho"],
+                                             detect_bp=False)
+    rng = np.random.default_rng(degree)
+    B = linsys.bordered_matrix(problem.jacobian(u0 + 1e-2 * rng.standard_normal(u0.size)),
+                               rng.standard_normal(u0.size))
+    rhs = rng.standard_normal(B.shape[0])
+
+    def factored(min_blocks):
+        monkeypatch.setattr(linsys, "ELIMINATION_MIN_BLOCKS", min_blocks)
+        lu = linsys.lu_factor(B, rhs=rhs)
+        return lu.solve(rhs), linsys.det_sign_log(lu), lu._piv is not None
+
+    for zero_pivot in (False, True):
+        if zero_pivot:
+            # adding a multiple of a later row keeps the determinant of block 7
+            n, block = B.pattern.n, B.blocks()[7]
+            r = 1 + np.argmax(np.abs(block[1:, n]))
+            block[0] -= block[0, n] / block[r, n] * block[r]
+            block[0, n] = 0.0
+        x, (sign, logdet), by_pivots = factored(0)
+        x_ref, (sign_ref, logdet_ref), solved_by_pivots = factored(sys.maxsize)
+        assert by_pivots != zero_pivot and not solved_by_pivots
+        assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
+        assert sign == sign_ref != 0
+        assert logdet == pytest.approx(logdet_ref, rel=1e-12)
 
 
 def test_square_system_without_border():
@@ -316,6 +385,11 @@ def test_exactly_singular_local_block_is_named():
         linsys.lu_factor(B)
 
 
+def test_exactly_singular_local_block_is_named_eliminated(eliminated):
+    test_exactly_singular_local_block_is_named()
+    assert eliminated == [False]
+
+
 def test_exactly_singular_reduced_system_is_reported_and_shift_solves():
     problem, u0 = autonomous_orbit()[:2]
     B = linsys.bordered_matrix(problem.jacobian(u0), np.zeros(u0.size))
@@ -346,8 +420,11 @@ def bordered_torus_n10():
                                   rng.standard_normal(u0.size))
 
 
-@pytest.mark.parametrize("case", [bordered_orbit, bordered_torus_n10, dense_system],
-                         ids=["orbit", "torus-N10", "dense"])
+RHS_CASES = dict(argvalues=[bordered_orbit, bordered_torus_n10, dense_system],
+                 ids=["orbit", "torus-N10", "dense"])
+
+
+@pytest.mark.parametrize("case", **RHS_CASES)
 def test_factor_given_rhs_solves_as_a_plain_factor(case):
     B = case()
     rng = np.random.default_rng(11)
@@ -360,6 +437,12 @@ def test_factor_given_rhs_solves_as_a_plain_factor(case):
     sign_ref, logdet_ref = linsys.det_sign_log(plain)
     assert sign == sign_ref != 0
     assert abs(logdet - logdet_ref) <= 1e-10
+
+
+@pytest.mark.parametrize("case", **RHS_CASES)
+def test_factor_given_rhs_solves_as_a_plain_factor_eliminated(case, eliminated):
+    test_factor_given_rhs_solves_as_a_plain_factor(case)
+    assert all(eliminated) and (case is dense_system) != bool(eliminated)
 
 
 def test_exactly_singular_reduced_system_given_rhs_names_its_zero_pivot():

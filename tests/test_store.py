@@ -79,6 +79,21 @@ class TestRoundTrip:
         assert doc2["x_bp"] == doc["x_bp"]
         assert doc2["T"] == doc["T"]
 
+    @pytest.mark.parametrize("run_id", ["po_mini", "tor_mini"])
+    def test_snapshot_bytes_are_the_json_encoders(self, mini_pipeline, run_id):
+        # the base64 texts are spliced in, not encoded: the bytes stay
+        # json.dumps's, also when a string of the document encodes as a hole
+        base = mini_pipeline["base"]
+        for lab in store.read_bd(base, run_id).labels:
+            with open(store.snapshot_path(base, run_id, lab), "rb") as fh:
+                written = fh.read()
+            assert written == json.dumps(json.loads(written)).encode()
+        doc, vf, sol = store.read_solution(base, run_id, lab)
+        snap = (store.po_snapshot if run_id == "po_mini" else store.torus_snapshot)(vf, sol)
+        for point_type in ("EP", "\0", '"\0'):
+            snap["point_type"] = point_type
+            assert store._json(snap) == json.dumps(snap).encode()
+
     def test_mid_branch_snapshot_is_self_consistent(self, mini_pipeline):
         # every stored point must satisfy the zero problem under its own
         # stored reference section (moving sections are written in sync)
