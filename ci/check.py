@@ -17,7 +17,8 @@ Only the tests, the README library tour and the demos get ``src`` on
 so they show that the install alone makes ``torcont`` importable; when the
 install is skipped they get ``src`` on ``PYTHONPATH`` too.
 
-Each child's output is printed under its step's line.
+Each child's output is printed under its step's line.  The code-line step
+prints ``ci/codelines.py``'s counts there; it sets no bound on them.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ def steps(tmp: Path, env: dict) -> list:
                   with_src).stdout
         return f"ok: {out.strip().splitlines()[-1]}"
 
+    def code_lines():
+        # the counts print under the step, which sets no bound on them
+        out = run([py, ROOT / "ci" / "codelines.py"], env).stdout
+        return f"ok: {out.strip().splitlines()[-1].split(maxsplit=1)[1]}"
+
     def console_script():
         found = shutil.which("torcont", path=env["PATH"])
         if found:
@@ -152,6 +158,7 @@ def steps(tmp: Path, env: dict) -> list:
 
     return [
         ("tier-1 tests", tests),
+        ("code lines of src/torcont", code_lines),
         ("editable install", console_script),
         ("console script: po1 stage", po1_stage),
         ("vdP_torus stage loads no scipy", no_scipy),

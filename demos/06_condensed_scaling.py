@@ -25,19 +25,22 @@ unknowns.
 
 One run on a shared 2-vCPU host (Python 3.11.7, numpy 2.4.6, OpenBLAS
 0.3.31, two BLAS threads), best of 5, in ms; local + R solve + rest =
-factor, which includes the solve for its right-hand side.  The same run
-of the previous build, which solved the blocks by one batched
-``np.linalg.solve`` and took their determinants by a batched ``slogdet``,
-read factor 9.1 ms (local 5.1) at N = 50 and 24.5 ms (local 10.4) at
-N = 100.  Other runs read higher: of four runs of this build, one read
-N = 25 at 127.6 ms (rest 126.0 ms), and the previous build had such runs
-too.
+factor, which includes the solve for its right-hand side.  The rest
+includes the assembly of R, which adds the tail's block on x(0) and the
+extras to the products of its constant x(T) block.  Runs on this host
+spread widely: at N = 50 the previous build, which scattered the tail
+values into R one by one, read factor 5.6 ms (local 2.4, rest 2.2) in an
+earlier run and 7.0 ms (local 3.5, rest 1.9) in a run made just after
+this one, which read N = 25 at 140.1 ms; three later runs of this build
+on a quieter host read 4.3 to 4.5 ms, one of them N = 25 at 143.9 ms.
+Such an N = 25 figure is the one solve of R inside the factorization
+taking about 140 ms on every repetition of a run, at two BLAS threads.
 
    N  unknowns    R  factor ms  local  R solve   rest  later    det  residual
-  10      6306   69        1.4    0.6      0.0    0.8   0.82   0.11   1.0e-12
-  25     15306  159        2.5    1.1      0.2    1.1   2.15   0.37   9.5e-12
-  50     30306  309        5.6    2.4      1.0    2.2   4.86   1.40   3.7e-11
- 100     60306  609       16.4    4.5      5.1    6.8  12.87   6.05   2.8e-11
+  10      6306   69        1.8    0.7      0.0    1.0   1.00   0.16   1.0e-12
+  25     15306  159        3.7    1.6      0.3    1.8   2.86   0.55   9.5e-12
+  50     30306  309        7.3    2.9      1.1    3.3   5.19   1.49   3.7e-11
+ 100     60306  609       19.1    5.2      5.6    8.3  14.57   6.37   2.8e-11
 
 Expect a few seconds.
 """

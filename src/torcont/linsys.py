@@ -6,7 +6,9 @@ segment, the dense columns of the extra unknowns (T0, T and the active
 parameters) on the collocation rows, and a few *tail* rows (periodicity or
 Fourier coupling, phase and frequency conditions) that, as in COCO's
 collocation toolbox, touch the states only at the segment ends x(0) and
-x(T).  :func:`bordered_matrix` appends the dense border row of
+x(T), and so are two dense blocks: a constant one on x(T) that the
+pattern keeps, and one on x(0) and the extra unknowns that each Jacobian
+fills.  :func:`bordered_matrix` appends the dense border row of
 pseudo-arclength continuation; ``J @ v`` multiplies from the blocks.
 
 :func:`lu_factor` factors a square system by condensation of parameters
@@ -41,11 +43,11 @@ bordering algorithm):
    (:func:`monodromy`).
 3. *Reduced system.*  The tail rows and the border form a dense system in
    (v0 of every segment, extra unknowns) of size K n + n_extra (309 on the
-   N = 50 Langford torus).  Tail values on x(0) (v0 itself) and on the
-   extras go straight into it; those on x(T) meet the chain's last maps in
-   one batched and one plain product.  A solve replays the steps on the
-   right-hand side, solves R once (``np.linalg.solve``) and substitutes
-   back.  A Newton update solves once per factorization, so
+   N = 50 Langford torus).  The tail's x(T) block meets the chain's last
+   maps in one batched and one plain product; its block on x(0) (v0
+   itself) and the extras is then added as it is.  A solve replays the
+   steps on the right-hand side, solves R once (``np.linalg.solve``) and
+   substitutes back.  A Newton update solves once per factorization, so
    ``lu_factor(B, rhs=r)`` solves for its r while it factors, r riding
    along in the local solve; numpy's determinant of R (``slogdet``, a
    second LU of R) then waits until it is read, and a corrector that reads
@@ -105,53 +107,32 @@ class CollocationPattern:
     Columns: the K*ntst*(m+1)*n base-point states (segment-major, as in
     :mod:`colloc`), then the extra columns ``keep`` (full column numbers,
     in that order).  Rows: the K segment blocks of
-    :func:`colloc.segment_residual`, then ``n_tail`` tail rows.
+    :func:`colloc.segment_residual`, then the tail rows.
 
     ``extra_src`` maps every full extra column (full column ``n_x + i``) to
     its kernel column on the collocation rows: 0 for T, 1 for T0, 2 + i for
-    parameter i, -1 for none.  The tail values come in the order of
-    (``tail_rows``, ``tail_cols``), full column numbers; entries in columns
-    that are not kept are dropped.  A tail entry off the segment ends raises
-    ValueError.  The values on x(0) and the extras (``start_src``) land at
-    ``start_slot`` of the reduced system's flat tail rows, those on x(T)
-    (``end_src``) at ``end_slot`` of an (n_tail, K n) block.
+    parameter i, -1 for none.  The tail rows touch the states only at the
+    segment ends, so they are two dense blocks: ``end``, (tail rows, K n),
+    the constant values on x(T) of every segment, and a Jacobian's
+    ``start`` on x(0) of every segment and the extra columns, which a
+    problem kind writes on every extra column and cuts to ``start_cols``.
     """
 
-    def __init__(self, mesh, n, K, extra_src, tail_rows, tail_cols, n_tail, keep=None):
+    def __init__(self, mesh, n, K, extra_src, end, keep=None):
         self.mesh, self.n, self.K = mesh, n, K
         self.ntst, self.m = mesh.ntst, mesh.degree
         self.rows_seg = n_residual_rows(mesh, n)
         self.n_x = n_x = K * mesh.n_base * n
-        n_full = n_x + len(extra_src)
-        keep = np.arange(n_x, n_full) if keep is None else np.asarray(keep, dtype=np.int64)
+        keep = (np.arange(len(extra_src)) if keep is None
+                else np.asarray(keep, dtype=np.int64) - n_x)
         self.n_extra = len(keep)
-        self.shape = (K * self.rows_seg + n_tail, n_x + self.n_extra)
-        self.n_tail = n_tail
+        self.end, self.n_tail = end, len(end)
+        self.shape = (K * self.rows_seg + self.n_tail, n_x + self.n_extra)
+        self.start_cols = np.concatenate([np.arange(K * n), K * n + keep])
         # kept extra columns carrying collocation values, and their sources
-        src = np.asarray(extra_src, dtype=np.int64)[keep - n_x]
+        src = np.asarray(extra_src, dtype=np.int64)[keep]
         self.coll_extra = np.flatnonzero(src >= 0)
         self.coll_src = src[self.coll_extra]
-
-        # tail entries in kept columns, renumbered
-        new_col = np.full(n_full, -1, dtype=np.int64)
-        new_col[:n_x] = np.arange(n_x)
-        new_col[keep] = n_x + np.arange(self.n_extra)
-        tail_cols = new_col[tail_cols]
-        self.tail_keep = np.flatnonzero(tail_cols >= 0)
-        t_rows, t_cols = np.asarray(tail_rows)[self.tail_keep], tail_cols[self.tail_keep]
-
-        on_x = t_cols < n_x
-        seg, j = np.divmod(t_cols // n, mesh.n_base)
-        inner = on_x & (j > 0) & (j < mesh.n_base - 1)
-        if inner.any():
-            raise ValueError(
-                f"tail column {t_cols[inner][0]} is on interior base point {j[inner][0]} of "
-                f"segment {seg[inner][0]}; tail rows may touch only x(0) and x(T)")
-        at_end = on_x & (j > 0)
-        col = np.where(on_x, seg * n + t_cols % n, K * n + t_cols - n_x)
-        self.start_src, self.end_src = self.tail_keep[~at_end], self.tail_keep[at_end]
-        self.start_slot = (t_rows * (K * n + self.n_extra) + col)[~at_end]
-        self.end_slot = (t_rows * K * n + col)[at_end]
         self.parity = self._parity()
 
     def _parity(self) -> int:
@@ -175,12 +156,14 @@ class CollocationJacobian:
     """Jacobian of a collocation problem in the layout of its pattern.
 
     ``seg`` is the :class:`colloc.SegmentJacobian` of all K segments as the
-    kernel returns it, ``tail`` the tail values in pattern order and
-    ``border`` (None, or one value per column) an appended last row.
+    kernel returns it, ``start`` the tail rows on x(0) of every segment and
+    the kept extra columns, (tail rows, K n + n_extra), and ``border``
+    (None, or one value per column) an appended last row.  ``nnz`` counts
+    the stored values, zeros of the dense blocks included.
     """
 
-    def __init__(self, pattern: CollocationPattern, seg, tail, border=None):
-        self.pattern, self.seg, self.tail, self.border = pattern, seg, tail, border
+    def __init__(self, pattern: CollocationPattern, seg, start, border=None):
+        self.pattern, self.seg, self.start, self.border = pattern, seg, start, border
         self.shape = (pattern.shape[0] + (border is not None), pattern.shape[1])
 
     @property
@@ -188,7 +171,7 @@ class CollocationJacobian:
         p = self.pattern
         coll_extra = p.coll_extra.size * self.seg.J_T.size
         border = 0 if self.border is None else self.border.size
-        return self.seg.J_x.size + coll_extra + p.tail_keep.size + border
+        return self.seg.J_x.size + coll_extra + self.start.size + p.end.size + border
 
     def coll_columns(self) -> list:
         """Values on the collocation rows of the extra columns that carry
@@ -206,13 +189,6 @@ class CollocationJacobian:
         blk = self.seg.J_x[: subs * mn * (mn + p.n)].reshape(mn, mn + p.n, subs)
         return blk.transpose(2, 0, 1)
 
-    def tail_ends(self) -> np.ndarray:
-        """The tail values on x(T) of every segment, (n_tail, K n)."""
-        p = self.pattern
-        ends = np.zeros(p.n_tail * p.K * p.n)
-        ends[p.end_slot] = self.tail[p.end_src]
-        return ends.reshape(p.n_tail, -1)
-
     def __matmul__(self, v) -> np.ndarray:
         """J v for a vector or a matrix of columns v, from the blocks."""
         p, seg = self.pattern, self.seg
@@ -228,10 +204,8 @@ class CollocationJacobian:
         pm = seg.J_x[blocks.size:].reshape(K, 2, ntst - 1, n, 1)
         cont = (pm[:, 0] * x[:, :-1, -1] + pm[:, 1] * x[:, 1:, 0]).reshape(K, -1, k)
         x = x.reshape(K, -1, n, k)
-        starts = np.zeros((p.n_tail, K * n + p.n_extra))
-        starts.flat[p.start_slot] = self.tail[p.start_src]
-        tail = (starts @ np.concatenate([x[:, 0].reshape(K * n, k), e])
-                + self.tail_ends() @ x[:, -1].reshape(K * n, k))
+        tail = (self.start @ np.concatenate([x[:, 0].reshape(K * n, k), e])
+                + p.end @ x[:, -1].reshape(K * n, k))
         out = [np.concatenate([coll, cont], axis=1).reshape(K * p.rows_seg, k), tail]
         if self.border is not None:
             out.append((self.border @ V)[None])
@@ -248,7 +222,7 @@ def bordered_matrix(J, border: np.ndarray):
     if isinstance(J, CollocationJacobian):
         if J.border is not None:
             raise ValueError("Jacobian is bordered already")
-        return CollocationJacobian(J.pattern, J.seg, J.tail, border)
+        return CollocationJacobian(J.pattern, J.seg, J.start, border)
     return np.vstack([np.asarray(J, dtype=float), border[None, :]])
 
 
@@ -256,7 +230,7 @@ def max_abs(J) -> float:
     """Largest |entry| of a dense matrix or of a :class:`CollocationJacobian`."""
     if not isinstance(J, CollocationJacobian):
         return np.abs(J).max()
-    values = [J.seg.J_x, *J.coll_columns(), J.tail[J.pattern.tail_keep],
+    values = [J.seg.J_x, *J.coll_columns(), J.start, J.pattern.end,
               [] if J.border is None else J.border]
     return max(np.abs(v).max(initial=0.0) for v in values)
 
@@ -384,10 +358,10 @@ def _singular(R) -> ConvergenceError:
 class CondensedFactor:
     """Factorization of a square system by condensation (module docstring).
 
-    It keeps the local blocks, ``LM``, the chain, the tail's x(T) block and
-    the reduced system R, no inverse and no LU.  Given ``rhs``, ``solve``
-    returns the solution found while factoring for that same array, and an
-    exactly singular R is found by its solve; without, by slogdet at once.
+    It keeps the local blocks, ``LM``, the chain and the reduced system R,
+    no inverse and no LU.  Given ``rhs``, ``solve`` returns the solution
+    found while factoring for that same array, and an exactly singular R
+    is found by its solve; without, by slogdet at once.
     ``U`` lists one pivot per row whose product is det B: a local block's
     pivots of step 1's elimination, or, after the batched solve, its
     geometric-mean pivot with the determinant's sign on the first; -1 per
@@ -428,12 +402,11 @@ class CondensedFactor:
         R = np.zeros((K * n + ne,) * 2)
         coll = K * n + p.coll_extra
         # x(T) of a segment maps by the chain's last [Phi | Psi], x(0) is its v0
-        self._ends = B.tail_ends()
-        last = self._chain[:, -1]
-        np.matmul(self._ends.reshape(p.n_tail, K, n).transpose(1, 0, 2), last[..., :n],
-                  out=R[: p.n_tail, : K * n].reshape(p.n_tail, K, n).transpose(1, 0, 2))
-        R[: p.n_tail, coll] = self._ends @ last[..., n:].reshape(K * n, -1)
-        R.reshape(-1)[p.start_slot] += B.tail[p.start_src]
+        nt, last = p.n_tail, self._chain[:, -1]
+        np.matmul(p.end.reshape(nt, K, n).transpose(1, 0, 2), last[..., :n],
+                  out=R[:nt, : K * n].reshape(nt, K, n).transpose(1, 0, 2))
+        R[:nt, coll] = p.end @ last[..., n:].reshape(K * n, -1)
+        R[:nt] += B.start
         self._border = B.border
         if B.border is not None:
             # border . x = sum_k beta_k . x_k0 + b_int,k . (LM_k^e e + w_k)
@@ -481,7 +454,7 @@ class CondensedFactor:
         for k in range(ntst):
             sigma[:, k + 1] = np.einsum("sij,sj->si", last[:, k], sigma[:, k]) + step[:, k]
         g = rhs[K * p.rows_seg:].copy()
-        g[: p.n_tail] -= self._ends @ sigma[:, -1].ravel()
+        g[: p.n_tail] -= p.end @ sigma[:, -1].ravel()
         if self._border is not None:
             g[-1] -= (np.einsum("si,si->", self._beta, sigma[:, :-1].reshape(subs, n))
                       + np.einsum("sr,sr->", self._b_int, w))

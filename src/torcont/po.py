@@ -85,21 +85,10 @@ def po_jacobian_pattern(vf: VectorField, mesh: colloc.SegmentMesh,
     p_{q-1}], of which ``keep`` lists the extra ones to use (default all).
 
     The tail rows are x(T) - x(0), then the phase row: <f0, x(0)> for
-    autonomous systems, T - 2 pi / Omega otherwise.
+    autonomous systems, T - 2 pi / Omega otherwise.  On x(T) they are I_n.
     """
     n, q = vf.dim_state, vf.dim_params
-    X = mesh.n_base * n
-    d = np.arange(n)
-    rows = [d, d]
-    cols = [X - n + d, d]
-    if vf.autonomous:
-        rows.append(np.full(n, n))
-        cols.append(d)
-    else:
-        rows.append([n, n])
-        cols.append([X, X + 1 + vf.param_index(vf.forcing_param)])
-    return CollocationPattern(mesh, n, 1, [0] + [2 + i for i in range(q)],
-                              np.concatenate(rows), np.concatenate(cols), n + 1, keep)
+    return CollocationPattern(mesh, n, 1, [0] + [2 + i for i in range(q)], np.eye(n + 1, n), keep)
 
 
 def po_jacobian(vf: VectorField, traj: colloc.Trajectory, p, reference: PoReference,
@@ -107,12 +96,14 @@ def po_jacobian(vf: VectorField, traj: colloc.Trajectory, p, reference: PoRefere
     """Jacobian of :func:`po_residual` in the layout of ``pattern``."""
     n = vf.dim_state
     seg = colloc.segment_jacobian(vf, traj.mesh, traj.x_bp, traj.duration, traj.t_offset, p)
+    start = np.zeros((n + 1, n + 1 + vf.dim_params))  # on x(0), T, p_0 .. p_{q-1}
+    start[:n, :n] = -np.eye(n)
     if vf.autonomous:
-        phase = reference.f0
+        start[n, :n] = reference.f0
     else:
-        omega = np.asarray(p, dtype=float)[vf.param_index(vf.forcing_param)]
-        phase = [1.0, 2.0 * np.pi / omega**2]
-    return CollocationJacobian(pattern, seg, np.concatenate([np.ones(n), -np.ones(n), phase]))
+        i = vf.param_index(vf.forcing_param)
+        start[n, [n, n + 1 + i]] = 1.0, 2.0 * np.pi / np.asarray(p, dtype=float)[i]**2
+    return CollocationJacobian(pattern, seg, start[:, pattern.start_cols])
 
 
 def solve_po(vf: VectorField, traj_guess: colloc.Trajectory, p,

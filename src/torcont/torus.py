@@ -113,20 +113,11 @@ def update_reference(vf: VectorField, sol: TorusSolution) -> TorusSolution:
     return replace(sol, reference=reference_from_solution(vf, sol))
 
 
-def _layout(sol: TorusSolution, vf: VectorField):
-    n_seg, nbp, n = sol.x_seg.shape
-    X_seg = nbp * n
-    X = n_seg * X_seg
-    q = vf.dim_params
-    rows_seg = sol.mesh.n_coll * n + (sol.mesh.ntst - 1) * n
-    rows = n_seg * rows_seg + n_seg * n + 4 + 1
-    return X_seg, X, q, rows_seg, rows
-
-
 def dimension_deficit(vf: VectorField, sol: TorusSolution) -> int:
     """Unknowns minus equations of the zero problem with nothing released."""
-    _, X, _, _, rows = _layout(sol, vf)
-    return (X + 2) - rows
+    X = sol.x_seg.size
+    rows, cols = torus_jacobian_pattern(vf, sol, keep=[X, X + 1]).shape
+    return cols - rows
 
 
 def torus_residual(vf: VectorField, sol: TorusSolution) -> np.ndarray:
@@ -154,63 +145,54 @@ def torus_residual(vf: VectorField, sol: TorusSolution) -> np.ndarray:
     return np.concatenate([res_a, res_b, np.asarray(scalars)])
 
 
+def _per_state(M, out):
+    """Write M (x) I_n into the zeros of ``out``, n states per segment:
+    M[i, j] on each state's row of segment i and its column of segment j."""
+    n = len(out) // len(M)
+    d = np.arange(n)
+    out.reshape(len(M), n, -1, n)[:, d, :, d] = M
+
+
 def torus_jacobian_pattern(vf: VectorField, sol: TorusSolution,
                            keep=None) -> CollocationPattern:
     """Layout of :func:`torus_jacobian` for the shape of ``sol``; ``keep``
     lists the extra columns to use (full column numbers, default all).
 
-    The tail rows are blocks (b)-(h); their values follow in this order:
-    F on the vT columns and -R F on the v0 columns of every segment, the
-    varrho column of (b), then the scalar rows.
+    The tail rows are blocks (b)-(h); on x(T) only (b) has values, F on
+    the vT of every segment.
     """
-    n_seg, nbp, n = sol.x_seg.shape
-    X_seg, X, q, rows_seg, rows = _layout(sol, vf)
-    col_T0, col_T = X, X + 1
-    col_om1, col_om2, col_rho = X + 2 + q, X + 2 + q + 1, X + 2 + q + 2
-
-    # (b) coupling rows (i, d): F on the vT columns and -R F on the v0
-    # columns of every segment j, then the varrho column
-    seg, d = np.arange(n_seg), np.arange(n)
-    r_b = np.broadcast_to((seg[:, None, None] * n + d), (n_seg, n_seg, n)).ravel()
-    c_v0 = np.broadcast_to(seg[None, :, None] * X_seg + d, (n_seg, n_seg, n)).ravel()
-    r = [r_b, r_b, np.arange(n_seg * n)]
-    c = [c_v0 + (nbp - 1) * n, c_v0, np.full(n_seg * n, col_rho)]
-
-    # (c)-(h) scalar rows
-    off_c = n_seg * n
-    r.append(off_c + np.array([0, 1, 1, 2, 2, 2]))
-    c.append([col_T0, col_T, col_om2, col_rho, col_om1, col_om2])
-    r.append(np.full(n, off_c + 3))
-    c.append(d)  # segment 1, first base point
-    if vf.autonomous:
-        r.append(np.full(n, off_c + 4))
-        c.append(d)
-    else:
-        r.append(np.full(2, off_c + 4))
-        c.append([X + 2 + vf.param_index(vf.forcing_param), col_om2])
+    n_seg, _, n = sol.x_seg.shape
+    end = np.zeros((n_seg * n + 5, n_seg * n))  # rows (b), then the five of (c)-(h)
+    _per_state(sol.coupling.F, end[: n_seg * n])
     # an autonomous field has d/dT0 = -T f_t = 0 on the collocation rows
-    extra_src = [-1 if vf.autonomous else 1, 0] + [2 + i for i in range(q)] \
+    extra_src = [-1 if vf.autonomous else 1, 0] + [2 + i for i in range(vf.dim_params)] \
         + [-1] * len(EXTRA_PARAMS)
-    return CollocationPattern(sol.mesh, n, n_seg, extra_src, np.concatenate(r),
-                              np.concatenate(c), rows - n_seg * rows_seg, keep)
+    return CollocationPattern(sol.mesh, n, n_seg, extra_src, end, keep)
 
 
 def torus_jacobian(vf: VectorField, sol: TorusSolution,
                    pattern: Optional[CollocationPattern] = None) -> CollocationJacobian:
     """Jacobian of :func:`torus_residual` in the layout of ``pattern``
     (default: all columns)."""
-    n = sol.dim_state
+    pattern = pattern or torus_jacobian_pattern(vf, sol)
+    n_seg, _, n = sol.x_seg.shape
     seg = colloc.segment_jacobian(vf, sol.mesh, sol.x_seg, sol.T, sol.T0, sol.p)
     F = sol.coupling.F
-    RF = rotation_matrix(sol.N, sol.varrho) @ F
-    dcoup = -(rotation_matrix_deriv(sol.N, sol.varrho) @ F) @ sol.x_seg[:, 0, :]
-    scalars = [1.0, 1.0, 2.0 * np.pi / sol.om2**2, 1.0, -1.0 / sol.om2, sol.om1 / sol.om2**2]
-    phase_t = sol.reference.vt if vf.autonomous else [1.0, -1.0]
-    tail = np.concatenate([
-        np.repeat(F.ravel(), n), np.repeat(-RF.ravel(), n), dcoup.ravel(),
-        scalars, sol.reference.vphi, phase_t,
-    ])
-    return CollocationJacobian(pattern or torus_jacobian_pattern(vf, sol), seg, tail)
+    # rows (b)-(h) on x(0) of every segment, T0, T, p, om1, om2, varrho
+    Kn = n_seg * n
+    T0, T, om1, om2, rho = Kn, Kn + 1, -3, -2, -1
+    start = np.zeros((Kn + 5, Kn + vf.dim_params + 5))
+    _per_state(-(rotation_matrix(sol.N, sol.varrho) @ F), start[:Kn, :Kn])  # (b)
+    start[:Kn, rho] = (-(rotation_matrix_deriv(sol.N, sol.varrho) @ F) @ sol.x_seg[:, 0]).ravel()
+    start[-5, T0] = 1.0
+    start[-4, [T, om2]] = 1.0, 2.0 * np.pi / sol.om2**2
+    start[-3, [rho, om1, om2]] = 1.0, -1.0 / sol.om2, sol.om1 / sol.om2**2
+    start[-2, :n] = sol.reference.vphi  # segment 1, first base point
+    if vf.autonomous:
+        start[-1, :n] = sol.reference.vt
+    else:
+        start[-1, [Kn + 2 + vf.param_index(vf.forcing_param), om2]] = 1.0, -1.0
+    return CollocationJacobian(pattern, seg, start[:, pattern.start_cols])
 
 
 # -- initial solutions --------------------------------------------------------

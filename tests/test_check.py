@@ -1,4 +1,5 @@
-"""The step runner of ci/check.py, on fake steps (the real ones run pytest)."""
+"""The step runner of ci/check.py, on fake steps (the real ones run pytest),
+and the code-line counter of ci/codelines.py."""
 
 import importlib.util
 import json
@@ -9,10 +10,17 @@ from pathlib import Path
 
 import pytest
 
-spec = importlib.util.spec_from_file_location(
-    "check", Path(__file__).resolve().parent.parent / "ci" / "check.py")
-check = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(check)
+
+def load(name):
+    """The module ci/<name>.py."""
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "ci" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+check, codelines = load("check"), load("codelines")
 
 
 def test_runner_stops_at_the_first_failing_step(capsys):
@@ -113,3 +121,22 @@ def test_only_tests_tour_and_demos_get_src(tmp_path, monkeypatch):
     assert seen == {"--continue-on-collection-errors": src, "run": None,
                     str(tmp_path / "store"): None, str(tmp_path / "tour.py"): src,
                     str(check.ROOT / "demos" / "01_transform_gallery.py"): src, "0": None}
+
+
+def test_code_lines_skip_comments_docstrings_and_blanks():
+    text = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code
+
+
+def f(x):
+    """Docstring."""
+    # a comment line
+    s = """a string
+    that is not a docstring"""
+    return (x,
+            s)
+'''
+    # import, def, the string's two lines, return and its continuation
+    assert codelines.code_lines(text) == 6

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from torcont import cli, store
-from torcont.errors import ConfigError, NotFoundError
 
 SMALL_CONFIG = {
     "store": None,  # filled per test

@@ -146,41 +146,42 @@ def test_blocks_are_a_view_of_the_kernel_values(case):
     assert np.shares_memory(J.blocks(), J.seg.J_x)
 
 
-def test_tail_reaches_the_reduced_system_without_a_dense_block(monkeypatch):
-    """Factor, solve, J @ v and max_abs read the tail values where the
-    pattern places them; a dense tail block is never formed."""
+def test_tail_blocks_reach_the_reduced_system():
+    """Factor, solve, J @ v and max_abs read the tail's two blocks: the
+    pattern's constant one on x(T) and the Jacobian's on x(0) and the extras."""
     problem, u0 = autonomous_torus_n3()[:2]
     rng = np.random.default_rng(4)
     J = problem.jacobian(u0 + 1e-3 * rng.standard_normal(u0.size))
     p = J.pattern
-    width = p.K * p.n + p.n_extra
-    # the tail touches x(0) and x(T) of several segments and the extras
-    assert np.unique(p.end_slot // p.n % p.K).size == p.K > 1
-    start_cols = p.start_slot % width
-    assert np.unique(start_cols[start_cols < p.K * p.n] // p.n).size == p.K
-    assert np.any(start_cols >= p.K * p.n)
+    Kn = p.K * p.n
+    assert p.end.shape == (p.n_tail, Kn) and J.start.shape == (p.n_tail, Kn + p.n_extra)
+    # the tail touches x(T) and x(0) of every segment and the extras
+    for block in (p.end, J.start):
+        assert np.unique(np.nonzero(block[:, :Kn])[1] // p.n).size == p.K > 1
+    assert np.any(J.start[:, Kn:])
     B = linsys.bordered_matrix(J, rng.standard_normal(u0.size))
     ref_B, ref_J = dense(B), dense(J)
     v, rhs = rng.standard_normal(u0.size), rng.standard_normal(u0.size)
-
-    def no_dense_tail(self):
-        raise AssertionError("dense tail block formed")
-
-    monkeypatch.setattr(linsys.CollocationJacobian, "tail_block", no_dense_tail, raising=False)
     x = linsys.lu_factor(B).solve(rhs)
     assert np.abs(ref_B @ x - rhs).max() <= 1e-10 * np.abs(rhs).max()
     assert np.abs(J @ v - ref_J @ v).max() <= 1e-13 * np.abs(ref_J).max() * np.abs(v).sum()
     assert linsys.max_abs(B) == np.abs(ref_B).max()
 
 
-def test_tail_column_on_an_interior_base_point_is_refused():
-    mesh = colloc.build_mesh(3, 2)
-    n, K = 2, 2
-    end = mesh.n_base - 1
-    # x(T) of segment 0 and x(0) of segment 1 are segment ends
-    linsys.CollocationPattern(mesh, n, K, [0], [0, 0], [end * n, (end + 1) * n], 1)
-    with pytest.raises(ValueError, match=r"tail column 7 .* base point 3 of segment 0"):
-        linsys.CollocationPattern(mesh, n, K, [0], [0, 0], [0, 3 * n + 1], 1)
+@pytest.mark.parametrize("case", [autonomous_orbit, forced_orbit, autonomous_torus,
+                                  forced_torus])
+def test_tail_rows_are_the_two_blocks(case):
+    """The tail rows of J are its start block on x(0) of every segment and
+    the kept extras, the pattern's end block on x(T), and zero elsewhere."""
+    problem, u0 = case()[:2]
+    J = problem.jacobian(u0)
+    p = J.pattern
+    tail = dense(J)[-p.n_tail:]
+    x = tail[:, : p.n_x].reshape(p.n_tail, p.K, -1, p.n)  # (row, segment, base point, state)
+    assert np.array_equal(x[:, :, 0].reshape(p.n_tail, -1), J.start[:, : p.K * p.n])
+    assert np.array_equal(x[:, :, -1].reshape(p.n_tail, -1), p.end)
+    assert not x[:, :, 1:-1].any()
+    assert np.array_equal(tail[:, p.n_x:], J.start[:, p.K * p.n:])
 
 
 # -- condensed factorization against a sparse LU reference --------------------

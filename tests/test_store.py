@@ -10,7 +10,7 @@ import pytest
 
 from torcont import colloc, contin, linsys, odesys, po, store, torus
 from torcont.errors import ConfigError, ConvergenceError, FormatError, InputError, NotFoundError
-from util_systems import OM, T_LANG, langford_circle_traj, seams
+from util_systems import OM, langford_circle_traj, seams
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from torcont import colloc, fourier, odesys, po, torus
-from torcont.errors import ConfigError, InputError
+from torcont.errors import InputError
 from util_systems import (
     ALPHA_STAR,
     OM,
