@@ -3,17 +3,17 @@
 Seeds Langford tori at the TR point of the circular orbit family (eps = 0,
 rho = 0.6154, 20 x 4 mesh) with N = 10, 25, 50 and 100 Fourier modes,
 borders each Jacobian with the torus perturbation direction and times one
-factorization by condensation that solves for a right-hand side on the
-way, ``linsys.lu_factor(B, rhs=rhs)``, as each Newton update does.  Its
-time is split into the local elimination (``linsys._eliminate``: every
-collocation block at once, along the subinterval axis, carrying the
-initial-point columns, the extra columns with collocation values and the
-right-hand side; these meshes have 420 to 4020 blocks, all above
-``linsys.ELIMINATION_MIN_BLOCKS``), the one solve of the reduced system
-R (``np.linalg.solve``) and the rest: filling the elimination's array,
-the segment chain, the assembly of R and the replay of the right-hand
-side.  "later" times a second right-hand side on the same factor, which
-solves the kept blocks again by ``np.linalg.solve``; "det" times
+factorization by condensation, ``linsys.lu_factor(B)``, its first solve,
+as each Newton update makes, and a later solve on the same factor.  The
+factorization's time is split into the local elimination
+(``linsys._eliminate``: the L and U of every collocation block at once,
+along the subinterval axis; these meshes have 420 to 4020 blocks, all
+above ``linsys.ELIMINATION_MIN_BLOCKS``) and the rest: the substitution
+for the initial-point and extra columns, the segment chain and the
+assembly of R.  A solve substitutes the right-hand side on the kept L and
+U, replays the chain, solves the reduced system R (``np.linalg.solve``,
+"R solve") and substitutes back; "first" takes each time a fresh factor,
+"later" a second right-hand side on one factor.  "det" times
 ``linsys.det_sign_log``, whose local determinants are the elimination's
 pivots.
 BLAS and OpenMP threads are capped at the usable CPUs before numpy loads,
@@ -24,23 +24,21 @@ Then it runs three continuation steps of the N = 100 family, 60,306
 unknowns.
 
 One run on a shared 2-vCPU host (Python 3.11.7, numpy 2.4.6, OpenBLAS
-0.3.31, two BLAS threads), best of 5, in ms; local + R solve + rest =
-factor, which includes the solve for its right-hand side.  The rest
-includes the assembly of R, which adds the tail's block on x(0) and the
-extras to the products of its constant x(T) block.  Runs on this host
-spread widely: at N = 50 the previous build, which scattered the tail
-values into R one by one, read factor 5.6 ms (local 2.4, rest 2.2) in an
-earlier run and 7.0 ms (local 3.5, rest 1.9) in a run made just after
-this one, which read N = 25 at 140.1 ms; three later runs of this build
-on a quieter host read 4.3 to 4.5 ms, one of them N = 25 at 143.9 ms.
-Such an N = 25 figure is the one solve of R inside the factorization
-taking about 140 ms on every repetition of a run, at two BLAS threads.
+0.3.31, two BLAS threads), best of 5, in ms; local + rest = factor.  A
+Newton update costs factor + first: 6.8 ms at N = 50, where the previous
+build, which solved the update's right-hand side inside the factorization
+and re-solved every block by ``np.linalg.solve`` for a later one, read
+7.2 to 7.4 ms and a later solve 5.6 to 5.8 ms in runs alternated with
+this build's (later 2.2 to 2.6 ms).  Runs on this host spread widely.  In
+some runs one solve of R at N = 25 takes about 140 ms on every
+repetition, at two BLAS threads; it showed in 1 of 6 runs of this build
+("first" 139.9 ms) and 1 of 2 of the previous one.
 
-   N  unknowns    R  factor ms  local  R solve   rest  later    det  residual
-  10      6306   69        1.8    0.7      0.0    1.0   1.00   0.16   1.0e-12
-  25     15306  159        3.7    1.6      0.3    1.8   2.86   0.55   9.5e-12
-  50     30306  309        7.3    2.9      1.1    3.3   5.19   1.49   3.7e-11
- 100     60306  609       19.1    5.2      5.6    8.3  14.57   6.37   2.8e-11
+   N  unknowns    R  factor ms  local   rest  first  later  R solve    det  residual
+  10      6306   69        1.0    0.6    0.4   0.58   0.44     0.04   0.13   1.0e-12
+  25     15306  159        2.1    0.7    1.4   1.05   0.95     0.25   0.41   9.5e-12
+  50     30306  309        4.1    1.5    2.6   2.65   2.31     1.06   1.52   3.2e-11
+ 100     60306  609       10.7    2.7    7.9   9.93   8.56     5.63   7.27   2.6e-11
 
 Expect a few seconds.
 """
@@ -96,29 +94,29 @@ vf = odesys.builtin_langford()
 orbit = tr_orbit(vf, colloc.build_mesh(20, 4))
 floq = po.floquet(vf, orbit)
 
-print(f"{'N':>4} {'unknowns':>9} {'R':>4} {'factor ms':>10} {'local':>6} {'R solve':>8} "
-      f"{'rest':>6} {'later':>6} {'det':>6} {'residual':>9}")
+print(f"{'N':>4} {'unknowns':>9} {'R':>4} {'factor ms':>10} {'local':>6} {'rest':>6} "
+      f"{'first':>6} {'later':>6} {'R solve':>8} {'det':>6} {'residual':>9}")
 worst = 0.0
 for N in (10, 25, 50, 100):
     problem, u0, seed = problem_at(vf, orbit, floq, N)
     B = linsys.bordered_matrix(problem.jacobian(u0), seed)
     rhs, rhs2 = np.random.default_rng(N).standard_normal((2, B.shape[0]))
-    t_fac, lu = best_of(lambda: linsys.lu_factor(B, rhs=rhs))
+    t_fac, lu = best_of(lambda: linsys.lu_factor(B))
     p = B.pattern
     mn = p.m * p.n
-    work = np.ones((mn, mn + p.n + p.coll_extra.size + 1, p.K * p.ntst))
-    work[:, :mn] = B.blocks()[:, :, p.n:].transpose(1, 2, 0)
-    t_loc, _ = best_of(lambda: linsys._eliminate(work.copy(), mn))
+    blocks = B.blocks()[:, :, p.n:].transpose(1, 2, 0).copy()
+    t_loc, _ = best_of(lambda: linsys._eliminate(blocks.copy(), mn))
+    fresh = [linsys.lu_factor(B) for _ in range(REPEATS)]  # nothing cached
+    t_first, x = best_of(lambda: fresh.pop().solve(rhs))
+    t_later, x2 = best_of(lambda: lu.solve(rhs2))
     R, g = lu._R, rhs[-lu._R.shape[0]:]
     t_red, _ = best_of(lambda: np.linalg.solve(R, g))
-    t_sol, x2 = best_of(lambda: lu.solve(rhs2))
-    fresh = [linsys.lu_factor(B, rhs=rhs) for _ in range(REPEATS)]  # U is cached
+    fresh = [linsys.lu_factor(B) for _ in range(REPEATS)]  # U is cached
     t_det, _ = best_of(lambda: linsys.det_sign_log(fresh.pop()))
-    residual = max(np.abs(B @ x - r).max() / np.abs(r).max()
-                   for x, r in ((lu.solve(rhs), rhs), (x2, rhs2)))
+    residual = max(np.abs(B @ y - r).max() / np.abs(r).max() for y, r in ((x, rhs), (x2, rhs2)))
     worst = max(worst, residual)
-    print(f"{N:4d} {B.shape[0]:9d} {R.shape[0]:4d} {t_fac:10.1f} {t_loc:6.1f} {t_red:8.1f} "
-          f"{t_fac - t_loc - t_red:6.1f} {t_sol:6.2f} {t_det:6.2f} {residual:9.1e}")
+    print(f"{N:4d} {B.shape[0]:9d} {R.shape[0]:4d} {t_fac:10.1f} {t_loc:6.1f} {t_fac - t_loc:6.1f} "
+          f"{t_first:6.2f} {t_later:6.2f} {t_red:8.2f} {t_det:6.2f} {residual:9.1e}")
 
 print("\nthree continuation steps of the N = 100 family:")
 t0 = perf_counter()

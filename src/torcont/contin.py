@@ -105,6 +105,8 @@ class ContinuationProblem:
     ``start_border`` (a vector in ``u``) borders the start correction; by
     default it holds the first active unknown, column ``n_unknowns - len(active)``.
     With a ``start_tangent`` the start is not corrected and the run leaves along it.
+    :func:`run` refuses either vector with a ConfigError unless it is finite
+    and nonzero, with one entry per unknown.
     ``jacobian`` returns a :class:`linsys.CollocationJacobian` for orbit and
     torus problems and a dense array for algebraic ones; ``vf`` is the
     vector field of orbit and torus problems.
@@ -250,13 +252,12 @@ def _correct(problem, u_first, border, anchor, max_iter=CORRECTOR_MAX_ITER, floo
 def _det(problem, u, border, lu=None):
     """(sign, log|det|) of [J(u); border^T] from the corrector's factor ``lu``,
     else from one made here; for an exactly singular system, the
-    ConvergenceError of its factorization (returned: no determinant there)."""
-    if lu is None:
-        try:
-            lu = lu_factor(bordered_matrix(problem.jacobian(u), border))
-        except ConvergenceError as exc:
-            return exc
-    return det_sign_log(lu)
+    ConvergenceError of its factorization or determinant (returned: no
+    determinant there)."""
+    try:
+        return det_sign_log(lu or lu_factor(bordered_matrix(problem.jacobian(u), border)))
+    except ConvergenceError as exc:
+        return exc
 
 
 def _check_square_plus_one(problem, u0):
@@ -279,14 +280,24 @@ def _check_square_plus_one(problem, u0):
         )
 
 
+def _start_vector(problem, name):
+    """The problem's ``start_border`` or ``start_tangent`` (``name``),
+    normalized; ConfigError naming it unless it is a finite nonzero vector
+    with one entry per unknown."""
+    vec = np.asarray(getattr(problem, name), dtype=float)
+    if vec.shape != (problem.n_unknowns,) or not np.all(np.isfinite(vec)) or not vec.any():
+        raise ConfigError(f"{name} must be a finite nonzero vector of {problem.n_unknowns} "
+                          f"entries, one per unknown; got {np.array2string(vec, threshold=6)}")
+    return vec / np.linalg.norm(vec)
+
+
 def _initial_border(problem):
     """The normalized start border (see :class:`ContinuationProblem`)."""
-    if problem.start_border is None:
-        vec = np.zeros(problem.n_unknowns)
-        vec[problem.n_unknowns - len(problem.active)] = 1.0
-    else:
-        vec = np.asarray(problem.start_border, dtype=float)
-    return vec / np.linalg.norm(vec)
+    if problem.start_border is not None:
+        return _start_vector(problem, "start_border")
+    vec = np.zeros(problem.n_unknowns)
+    vec[problem.n_unknowns - len(problem.active)] = 1.0
+    return vec
 
 
 # -- the walk's tests and their localization ----------------------------------
@@ -430,13 +441,7 @@ def switch_branch(problem, u_bp: np.ndarray, incoming_tangent: np.ndarray):
     """
     J = problem.jacobian(u_bp)
     B = bordered_matrix(J, incoming_tangent)
-    try:
-        lu = lu_factor(B)
-    except ConvergenceError:
-        # exactly singular at a perfectly localized BP: shift the reduced
-        # system for the solve, the inverse iteration still converges to
-        # the null direction
-        lu = lu_factor(B, shift=1e-10)
+    lu = lu_factor(B)
     n = B.shape[0]
     psi = None
     # inverse iteration needs a start with a component along the null
@@ -445,7 +450,14 @@ def switch_branch(problem, u_bp: np.ndarray, incoming_tangent: np.ndarray):
     for seed in seeds:
         x = seed / np.linalg.norm(seed)
         for _ in range(3):
-            x = lu.solve(x)
+            try:
+                x = lu.solve(x)
+            except ConvergenceError:
+                # exactly singular at a perfectly localized BP, found by the
+                # first solve: shift the reduced system, the inverse
+                # iteration still converges to the null direction
+                lu = lu_factor(B, shift=1e-10)
+                x = lu.solve(x)
             x = x / np.linalg.norm(x)
         cand = x - (x @ incoming_tangent) * incoming_tangent
         nrm = np.linalg.norm(cand)
@@ -505,10 +517,9 @@ def run(problem: ContinuationProblem, u0: np.ndarray, state: ContinuationState,
         problem.on_accept(u_start)
         t0 = nullspace_tangent(problem.jacobian(u_start), border0)
     else:
+        t0 = _start_vector(problem, "start_tangent")
         u_start = u0.copy()
         problem.on_accept(u_start)
-        t0 = np.asarray(problem.start_tangent, dtype=float)
-        t0 = t0 / np.linalg.norm(t0)
 
     branch = Branch()
 

@@ -17,25 +17,27 @@ bordering algorithm):
 
 1. *Local elimination.*  Each of the K*ntst subintervals has an (m n)x(m n)
    block on the m base points after its first.  Each block is solved for
-   the columns that are read: the initial-point columns, the extra columns
-   that carry collocation values (the other extras are zero there) and,
-   given one, the interior collocation rows of a right-hand side.  No
-   inverse is formed.  From ``ELIMINATION_MIN_BLOCKS`` blocks on, one
-   Gaussian elimination runs on all of them at once, along the subinterval
-   axis that the kernel's values already keep last, carrying the columns
-   in the same pass.  Its pivot order is the blocks' own row order, fixed
+   the columns that are read: the initial-point columns and the extra
+   columns that carry collocation values (the other extras are zero
+   there).  No inverse is formed.  From ``ELIMINATION_MIN_BLOCKS`` blocks
+   on, one Gaussian elimination runs on all of them at once, along the
+   subinterval axis that the kernel's values already keep last, and leaves
+   every block's L and U in its array; one forward and back substitution
+   along the same axis then solves for the columns, and later for each
+   right-hand side.  The pivot order is the blocks' own row order, fixed
    (static) for every block: near the continuous limit a block is
    dominated by its differentiation part, whose leading pivots are large.
    A zero or non-finite pivot, or a multiplier above ``MAX_MULTIPLIER`` in
    size (threshold pivoting's test, with u = 0.1), sends the whole step
    back to the other path, one batched ``np.linalg.solve`` (LAPACK's
-   partial pivoting) on the blocks read in place; so does a smaller mesh,
-   where the elimination's fixed cost per column loses.  On a 2-vCPU host
-   at one BLAS thread the two paths cost the same at about 120 blocks of
-   8x8 and of 12x12; the elimination takes 0.43x the solve's time at 840
-   blocks of 8x8 and 0.46x at 2020 of 12x12.  The solutions map each
-   subinterval's interior base points affinely from its initial point and
-   the extra unknowns.
+   partial pivoting) on the blocks read in place, which each later
+   right-hand side repeats; so does a smaller mesh, where the elimination's
+   fixed cost per row loses.  On a 2-vCPU host at one BLAS thread, for a
+   factorization and one solve, the two paths cost the same at about 110
+   blocks of 12x12 and 160 of 8x8; the elimination takes 0.43x the batched
+   solves' time at 420 blocks of 12x12, 0.31x at 2020, and 0.39x at 840 of
+   8x8.  The solutions map each subinterval's interior base points
+   affinely from its initial point and the extra unknowns.
 2. *Segment chain.*  The continuity rows carry these maps from subinterval
    to subinterval, ntst batched steps across all segments, so every base
    point becomes an affine map of (v0 of its segment, extra unknowns).
@@ -46,23 +48,21 @@ bordering algorithm):
    N = 50 Langford torus).  The tail's x(T) block meets the chain's last
    maps in one batched and one plain product; its block on x(0) (v0
    itself) and the extras is then added as it is.  A solve replays the
-   steps on the right-hand side, solves R once (``np.linalg.solve``) and
-   substitutes back.  A Newton update solves once per factorization, so
-   ``lu_factor(B, rhs=r)`` solves for its r while it factors, r riding
-   along in the local solve; numpy's determinant of R (``slogdet``, a
-   second LU of R) then waits until it is read, and a corrector that reads
-   none takes none.  A factor made without a right-hand side takes it at
-   once, which finds an exactly singular R, and solves each later
-   right-hand side against the kept blocks and R.
+   steps on the right-hand side (the local blocks by the kept L and U, or
+   by the batched solve), solves R (``np.linalg.solve``) and substitutes
+   back.  The factorization neither solves nor factors R: an exactly
+   singular R is found by the first solve or determinant read.  numpy's
+   determinant of R (``slogdet``, an LU of R) waits until it is read, and
+   a corrector that reads none takes none.
 
 The determinant obeys det B = s * prod det(local blocks) * (-1)^(continuity
 rows) * det(reduced), where s is the sign of the row and column
 permutations that put B into this block order; s depends only on the mesh
 and K.  A local block's determinant is the product of its elimination's
-pivots, which need no row permutation; after a batched solve it takes a
-second batched LU (``slogdet``) when it is read.  The factor exposes the
-identity as ``U``, an array of one pivot per row of B, which
-:func:`det_sign_log` turns into (sign, log|det|).
+pivots, the diagonal of the kept U, which need no row permutation; after a
+batched solve it takes a second batched LU (``slogdet``) when it is read.
+The factor exposes the identity as ``U``, an array of one pivot per row of
+B, which :func:`det_sign_log` turns into (sign, log|det|).
 
 A dense matrix is the case K = 0: the whole matrix is the reduced system.
 Only small algebraic problems take that path.
@@ -75,8 +75,8 @@ must shrink the residual by ``CONTRACTION``.  It also stops when an update
 leaves an optional residual floor that an earlier iterate was below (near a
 branch point such an update runs along the near-null direction).  Stopped
 unconverged, it returns its best iterate if that is below the floor and
-fails otherwise, as on divergence.  Each update factors the Jacobian once,
-with the residual as the factor's right-hand side.  It returns the factor
+fails otherwise, as on divergence.  Each update factors the Jacobian once
+and solves that factor for the residual.  It returns the factor
 of the last update, made at the iterate before the solution, or None (see
 :func:`newton_square`); a caller that reads a determinant where it gets none
 (``contin``'s branch-point test) factors the point itself.
@@ -96,7 +96,7 @@ from .errors import ConvergenceError
 CONTRACTION = 0.5
 #: number of collocation blocks from which step 1 eliminates them itself
 #: rather than by ``np.linalg.solve``; see the module docstring
-ELIMINATION_MIN_BLOCKS = 120
+ELIMINATION_MIN_BLOCKS = 140
 #: largest multiplier, in size, that step 1's elimination accepts
 MAX_MULTIPLIER = 10.0
 
@@ -241,27 +241,13 @@ def _interior_rows(rhs, p) -> np.ndarray:
     return seg_rows[:, : p.ntst * p.m * p.n].reshape(p.K * p.ntst, p.m * p.n)
 
 
-def _columns(B, rhs, out):
-    """Fill ``out`` (K ntst, m n, columns) with the columns step 1 solves
-    for: [-C | -G | r], C the blocks' initial-point columns, G the extras
-    ``coll_extra`` on the collocation rows and r the interior collocation
-    rows of ``rhs`` (none without one)."""
-    p = B.pattern
-    subs, mn, n = p.K * p.ntst, p.m * p.n, p.n
-    np.negative(B.blocks()[:, :, :n], out=out[:, :, :n])
-    for i, values in enumerate(B.coll_columns(), start=n):
-        np.negative(values.reshape(subs, mn), out=out[:, :, i])
-    if rhs is not None:
-        out[:, :, -1] = _interior_rows(rhs, p)
-
-
 def _eliminate(work, mn):
-    """Gaussian elimination of every block of ``work`` = [A | X], shape
-    (mn, mn + columns, blocks), in place, in the rows' own order.
+    """Gaussian elimination of every block of ``work``, shape (mn, mn,
+    blocks), in place, in the rows' own order.
 
     Crout's order: row k of U, then column k of L, each one ``einsum``
-    across the last (block) axis; the columns X ride along and end as
-    A^{-1} X.  Returns the pivots, (mn, blocks), whose product is det A;
+    across the last (block) axis; ``work`` ends as L\\U, L with a unit
+    diagonal.  Returns the pivots, (mn, blocks), whose product is det A;
     or None, leaving ``work`` spoiled, when a pivot is zero or not finite
     or a multiplier is larger than ``MAX_MULTIPLIER`` in size.
     """
@@ -277,46 +263,59 @@ def _eliminate(work, mn):
     if not (np.isfinite(piv).all() and piv.all()
             and multipliers.max(initial=0.0) <= MAX_MULTIPLIER):
         return None
-    for k in range(mn - 1, -1, -1):
-        if k < mn - 1:
-            work[k, mn:] -= np.einsum("js,jcs->cs", work[k, k + 1:mn], work[k + 1:mn, mn:])
-        work[k, mn:] /= piv[k]
     return piv
 
 
-def _condense(B, rhs=None):
+def _substitute(LU, r):
+    """A^{-1} r for every block, from the L\\U of :func:`_eliminate`:
+    forward, then back substitution along the block axis.  ``r`` is
+    (mn, blocks) or (mn, columns, blocks); the result is a new array of
+    that shape."""
+    mn, subs = LU.shape[0], LU.shape[-1]
+    x = r.copy()
+    y = x.reshape(mn, -1, subs)
+    for k in range(1, mn):
+        y[k] -= np.einsum("is,ics->cs", LU[k, :k], y[:k])
+    for k in range(mn - 1, -1, -1):
+        if k < mn - 1:
+            y[k] -= np.einsum("js,jcs->cs", LU[k, k + 1:], y[k + 1:])
+        y[k] /= LU[k, k]
+    return x
+
+
+def _condense(B):
     """Steps 1 and 2 of the module docstring on the collocation rows of B.
 
-    Returns (A, LM, chain, w, piv): the (m n)x(m n) local blocks, LM = -A^{-1}
+    Returns (A, LM, chain, LU): the (m n)x(m n) local blocks, LM = -A^{-1}
     [C | G] (the interior base points of every subinterval as a map of
     [its initial point; the extras ``coll_extra``]), chain, where
     chain[s, k] = [Phi | Psi] maps (v0 of segment s, those extras) to the
     initial point of subinterval k and chain[s, ntst] to the segment's last
-    point, w = A^{-1} r for the interior collocation rows r of ``rhs``
-    (None without one), and the pivots of the blocks' elimination (None
-    when ``np.linalg.solve`` solved them).  One elimination or one batched
-    solve gives LM and w; the other extras are zero on the collocation
-    rows, so nothing maps them.
+    point, and the blocks' L\\U from their elimination, (m n, m n, K ntst),
+    or None when ``np.linalg.solve`` solved them.  The other extras are
+    zero on the collocation rows, so nothing maps them.
     """
     p = B.pattern
     K, ntst, m, n = p.K, p.ntst, p.m, p.n
     subs, mn, nc = K * ntst, m * n, p.coll_extra.size
-    ncols = n + nc + (rhs is not None)
-    A = B.blocks()[:, :, n:]
-    X = piv = None
+    blocks = B.blocks()
+    A = blocks[:, :, n:]
+    LU = None
     if subs >= ELIMINATION_MIN_BLOCKS:
-        # [A | -C | -G | r] in the layout of the kernel's values, blocks last
-        work = np.empty((mn, mn + ncols, subs))
-        work[:, :mn] = A.transpose(1, 2, 0)
-        _columns(B, rhs, work[:, mn:].transpose(2, 0, 1))
-        piv = _eliminate(work, mn)
-        if piv is not None:
-            X = work[:, mn:].transpose(2, 0, 1)
-    if X is None:
-        cols = np.empty((subs, mn, ncols))
-        _columns(B, rhs, cols)
+        work = A.transpose(1, 2, 0).copy()  # the kernel's layout, blocks last
+        if _eliminate(work, mn) is not None:
+            LU = work
+    # [-C | -G]: the blocks' initial-point columns and the extras
+    # coll_extra on the collocation rows, blocks last
+    cols = np.empty((mn, n + nc, subs))
+    np.negative(blocks[:, :, :n].transpose(1, 2, 0), out=cols[:, :n])
+    for i, values in enumerate(B.coll_columns(), start=n):
+        np.negative(values.reshape(subs, mn).T, out=cols[:, i])
+    if LU is not None:
+        LM = _substitute(LU, cols).transpose(2, 0, 1)
+    else:
         try:
-            X = np.linalg.solve(A, cols)
+            LM = np.linalg.solve(A, cols.transpose(2, 0, 1))
         except np.linalg.LinAlgError:
             bad = np.flatnonzero(np.linalg.slogdet(A)[0] == 0)
             where = (f"segment {bad[0] // ntst}, subinterval {bad[0] % ntst}" if bad.size
@@ -324,15 +323,14 @@ def _condense(B, rhs=None):
             raise ConvergenceError(
                 f"linear solve failed: collocation block of {where} is exactly singular"
             ) from None
-    # interior base points = LM @ [initial point; extras coll_extra] + w
-    LM = X[:, :, :n + nc]
+    # interior base points = LM @ [initial point; extras coll_extra] + A^{-1} r
     last = LM.reshape(K, ntst, m, n, n + nc)[:, :, -1]
     chain = np.zeros((K, ntst + 1, n, n + nc))
     chain[:, 0, :, :n] = np.eye(n)
     for k in range(ntst):
         chain[:, k + 1] = last[:, k, :, :n] @ chain[:, k]
         chain[:, k + 1, :, n:] += last[:, k, :, n:]
-    return A, LM, chain, None if rhs is None else X[:, :, -1], piv
+    return A, LM, chain, LU
 
 
 def monodromy(J: CollocationJacobian) -> np.ndarray:
@@ -358,10 +356,10 @@ def _singular(R) -> ConvergenceError:
 class CondensedFactor:
     """Factorization of a square system by condensation (module docstring).
 
-    It keeps the local blocks, ``LM``, the chain and the reduced system R,
-    no inverse and no LU.  Given ``rhs``, ``solve`` returns the solution
-    found while factoring for that same array, and an exactly singular R
-    is found by its solve; without, by slogdet at once.
+    It keeps the local blocks, with their L\\U where step 1 eliminated
+    them, ``LM``, the chain and the reduced system R: no inverse and no LU
+    of R.  Every ``solve`` substitutes on what it keeps; an exactly
+    singular R is found by the first ``solve`` or determinant read.
     ``U`` lists one pivot per row whose product is det B: a local block's
     pivots of step 1's elimination, or, after the batched solve, its
     geometric-mean pivot with the determinant's sign on the first; -1 per
@@ -369,15 +367,13 @@ class CondensedFactor:
     on the first.
     """
 
-    def __init__(self, B, shift: float = 0.0, rhs=None):
+    def __init__(self, B, shift: float = 0.0):
         self.shape = B.shape
         if B.shape[0] != B.shape[1]:
             raise ValueError(f"cannot factor a {B.shape[0]}x{B.shape[1]} system")
-        r = None if rhs is None else np.asarray(rhs, dtype=float)
-        w = None
         if isinstance(B, CollocationJacobian):
             self.p = B.pattern
-            self._A, self._LM, self._chain, w, self._piv = _condense(B, r)
+            self._A, self._LM, self._chain, self._LU = _condense(B)
             R = self._reduced(B)
         else:
             self.p = None
@@ -388,11 +384,6 @@ class CondensedFactor:
             R[np.diag_indices_from(R)] += shift * max(1.0, np.abs(R).max())
         self._R = R
         self.nnz = R.size + (0 if self.p is None else self._A.size + self._LM.size)
-        self._rhs, self._x = rhs, None
-        if r is None:
-            self._det_R  # slogdet now: an exactly singular R raises here
-        else:
-            self._x = self._finish(r, w)
 
     # -- step 3: the reduced system --------------------------------------
 
@@ -428,22 +419,19 @@ class CondensedFactor:
             raise _singular(self._R) from None
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """B^{-1} rhs: w = A^{-1} r on the interior collocation rows r, the
+        chain's replay, R's solve and the substitution back."""
         if trans != "N":
             raise ValueError("only B x = rhs is supported")
-        if self._x is not None and rhs is self._rhs:
-            return self._x
         rhs = np.asarray(rhs, dtype=float)
-        w = (None if self.p is None
-             else np.linalg.solve(self._A, _interior_rows(rhs, self.p)[..., None])[..., 0])
-        return self._finish(rhs, w)
-
-    def _finish(self, rhs, w):
-        """B^{-1} rhs from w = A^{-1} r on the interior collocation rows."""
         if self.p is None:
             return self._solve_reduced(rhs)
         p = self.p
         K, ntst, m, n = p.K, p.ntst, p.m, p.n
         subs = K * ntst
+        r = _interior_rows(rhs, p)
+        w = (np.linalg.solve(self._A, r[..., None])[..., 0] if self._LU is None
+             else _substitute(self._LU, r.T).T)
         # the particular solution: zero at x(0) and on the extras, the
         # continuity rows after every subinterval but a segment's last
         step = w.reshape(K, ntst, m, n)[:, :, -1].copy()
@@ -487,8 +475,8 @@ class CondensedFactor:
         if self.p is None:
             return _pivots(sign, logdet, self._R.shape[0])
         p = self.p
-        local = (_pivots(*np.linalg.slogdet(self._A), p.m * p.n) if self._piv is None
-                 else self._piv.T.ravel())
+        local = (_pivots(*np.linalg.slogdet(self._A), p.m * p.n) if self._LU is None
+                 else np.diagonal(self._LU).ravel())
         cont = np.full(p.K * (p.ntst - 1) * p.n, -1.0)
         return np.concatenate([local, cont,
                                _pivots(sign * p.parity, logdet, self._R.shape[0])])
@@ -502,18 +490,17 @@ def _pivots(sign, logabs, size) -> np.ndarray:
     return d.ravel()
 
 
-def lu_factor(A, shift: float = 0.0, rhs=None) -> CondensedFactor:
+def lu_factor(A, shift: float = 0.0) -> CondensedFactor:
     """Condensed factorization of the square system ``A``.
 
-    Raises :class:`ConvergenceError` naming the exactly singular local
-    block or reduced system.  ``shift`` adds shift * max(1, max|R|) to the
-    diagonal of the reduced system R (of the matrix itself when K = 0),
-    which makes an exactly singular system solvable for inverse iteration.
-    Given ``rhs``, the factorization solves A x = rhs on the way and
-    ``solve(rhs)`` returns x for the same array; the determinant of R is
-    then taken only when ``U`` is read.
+    Raises :class:`ConvergenceError` naming an exactly singular local
+    block; an exactly singular reduced system R raises the same error at
+    the factor's first ``solve`` or determinant read.  ``shift`` adds
+    shift * max(1, max|R|) to the diagonal of R (of the matrix itself when
+    K = 0), which makes an exactly singular system solvable for inverse
+    iteration.  The determinant of R is taken only when ``U`` is read.
     """
-    return CondensedFactor(A, shift, rhs)
+    return CondensedFactor(A, shift)
 
 
 def det_sign_log(lu):
@@ -533,7 +520,7 @@ def nullspace_tangent(J, seed: np.ndarray) -> np.ndarray:
     B = bordered_matrix(J, seed)
     rhs = np.zeros(B.shape[0])
     rhs[-1] = 1.0
-    t = lu_factor(B, rhs=rhs).solve(rhs)
+    t = lu_factor(B).solve(rhs)
     nrm = np.linalg.norm(t)
     if not np.isfinite(nrm) or nrm == 0.0:
         raise ConvergenceError("null-space tangent computation failed (singular bordering)")
@@ -544,10 +531,11 @@ def newton_square(residual_fn, jacobian_fn, u0: np.ndarray, tol: float, max_iter
                   floor: float = 0.0, context: str = "Newton"):
     """Newton from ``u0`` on a square system; returns (u, iterations, lu).
 
-    Policy and ``floor`` as in the module docstring.  ``lu`` is the
+    Policy and ``floor`` as in the module docstring.  Each update factors
+    the Jacobian and solves that factor for the residual.  ``lu`` is the
     factorization of the last update, made at the iterate before ``u``, or
-    on a floor exit at an earlier best iterate that iterate's own.  It is
-    None when ``u0`` converged without an update or a floor exit returns
+    on a floor exit at an earlier best iterate that iterate's own; it serves
+    a determinant read or further solves.  It is None when ``u0`` converged without an update or a floor exit returns
     the last iterate, which no update factored.
     """
     u = np.asarray(u0, dtype=float).copy()
@@ -563,7 +551,7 @@ def newton_square(residual_fn, jacobian_fn, u0: np.ndarray, tol: float, max_iter
             break
         if not np.isfinite(nrm) or nrm > 1e8 * max(best[0], 1.0):
             raise ConvergenceError(f"{context} diverged (residual {nrm:.3e})")
-        lu = lu_factor(jacobian_fn(u), rhs=res)
+        lu = lu_factor(jacobian_fn(u))
         if nrm < best[0]:
             best = (nrm, u, lu)
         prev = nrm

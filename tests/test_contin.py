@@ -106,6 +106,19 @@ class TestCircle:
         with pytest.raises(ConfigError, match="over-determined"):
             contin.run(problem, np.array([1.0, 0.0]), contin.ContinuationState())
 
+    # a start vector that is zero, not finite or not one entry per unknown
+    # is refused before any correction, naming its field
+    @pytest.mark.parametrize("field,vec", [
+        ("start_border", [0.0, 0.0]), ("start_border", [np.nan, 1.0]),
+        ("start_border", [1.0, 0.0, 0.0]), ("start_tangent", [0.0, 0.0]),
+        ("start_tangent", [np.nan, 1.0]), ("start_tangent", [1.0, 0.0, 0.0]),
+    ], ids=["zero-border", "nan-border", "long-border", "zero-tangent", "nan-tangent",
+            "long-tangent"])
+    def test_bad_start_vector_rejected(self, field, vec):
+        problem = circle_problem(**{field: np.array(vec)})
+        with pytest.raises(ConfigError, match=field):
+            contin.run(problem, np.array([1.0, 0.0]), contin.ContinuationState())
+
     def test_start_failure_reported(self):
         problem = algebraic_problem(
             lambda u: u[0] ** 2 + u[1] ** 2 + 1.0,  # empty zero set
@@ -244,12 +257,11 @@ def curved_pitchfork_problem(**kw):
 
 def counted_factorizations(monkeypatch):
     """A list that grows by one entry per ``lu_factor`` call, at the
-    ``contin`` and the ``linsys`` binding (Newton and null-space tangent):
-    whether the call carries a right-hand side."""
+    ``contin`` and the ``linsys`` binding (Newton and null-space tangent)."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("rhs") is not None)
+        calls.append(1)
         return lu_factor(*args, **kwargs)
 
     monkeypatch.setattr(contin, "lu_factor", counted)
@@ -335,8 +347,8 @@ class TestBranchPoints:
         assert skipped[0]["reason"].startswith(where)
 
     # on the same line each point is factored once, for its determinant: the
-    # start of each direction and every accepted point; only the start
-    # tangent's factor carries a right-hand side
+    # start of each direction and every accepted point, besides the start
+    # tangent's factor
     @pytest.mark.parametrize("bi_direct,count", [(False, 6), (True, 11)],
                              ids=["one-way", "two-way"])
     def test_point_without_an_update_is_factored_once(self, monkeypatch, bi_direct, count):
@@ -346,7 +358,19 @@ class TestBranchPoints:
         state = contin.ContinuationState(h=0.1, h_max=0.1, pt_max=4, bi_direct=bi_direct)
         branch = contin.run(problem, np.zeros(2), state)
         assert [pt.corrector_iters for pt in branch.points] == [0] * (1 + 4 * (1 + bi_direct))
-        assert len(calls) == count and sum(calls) == 1
+        assert len(calls) == count
+
+    def test_switch_at_an_exact_branch_point_shifts_once(self, monkeypatch):
+        # at the origin J = 0, so [J; t^T] is exactly singular: the first
+        # solve finds it and one shifted factor serves the inverse iteration
+        problem = pitchfork_problem()
+        calls = counted_factorizations(monkeypatch)
+        psi = contin.switch_branch(problem, np.zeros(2), np.array([0.0, 1.0]))
+        assert np.abs(np.abs(psi) - [1.0, 0.0]).max() < 1e-12
+        assert len(calls) == 2
+        # the BP test reads no determinant there and keeps the reason
+        det = contin._det(problem, np.zeros(2), np.array([0.0, 1.0]))
+        assert isinstance(det, ConvergenceError) and "exactly singular" in str(det)
 
     def test_switch_requires_two_dimensional_null_space(self):
         problem = circle_problem()

@@ -325,8 +325,8 @@ def test_elimination_matches_the_batched_solve(degree, monkeypatch):
 
     def factored(min_blocks):
         monkeypatch.setattr(linsys, "ELIMINATION_MIN_BLOCKS", min_blocks)
-        lu = linsys.lu_factor(B, rhs=rhs)
-        return lu.solve(rhs), linsys.det_sign_log(lu), lu._piv is not None
+        lu = linsys.lu_factor(B)
+        return lu.solve(rhs), linsys.det_sign_log(lu), lu._LU is not None
 
     for zero_pivot in (False, True):
         if zero_pivot:
@@ -372,7 +372,7 @@ def test_exactly_singular_dense_system_names_its_zero_pivot():
     B[:, 200] = 0.0
     with pytest.raises(ConvergenceError, match=r"reduced 333x333 system is exactly "
                                                r"singular \(zero pivot 201\)"):
-        linsys.lu_factor(B)
+        linsys.det_sign_log(linsys.lu_factor(B))
 
 
 def test_exactly_singular_local_block_is_named():
@@ -395,12 +395,12 @@ def test_exactly_singular_reduced_system_is_reported_and_shift_solves():
     problem, u0 = autonomous_orbit()[:2]
     B = linsys.bordered_matrix(problem.jacobian(u0), np.zeros(u0.size))
     with pytest.raises(ConvergenceError, match="reduced"):
-        linsys.lu_factor(B)
+        linsys.lu_factor(B).solve(np.ones(u0.size))
     x = linsys.lu_factor(B, shift=1e-10).solve(np.ones(u0.size))
     assert np.all(np.isfinite(x))
 
 
-# -- a right-hand side solved inside the factorization --------------------------
+# -- one factor, many right-hand sides -----------------------------------------
 
 
 def dense_system():
@@ -430,12 +430,12 @@ def test_factor_given_rhs_solves_as_a_plain_factor(case):
     B = case()
     rng = np.random.default_rng(11)
     rhs, rhs2 = rng.standard_normal((2, B.shape[0]))
-    plain, given = linsys.lu_factor(B), linsys.lu_factor(B, rhs=rhs)
-    for r in (rhs, rhs2):  # the solution found while factoring, then a later one
-        x, x_ref = given.solve(r), plain.solve(r)
+    given = linsys.lu_factor(B)
+    for r in (rhs, rhs2):  # the factor's first solve, then a later one
+        x, x_ref = given.solve(r), linsys.lu_factor(B).solve(r)
         assert np.abs(x - x_ref).max() <= 1e-12 * np.abs(x_ref).max()
     sign, logdet = linsys.det_sign_log(given)
-    sign_ref, logdet_ref = linsys.det_sign_log(plain)
+    sign_ref, logdet_ref = linsys.det_sign_log(linsys.lu_factor(B))
     assert sign == sign_ref != 0
     assert abs(logdet - logdet_ref) <= 1e-10
 
@@ -451,46 +451,56 @@ def test_exactly_singular_reduced_system_given_rhs_names_its_zero_pivot():
     B[:, 200] = 0.0
     with pytest.raises(ConvergenceError, match=r"reduced 333x333 system is exactly "
                                                r"singular \(zero pivot 201\)"):
-        linsys.lu_factor(B, rhs=np.ones(333))
+        linsys.lu_factor(B).solve(np.ones(333))
     problem, u0 = autonomous_orbit()[:2]
     B = linsys.bordered_matrix(problem.jacobian(u0), np.zeros(u0.size))
     with pytest.raises(ConvergenceError) as plain:
-        linsys.lu_factor(B)
+        linsys.det_sign_log(linsys.lu_factor(B))
     with pytest.raises(ConvergenceError) as given:
-        linsys.lu_factor(B, rhs=np.ones(u0.size))
+        linsys.lu_factor(B).solve(np.ones(u0.size))
     assert "reduced" in str(plain.value) and str(given.value) == str(plain.value)
 
 
+def test_later_solve_substitutes_on_the_kept_blocks(eliminated, monkeypatch):
+    """A later right-hand side reuses the blocks' L and U: it solves no
+    block again (the one ``np.linalg.solve`` is R's) and gives a fresh
+    factor's first solution bit for bit."""
+    B = bordered_torus_n10()
+    rhs, rhs2 = np.random.default_rng(12).standard_normal((2, B.shape[0]))
+    lu = linsys.lu_factor(B)
+    lu.solve(rhs)
+    solved, solve = [], np.linalg.solve
+
+    def counted_solve(a, b):
+        solved.append(np.ndim(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    x = lu.solve(rhs2)
+    assert solved == [2]
+    assert np.array_equal(x, linsys.lu_factor(B).solve(rhs2))
+    assert eliminated == [True, True]
+
+
 def test_continuation_without_bp_detection_takes_no_reduced_determinant(monkeypatch):
-    """Nothing reads a determinant with detect_bp off: no slogdet of R runs,
-    and solving each Newton update inside its factorization adds none."""
+    """Nothing reads a determinant with detect_bp off: the run factors and
+    solves, but no slogdet of R runs."""
     factor, slogdet = linsys.lu_factor, np.linalg.slogdet
+    counts = Counter()
 
-    def counted_run(keep_rhs):
-        counts = Counter()
+    def lu_factor(A, shift=0.0):
+        counts["lu_factor"] += 1
+        return factor(A, shift)
 
-        def lu_factor(A, shift=0.0, rhs=None):
-            counts["lu_factor"] += 1
-            return factor(A, shift, rhs if keep_rhs else None)
+    def counted_slogdet(a):
+        counts["slogdet of R"] += np.ndim(a) == 2
+        return slogdet(a)
 
-        def counted_slogdet(a):
-            counts["slogdet of R"] += np.ndim(a) == 2
-            return slogdet(a)
-
-        with monkeypatch.context() as m:
-            m.setattr(linsys, "lu_factor", lu_factor)
-            m.setattr(contin, "lu_factor", lu_factor)
-            m.setattr(np.linalg, "slogdet", counted_slogdet)
-            problem, u0 = autonomous_torus()[:2]
-            branch = contin.run(problem, u0, contin.ContinuationState(
-                h=0.1, h_max=0.2, pt_max=4, bi_direct=False))
-        return branch, counts
-
-    branch, counts = counted_run(keep_rhs=True)
-    ref, ref_counts = counted_run(keep_rhs=False)  # every factor takes slogdet at once
-    assert counts["slogdet of R"] == 0
-    assert counts["lu_factor"] == ref_counts["lu_factor"] == ref_counts["slogdet of R"] > 4
-    assert [(pt.label, pt.ptype, pt.corrector_iters) for pt in branch.points] == \
-        [(pt.label, pt.ptype, pt.corrector_iters) for pt in ref.points]
-    for pt, pt_ref in zip(branch.points, ref.points):
-        assert np.abs(pt.u - pt_ref.u).max() <= 1e-10
+    monkeypatch.setattr(linsys, "lu_factor", lu_factor)
+    monkeypatch.setattr(contin, "lu_factor", lu_factor)
+    monkeypatch.setattr(np.linalg, "slogdet", counted_slogdet)
+    problem, u0 = autonomous_torus()[:2]
+    branch = contin.run(problem, u0, contin.ContinuationState(
+        h=0.1, h_max=0.2, pt_max=4, bi_direct=False))
+    assert len(branch.points) == 5
+    assert counts["slogdet of R"] == 0 and counts["lu_factor"] > 4
